@@ -106,13 +106,20 @@ def _parse_grid_values(spec: str) -> tuple[str, list[float]]:
         raise ParameterError(f"grid spec must look like name=...: got {spec!r}")
     name, body = spec.split("=", 1)
     name = name.strip()
+
+    def number(text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ParameterError(f"grid value for {name!r} is not a number: {text!r}") from None
+
     if "," in body:
-        values = [float(v) for v in body.split(",") if v.strip()]
+        values = [number(v) for v in body.split(",") if v.strip()]
     elif ":" in body:
         parts = body.split(":")
         if len(parts) != 3:
             raise ParameterError(f"range grid must be start:stop:step, got {body!r}")
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = (number(x) for x in parts)
         if step <= 0:
             raise ParameterError("grid step must be positive")
         values = []
@@ -121,17 +128,31 @@ def _parse_grid_values(spec: str) -> tuple[str, list[float]]:
             values.append(round(v, 12))
             v += step
     else:
-        values = [float(body)]
+        values = [number(body)]
     if not values:
         raise ParameterError(f"grid for {name!r} is empty")
     return name, values
+
+
+def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
+    grid: dict[str, list[float]] = {}
+    for spec in specs:
+        name, values = _parse_grid_values(spec)
+        if name in grid:
+            raise ParameterError(f"grid parameter {name!r} is given more than once")
+        grid[name] = values
+    return grid
 
 
 def _gather_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                raise ParameterError(
+                    f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ParameterError("config file must contain a JSON object")
         params.update(loaded)
@@ -149,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _gather_params(args)
         if args.command == "sweep":
-            grid = dict(_parse_grid_values(g) for g in args.grid)
+            grid = _parse_grid(args.grid)
             record = sweep(ExperimentConfig(args.trial_command, params), grid)
             print(f"rows={len(record.rows)} cells={len(record.outputs['cells'])} "
                   f"csv={params.get('csv')} schema_version={record.schema_version}")

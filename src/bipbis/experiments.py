@@ -79,11 +79,20 @@ class ExperimentRecord:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _coerce(key, value, kind):
+    """``kind(value)`` for a parameter, with a failure raised as ParameterError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {value!r}") from None
+
+
 def _positive_int(params, key, default=None, minimum=1):
     v = params.get(key, default)
     if v is None:
         raise ParameterError(f"missing required parameter {key!r}")
-    v = int(v)
+    v = _coerce(key, v, int)
     if v < minimum:
         raise ParameterError(f"{key} must be >= {minimum}, got {v}")
     return v
@@ -93,7 +102,7 @@ def _real(params, key, default=None):
     v = params.get(key, default)
     if v is None:
         raise ParameterError(f"missing required parameter {key!r}")
-    return float(v)
+    return _coerce(key, v, float)
 
 
 def resolve_params(command: str, raw: dict) -> dict:
@@ -101,8 +110,8 @@ def resolve_params(command: str, raw: dict) -> dict:
     before any work starts."""
     p = dict(raw)
     out: dict[str, Any] = {
-        "seed": int(p.get("seed", 1)),
-        "stream": int(p.get("stream", 0)),
+        "seed": _coerce("seed", p.get("seed", 1), int),
+        "stream": _coerce("stream", p.get("stream", 0), int),
         "workers": p.get("workers"),
         "csv": p.get("csv"),
         "record": p.get("record"),
@@ -110,7 +119,7 @@ def resolve_params(command: str, raw: dict) -> dict:
     if out["stream"] < 0:
         raise ParameterError("stream must be non-negative")
     if out["workers"] is not None:
-        out["workers"] = int(out["workers"])
+        out["workers"] = _coerce("workers", out["workers"], int)
         if out["workers"] < 1:
             raise ParameterError("workers must be >= 1")
 
@@ -137,8 +146,8 @@ def resolve_params(command: str, raw: dict) -> dict:
         if out["d"] <= 1:
             raise ParameterError("lowdeg requires d > 1")
         n, d, eps = out["n"], out["d"], out["epsilon"]
-        out["k_l"] = int(p.get("k_l", math.floor((1 - eps) * math.log(d) / d * n)))
-        out["k_r"] = int(p.get("k_r", math.floor((1 - eps) * d ** (eps - 1) * n)))
+        out["k_l"] = _coerce("k_l", p.get("k_l", math.floor((1 - eps) * math.log(d) / d * n)), int)
+        out["k_r"] = _coerce("k_r", p.get("k_r", math.floor((1 - eps) * d ** (eps - 1) * n)), int)
         if not (0 <= out["k_l"] <= n):
             raise ParameterError(f"k_l must lie in [0, n], got {out['k_l']}")
         out["eta"] = _real(p, "eta", default=0.0)
@@ -156,7 +165,8 @@ def resolve_params(command: str, raw: dict) -> dict:
         if out["c"] <= 0:
             raise ParameterError("c must be positive")
         n, d, eps = out["n"], out["d"], out["epsilon"]
-        out["k_l"] = int(p.get("k_l", max(1, math.floor((1 - min(eps, 0.999)) * math.log(d) / d * n))))
+        default_k_l = max(1, math.floor((1 - min(eps, 0.999)) * math.log(d) / d * n))
+        out["k_l"] = _coerce("k_l", p.get("k_l", default_k_l), int)
         out["eta"] = _real(p, "eta", default=eps / 16.0 * math.log(d) / d)
     elif command == "sample":
         out["n"] = _positive_int(p, "n")
@@ -265,7 +275,7 @@ def _resolve_workers(params: dict) -> int:
         return int(params["workers"])
     env = os.environ.get("BIPBIS_WORKERS")
     if env:
-        return max(1, int(env))
+        return max(1, _coerce("BIPBIS_WORKERS", env, int))
     return os.cpu_count() or 1
 
 
@@ -395,9 +405,9 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
     for name in names:
         cells = [prev + (v,) for prev in cells for v in grid[name]]
     t0 = time.perf_counter()
-    seed = int(config.params.get("seed", 1))
-    stream_base = int(config.params.get("stream", 0))
-    trials = int(config.params.get("trials", 20))
+    seed = _coerce("seed", config.params.get("seed", 1), int)
+    stream_base = _coerce("stream", config.params.get("stream", 0), int)
+    trials = _coerce("trials", config.params.get("trials", 20), int)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     all_rows: list[tuple] = []

@@ -12,7 +12,6 @@ parallel workers.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -176,17 +175,26 @@ def validate_graph(graph: BipartiteGraph) -> None:
         raise ParameterError("L endpoint out of range")
     if graph.er.size and (graph.er.min() < 0 or graph.er.max() >= n):
         raise ParameterError("R endpoint out of range")
-    if np.unique(graph.coords).size != graph.edge_count:
+    coords = np.sort(graph.coords)
+    if np.any(coords[1:] == coords[:-1]):
         raise ParameterError("duplicate edges present")
     if int(graph.degrees_l().sum()) != graph.edge_count:
         raise ParameterError("L-degree sum disagrees with edge_count")
     if int(graph.degrees_r().sum()) != graph.edge_count:
         raise ParameterError("R-degree sum disagrees with edge_count")
-    # symmetry: the edge set reconstructed from each side's adjacency agrees
-    from_l = {(l, r) for l in range(n) for r in graph.neighbors_l(l)}
-    from_r = {(l, r) for r in range(n) for l in graph.neighbors_r(r)}
-    if from_l != from_r:
+    # symmetry: the sorted edge coordinates rebuilt from each side's CSR agree
+    l_rows, l_nbrs = _csr_pairs(*graph.csr_l())
+    r_rows, r_nbrs = _csr_pairs(*graph.csr_r())
+    if not np.array_equal(np.sort(l_rows * n + l_nbrs), np.sort(r_nbrs * n + r_rows)):
         raise ParameterError("adjacency is not symmetric across sides")
+
+
+def _csr_pairs(indptr: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex, neighbor) arrays of every entry of one side's CSR adjacency."""
+    degrees = np.diff(indptr)
+    if degrees.size and (degrees.min() < 0 or indptr[0] < 0 or indptr[-1] > flat.size):
+        raise ParameterError("CSR index pointers are not a valid partition")
+    return np.repeat(np.arange(degrees.size), degrees), flat[indptr[0]:indptr[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +310,8 @@ def neighborhood(graph: BipartiteGraph, v: VertexId, radius: int) -> Neighborhoo
 
 
 def graph_to_text(graph: BipartiteGraph) -> str:
-    buf = io.StringIO()
-    buf.write(f"{graph.n} {graph.edge_count}\n")
-    for l, r in zip(graph.el, graph.er):
-        buf.write(f"{l} {r}\n")
-    return buf.getvalue()
+    endpoints = np.column_stack((graph.el, graph.er)).ravel().tolist()
+    return f"{graph.n} {graph.edge_count}\n" + ("%d %d\n" * graph.edge_count) % tuple(endpoints)
 
 
 def write_graph_text(graph: BipartiteGraph, path) -> None:
@@ -314,25 +319,92 @@ def write_graph_text(graph: BipartiteGraph, path) -> None:
         fh.write(graph_to_text(graph))
 
 
-def graph_from_text(text: str) -> BipartiteGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+# The reader works on the raw bytes. Line breaks and blanks are the ASCII
+# characters that str.splitlines() and str.split() treat as such; any other
+# byte that is not a decimal digit, non-ASCII bytes included, is rejected.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e"
+# Edge tokens are accumulated in int64 over at most this many trailing digits.
+# A longer token with a nonzero digit before them is at least 10**18, out of
+# range for any n whose n^2 edge coordinates fit in int64.
+_MAX_DIGITS = 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def graph_from_text(text: str | bytes) -> BipartiteGraph:
+    """Parse the text format: a header line "n m", then m lines "l r".
+
+    Every token must be an unsigned ASCII decimal integer and every nonblank
+    line must hold exactly two. Endpoints must lie in [0, n) and no edge may
+    appear twice. Blank lines and CRLF line endings are allowed. Any violation
+    raises ParameterError naming the offending line.
+    """
+    raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # uint8 differences wrap around, so each "x - a < k" tests a <= x < a + k
+    digit = data - ord("0") < 10
+    brk = (data - ord("\n") < 4) | (data - ord("\x1c") < 3)  # \n \v \f \r, \x1c-\x1e
+    blank = (data == ord("\t")) | (data - ord("\x1f") < 2)    # \t, \x1f and space
+    valid = digit | brk | blank
+    if not valid.all():
+        raise _bad_line(raw, int(valid.argmin()), "not an unsigned decimal integer")
+    # tokens are the maximal runs of digits, raw[starts[k]:ends[k]]
+    flips = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = flips[0::2], flips[1::2]
+    if starts.size == 0:
         raise ParameterError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParameterError(f"malformed header line: {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ParameterError(f"header promises {m} edges, file has {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParameterError(f"malformed edge line: {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return BipartiteGraph.from_edges(n, pairs)
+    # opens[k]: token k is the first on its line. Tokens 2j and 2j+1 must share
+    # a line of their own; the sentinel makes an odd last token open a pair.
+    opens = np.ones(starts.size + 1, dtype=bool)
+    opens[1:-1] = np.logical_or.reduceat(brk, flips[:-1])[1::2]
+    bad = np.flatnonzero(~opens[0:-1:2] | opens[1::2])
+    if bad.size:
+        at = int(starts[2 * bad[0]])
+        what = "edge" if brk[starts[0]:at].any() else "header"
+        raise _bad_line(raw, at, f"malformed {what} line")
+    n, m = int(raw[starts[0]:ends[0]]), int(raw[starts[1]:ends[1]])
+    if starts.size // 2 - 1 != m:
+        raise ParameterError(f"header promises {m} edges, file has {starts.size // 2 - 1}")
+    if n * n > _INT64_MAX:
+        raise ParameterError(f"n={n} is too large: n^2 edge coordinates must fit in int64")
+
+    starts, ends = starts[2:], ends[2:]
+    widths = ends - starts
+    values = np.zeros(starts.size, dtype=np.int64)
+    width = min(int(widths.max(initial=0)), _MAX_DIGITS)
+    at = ends - width  # a negative index wraps inside data; such digits are masked
+    for back in range(width, 0, -1):
+        digits = data[at] - ord("0")
+        digits[widths < back] = 0
+        values *= 10
+        values += digits
+        at += 1
+    long = np.flatnonzero(widths > _MAX_DIGITS)
+    if long.size:
+        heads = np.stack([starts[long], ends[long] - _MAX_DIGITS], axis=1).ravel()
+        values[long[np.logical_or.reduceat(data != ord("0"), heads)[0::2]]] = _INT64_MAX
+
+    el, er = values[0::2], values[1::2]
+    bad = np.flatnonzero((el >= n) | (er >= n))
+    if bad.size:
+        raise _bad_line(raw, int(starts[2 * bad[0]]), f"vertex pair out of range for n={n}")
+    unsorted = el * n + er
+    coords = np.sort(unsorted)
+    dup = np.flatnonzero(coords[1:] == coords[:-1])
+    if dup.size:
+        again = np.flatnonzero(unsorted == coords[dup[0]])[1]
+        raise _bad_line(raw, int(starts[2 * again]), "duplicate edge")
+    return BipartiteGraph(n, coords)
+
+
+def _bad_line(raw: bytes, offset: int, reason: str) -> ParameterError:
+    """A ParameterError naming the line that holds raw[offset], which follows
+    only ASCII bytes. Lines are numbered from 1, as str.splitlines() splits."""
+    before = raw[:offset].decode("ascii").splitlines(keepends=True)
+    head = before.pop() if before and before[-1][-1] not in _LINE_BREAKS else ""
+    tail = raw[offset:offset + 80].decode("utf-8", "replace").splitlines() or [""]
+    return ParameterError(f"line {len(before) + 1}: {reason}: {head + tail[0]!r}")
 
 
 def read_graph_text(path) -> BipartiteGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return graph_from_text(fh.read())

@@ -7,10 +7,13 @@ arbitrate when the optimized paths are wrong.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
-from bipbis import BipartiteGraph, RandomSeed, VertexSubset, sample_bipartite_graph
+from bipbis import (BipartiteGraph, ParameterError, RandomSeed, VertexSubset,
+                    sample_bipartite_graph)
 
 
 def graph_from_edges(n, edges):
@@ -95,6 +98,59 @@ def bfs_ball(n: int, edges: list[tuple[int, int]], side: str, idx: int, radius: 
                     nxt.append(u)
         frontier = nxt
     return seen
+
+
+def graph_to_text_loop(graph: BipartiteGraph) -> str:
+    """The text format written one edge line at a time."""
+    buf = io.StringIO()
+    buf.write(f"{graph.n} {graph.edge_count}\n")
+    for l, r in zip(graph.el, graph.er):
+        buf.write(f"{l} {r}\n")
+    return buf.getvalue()
+
+
+def graph_from_text_loop(text: str) -> BipartiteGraph:
+    """The text format parsed line by line with str methods."""
+    if not text.isascii():
+        raise ParameterError("non-ASCII text")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParameterError("empty graph file")
+    rows = [ln.split() for ln in lines]
+    for row in rows:
+        if len(row) != 2:
+            raise ParameterError(f"malformed line: {row}")
+        for token in row:
+            if not token.isdigit():
+                raise ParameterError(f"not an unsigned decimal integer: {token!r}")
+    n, m = int(rows[0][0]), int(rows[0][1])
+    if len(rows) - 1 != m:
+        raise ParameterError(f"header promises {m} edges, file has {len(rows) - 1}")
+    if n * n >= 2**63:
+        raise ParameterError("n^2 edge coordinates do not fit in int64")
+    pairs = [(int(l), int(r)) for l, r in rows[1:]]
+    if len(set(pairs)) != len(pairs):
+        raise ParameterError("duplicate edge")
+    return BipartiteGraph.from_edges(n, pairs)
+
+
+def validate_graph_sets(graph: BipartiteGraph) -> None:
+    """Structural check with the symmetry test done on Python sets of pairs."""
+    n = graph.n
+    if graph.el.size and (graph.el.min() < 0 or graph.el.max() >= n):
+        raise ParameterError("L endpoint out of range")
+    if graph.er.size and (graph.er.min() < 0 or graph.er.max() >= n):
+        raise ParameterError("R endpoint out of range")
+    if np.unique(graph.coords).size != graph.edge_count:
+        raise ParameterError("duplicate edges present")
+    if int(graph.degrees_l().sum()) != graph.edge_count:
+        raise ParameterError("L-degree sum disagrees with edge_count")
+    if int(graph.degrees_r().sum()) != graph.edge_count:
+        raise ParameterError("R-degree sum disagrees with edge_count")
+    from_l = {(l, r) for l in range(n) for r in graph.neighbors_l(l)}
+    from_r = {(l, r) for r in range(n) for l in graph.neighbors_r(r)}
+    if from_l != from_r:
+        raise ParameterError("adjacency is not symmetric across sides")
 
 
 def random_small_graph(rng: np.random.Generator, max_n: int = 8) -> BipartiteGraph:

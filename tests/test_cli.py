@@ -182,6 +182,48 @@ def test_missing_graph_file_fails_cleanly(capsys, tmp_path):
     assert json.loads(err.strip())["error"] in ("IOError", "ParameterError")
 
 
+def assert_one_error_line(err, kind="ParameterError"):
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == kind
+    return payload["message"]
+
+
+def test_exact_rejects_duplicate_edge_lines(capsys, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("3 2\n0 1\n0 1\n")
+    code, _, err = run_cli(capsys, "exact", "--graph", str(path), "--gamma", "0.5")
+    assert code == 1
+    assert "duplicate edge" in assert_one_error_line(err)
+
+
+def test_exact_rejects_non_integer_tokens(capsys, tmp_path):
+    path = tmp_path / "tokens.txt"
+    for text in ("2 1\nx y\n", "2 1\n-1 0\n", "2 1\n0 \u0661\n"):
+        path.write_bytes(text.encode("utf-8"))
+        code, _, err = run_cli(capsys, "exact", "--graph", str(path), "--gamma", "0.5")
+        assert code == 1
+        assert "not an unsigned decimal integer" in assert_one_error_line(err)
+
+
+def test_malformed_config_fails_with_one_json_line(capsys, tmp_path):
+    cfg = tmp_path / "bad.json"
+    for body in (b"{bad", b'{"seed": "abc", "x": 1, "y": 1}', b'{"x": [1], "y": 1}',
+                 b'{"x": "1e999999", "y": 1, "seed": 1e999}', b"\xff\xfe"):
+        cfg.write_bytes(body)
+        code, _, err = run_cli(capsys, "phase", "--config", str(cfg))
+        assert code == 1
+        assert_one_error_line(err)
+
+
+def test_malformed_workers_variable_fails_with_one_json_line(capsys, monkeypatch):
+    monkeypatch.setenv("BIPBIS_WORKERS", "two")
+    code, _, err = run_cli(capsys, "local", "--n", "50", "--d", "2", "--p", "0.1",
+                           "--trials", "1")
+    assert code == 1
+    assert "BIPBIS_WORKERS" in assert_one_error_line(err)
+
+
 def test_capacity_error_surfaces(capsys, tmp_path):
     out_path = tmp_path / "big.txt"
     run_cli(capsys, "sample", "--n", "40", "--d", "2", "--out", str(out_path))
@@ -232,6 +274,21 @@ def test_sweep_rejects_three_grids(capsys):
                            "--trials", "2")
     assert code == 1
     assert "at most 2" in json.loads(err.strip())["message"]
+
+
+def test_sweep_rejects_non_numeric_grid_values(capsys):
+    for spec in ("p=abc", "p=0.1,abc", "p=0.1:abc:0.1"):
+        code, _, err = run_cli(capsys, "sweep", "local", "--grid", spec,
+                               "--n", "100", "--d", "2", "--trials", "1")
+        assert code == 1
+        assert "not a number" in assert_one_error_line(err)
+
+
+def test_sweep_rejects_repeated_grid_names(capsys):
+    code, _, err = run_cli(capsys, "sweep", "local", "--grid", "p=0.1", "--grid", "p=0.2",
+                           "--n", "200", "--d", "5", "--trials", "1")
+    assert code == 1
+    assert "more than once" in assert_one_error_line(err)
 
 
 def test_sweep_peak_sits_at_grid_point_nearest_optimal_threshold(capsys, tmp_path):

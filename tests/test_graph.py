@@ -7,7 +7,8 @@ from bipbis import (ParameterError, RandomSeed, Side, VertexId,
                     edge_index_to_pair, graph_from_text, graph_to_text,
                     neighborhood, pair_to_edge_index, read_graph_text,
                     sample_bipartite_graph, validate_graph, write_graph_text)
-from conftest import bfs_ball, graph_from_edges
+from conftest import (bfs_ball, graph_from_edges, graph_from_text_loop, graph_to_text_loop,
+                      validate_graph_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,9 @@ def test_text_malformed():
         graph_from_text("2 3\n0 0\n")  # promises 3 edges, has 1
     with pytest.raises(ParameterError):
         graph_from_text("2 1\n0\n")
+    for line in ("0 3", "3 0", "3 3"):
+        with pytest.raises(ParameterError, match="out of range"):
+            graph_from_text(f"3 1\n{line}\n")
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
@@ -203,3 +207,106 @@ def test_text_roundtrip_property(n, data):
         st.integers(min_value=0, max_value=n - 1))))
     g = graph_from_edges(n, sorted(cells))
     assert graph_from_text(graph_to_text(g)) == g
+
+
+def test_text_rejects_duplicate_edges():
+    with pytest.raises(ParameterError, match="line 3: duplicate edge"):
+        graph_from_text("3 2\n0 1\n0 1\n")
+
+
+@pytest.mark.parametrize("token", ["x", "-1", "+1", "1_0", "1.0", "0x1", "\u0661", "\uff11"])
+def test_text_rejects_non_integer_tokens(token):
+    with pytest.raises(ParameterError, match="not an unsigned decimal integer"):
+        graph_from_text(f"2 1\n0 {token}\n")
+    with pytest.raises(ParameterError, match="not an unsigned decimal integer"):
+        graph_from_text(f"2 1\n0 {token}\n".encode("utf-8"))
+    with pytest.raises(ParameterError, match="line 1"):
+        graph_from_text(f"{token} 0\n")
+
+
+def test_text_long_tokens():
+    # leading zeros are allowed at any length; values beyond int64 are out of range
+    g = graph_from_text("2 1\n0 " + "0" * 30 + "1\n")
+    assert g == graph_from_edges(2, [(0, 1)])
+    with pytest.raises(ParameterError, match="out of range"):
+        graph_from_text("2 1\n0 1" + "0" * 30 + "\n")
+    with pytest.raises(ParameterError, match="too large"):
+        graph_from_text("1" + "0" * 20 + " 0\n")
+
+
+SEPARATORS = [" ", "\t", "  ", " \t ", "\x1f"]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\n\n", "\r\n  \r\n", "\v", "\f", "\x1c"]
+BAD_TOKENS = ["x", "-1", "+1", "1_0", "1.0", "\u0663", "99999999999999999999999", "0"]
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph files around the format: shuffled edges, padding, CRLF and blank
+    lines, with some duplicated edges, stray tokens and miscounted headers."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    cell = st.tuples(st.integers(min_value=0, max_value=n - 1),
+                     st.integers(min_value=0, max_value=n - 1))
+    pairs = draw(st.lists(cell, max_size=10, unique=True))
+    if pairs and draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(pairs)))
+    rows = [[str(n), str(len(pairs))]] + [[str(l), str(r)] for l, r in pairs]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        row = draw(st.sampled_from(rows))
+        action = draw(st.sampled_from(["replace", "drop", "add", "zeros"]))
+        k = draw(st.integers(min_value=0, max_value=len(row) - 1))
+        if action == "replace":
+            row[k] = draw(st.sampled_from(BAD_TOKENS + [str(n)]))
+        elif action == "drop":
+            del row[k]
+        elif action == "add":
+            row.insert(k, draw(st.sampled_from(BAD_TOKENS)))
+        else:
+            row[k] = "00" + row[k]
+    text = draw(st.sampled_from(["", "\n", " \r\n"]))
+    for row in rows:
+        sep = draw(st.sampled_from(SEPARATORS))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        text += pad + sep.join(row) + pad + draw(st.sampled_from(LINE_BREAKS))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@given(graph_texts())
+@settings(max_examples=300)
+def test_text_parser_matches_loop_oracle(text):
+    try:
+        expected = graph_from_text_loop(text)
+    except ParameterError:
+        with pytest.raises(ParameterError):
+            graph_from_text(text)
+        return
+    assert graph_from_text(text) == expected
+    assert graph_from_text(text.encode("ascii")) == expected
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
+       st.data())
+@settings(max_examples=60)
+def test_text_writer_and_validator_match_loop_oracles(n, seed, data):
+    g = sample_bipartite_graph(n, min(n - 0.01, 2.5), RandomSeed(seed))
+    assert graph_to_text(g) == graph_to_text_loop(g)
+    validate_graph(g)
+    validate_graph_sets(g)
+    if g.edge_count == 0:
+        return
+    # moving one R-side adjacency entry to another L vertex breaks symmetry
+    flat = g._flat_r_to_l.copy()
+    k = data.draw(st.integers(min_value=0, max_value=flat.size - 1))
+    flat[k] = (flat[k] + data.draw(st.integers(min_value=1, max_value=n - 1))) % n
+    g._flat_r_to_l = flat
+    for check in (validate_graph, validate_graph_sets):
+        with pytest.raises(ParameterError, match="not symmetric"):
+            check(g)
+
+
+def test_validator_rejects_a_broken_csr_index():
+    g = graph_from_edges(3, [(0, 0), (1, 1), (2, 2)])
+    g._indptr_r = np.array([0, 4, 2, 3])  # degrees 4, -2, 1 still sum to 3
+    with pytest.raises(ParameterError, match="partition"):
+        validate_graph(g)
