@@ -17,15 +17,8 @@ import math
 
 import numpy as np
 
+from bipbis.analysis import optimal_local_threshold
 from bipbis.experiments import ExperimentConfig, sweep
-
-
-def fixed_point(d: float) -> float:
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid - math.exp(-d * mid) < 0 else (lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def main() -> int:
@@ -51,7 +44,7 @@ def main() -> int:
     for row in record.rows:
         _, n, _, p, _, _, _, trimmed_size, _ = row
         by_p.setdefault(p, []).append(trimmed_size / (2 * n))
-    p_star = fixed_point(args.d)
+    p_star = optimal_local_threshold(args.d)
     print(f"# n={args.n} d={args.d} trials/cell={args.trials} "
           f"optimal threshold p* = {p_star:.5f}")
     print(f"{'p':>6}  {'trimmed density':>16}  {'balanced value':>14}")

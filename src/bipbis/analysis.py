@@ -128,6 +128,22 @@ def negativity_onset_d(c: float, gamma: float, d_max: float = 1e15) -> float:
     return hi
 
 
+def optimal_local_threshold(d: float) -> float:
+    """The root p* in (0, 1) of p = exp(-d*p), by 200 bisection steps: the
+    1-local inclusion threshold that maximizes the balanced value
+    min(p, exp(-d*p)) at gamma = 1/2."""
+    if d <= 0:
+        raise ParameterError(f"d must be positive, got {d}")
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid - math.exp(-d * mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class PhaseRegion(enum.Enum):
     EASY = "EASY"
     HARD = "HARD"

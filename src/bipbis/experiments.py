@@ -22,7 +22,6 @@ from typing import Any, Callable
 from . import __version__
 from .analysis import (algorithmic_threshold, classify_phase, existence_threshold,
                        first_moment_exponent, PhasePoint)
-from .balance import EMPTY_SUBSET
 from .errors import ParameterError
 from .exact import max_gamma_balanced_is
 from .graph import read_graph_text, sample_bipartite_graph, write_graph_text
@@ -30,8 +29,9 @@ from .local import apply_local_pair, gamma_trim, random_threshold_pair
 from .lowdeg import (linear_blocking_polynomial, norm_second_moment,
                      round_polynomial)
 from .ogp import (OverlapChainParams, StabilityConfig, build_interpolation_path,
-                  check_overlap_chain, detect_bad_steps, greedy_overlap_chain)
-from .rng import RandomSeed
+                  check_overlap_chain, detect_bad_steps, greedy_overlap_chain,
+                  walk_rounded_subsets)
+from .rng import AUX_STREAM_OFFSET, RandomSeed
 
 CSV_SCHEMA_VERSION = 1
 
@@ -45,8 +45,8 @@ TRIAL_COMMANDS = tuple(SCHEMAS)
 SCALAR_COMMANDS = ("sample", "exact", "phase", "thresholds", "exponent")
 ALL_COMMANDS = TRIAL_COMMANDS + SCALAR_COMMANDS
 
-# streams >= this offset are reserved for auxiliary estimates (norm moments)
-_AUX_STREAM_OFFSET = 1 << 20
+# the rule lives in rng; this name stays importable for existing callers
+_AUX_STREAM_OFFSET = AUX_STREAM_OFFSET
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,17 @@ class ExperimentRecord:
 
 
 def _coerce(key, value, kind):
-    """``kind(value)`` for a parameter, with a failure raised as ParameterError."""
+    """``kind(value)`` for a parameter, with a failure raised as ParameterError.
+    An integer parameter refuses a float with a fractional part rather than
+    truncating it."""
+    message = f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                             f"got {value!r}") from None
+        raise ParameterError(message) from None
+    if kind is int and isinstance(value, float) and out != value:
+        raise ParameterError(message)
+    return out
 
 
 def _positive_int(params, key, default=None, minimum=1):
@@ -125,8 +130,8 @@ def resolve_params(command: str, raw: dict) -> dict:
 
     if command in TRIAL_COMMANDS:
         out["trials"] = _positive_int(p, "trials", default=20)
-        if out["trials"] >= _AUX_STREAM_OFFSET:
-            raise ParameterError(f"trials must be below {_AUX_STREAM_OFFSET}")
+        if out["trials"] >= AUX_STREAM_OFFSET:
+            raise ParameterError(f"trials must be below {AUX_STREAM_OFFSET}")
         out["n"] = _positive_int(p, "n")
         out["d"] = _real(p, "d")
         if not (0.0 < out["d"] < out["n"]):
@@ -148,8 +153,9 @@ def resolve_params(command: str, raw: dict) -> dict:
         n, d, eps = out["n"], out["d"], out["epsilon"]
         out["k_l"] = _coerce("k_l", p.get("k_l", math.floor((1 - eps) * math.log(d) / d * n)), int)
         out["k_r"] = _coerce("k_r", p.get("k_r", math.floor((1 - eps) * d ** (eps - 1) * n)), int)
-        if not (0 <= out["k_l"] <= n):
-            raise ParameterError(f"k_l must lie in [0, n], got {out['k_l']}")
+        for key in ("k_l", "k_r"):
+            if not (0 <= out[key] <= n):
+                raise ParameterError(f"{key} must lie in [0, n], got {out[key]}")
         out["eta"] = _real(p, "eta", default=0.0)
         if out["eta"] < 0:
             raise ParameterError("eta must be non-negative")
@@ -167,7 +173,11 @@ def resolve_params(command: str, raw: dict) -> dict:
         n, d, eps = out["n"], out["d"], out["epsilon"]
         default_k_l = max(1, math.floor((1 - min(eps, 0.999)) * math.log(d) / d * n))
         out["k_l"] = _coerce("k_l", p.get("k_l", default_k_l), int)
+        if not (0 <= out["k_l"] <= n):
+            raise ParameterError(f"k_l must lie in [0, n], got {out['k_l']}")
         out["eta"] = _real(p, "eta", default=eps / 16.0 * math.log(d) / d)
+        if out["eta"] < 0:
+            raise ParameterError("eta must be non-negative")
     elif command == "sample":
         out["n"] = _positive_int(p, "n")
         out["d"] = _real(p, "d")
@@ -244,13 +254,8 @@ def _ogp_trial(params: dict, trial: int) -> tuple:
     config = StabilityConfig(c=params["c"], gamma_steps=params["gamma_steps"],
                              degree=1, norm_estimate=params["_norm_estimate"])
     bad = detect_bad_steps(f, path, config)
-    vsets = []
-    for t in range(T + 1):
-        g_t = path.materialize(t)
-        outcome = round_polynomial(f.evaluate(g_t), g_t, params["eta"])
-        vsets.append(outcome.subset if not outcome.failed else EMPTY_SUBSET)
     chain_params = OverlapChainParams.for_scale(params["epsilon"], params["K"], n, d)
-    result = greedy_overlap_chain(vsets, chain_params)
+    result = greedy_overlap_chain(walk_rounded_subsets(f, path, params["eta"]), chain_params)
     bitmask = 0
     if result.success:
         report = check_overlap_chain(result.sets, result.timestamps, path, chain_params)
@@ -342,7 +347,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     if config.command in TRIAL_COMMANDS:
         if config.command == "ogp":
             # one shared norm estimate on reserved streams, echoed into the record
-            norm_seed = RandomSeed(params["seed"], params["stream"] + _AUX_STREAM_OFFSET)
+            norm_seed = RandomSeed(params["seed"], params["stream"] + AUX_STREAM_OFFSET)
             mean, _ = norm_second_moment(
                 lambda s: linear_blocking_polynomial(params["n"], params["k_l"], s),
                 params["n"], params["d"], trials=30, seed=norm_seed)

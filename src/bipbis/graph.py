@@ -38,9 +38,6 @@ class VertexId:
         """Position in the length-2n vertex order: L 0..n-1, then R 0..n-1."""
         return self.index if self.side is Side.L else n + self.index
 
-    def sort_key(self) -> tuple[int, int]:
-        return (0 if self.side is Side.L else 1, self.index)
-
 
 # ---------------------------------------------------------------------------
 # Edge-coordinate bijection (1-based, row-major with the L index outer)
@@ -58,22 +55,6 @@ def edge_index_to_pair(n: int, index: int) -> tuple[int, int]:
         raise ParameterError(f"edge index {index} outside [1, {n * n}]")
     l, r = divmod(index - 1, n)
     return l, r
-
-
-@dataclass(frozen=True)
-class EdgeCoordinate:
-    """One cell of the L-by-R edge-indicator vector, index in [1, n^2]."""
-
-    index: int
-    pair: tuple[int, int]
-
-    @staticmethod
-    def from_index(n: int, index: int) -> "EdgeCoordinate":
-        return EdgeCoordinate(index, edge_index_to_pair(n, index))
-
-    @staticmethod
-    def from_pair(n: int, l: int, r: int) -> "EdgeCoordinate":
-        return EdgeCoordinate(pair_to_edge_index(n, l, r), (l, r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Degree-bounded polynomial algorithms over the edge-indicator vector.
 
 A polynomial here is any object with ``n``, ``degree`` and
-``evaluate(graph) -> ndarray of shape (2n,)`` (L block first). The rounding
+``evaluate(graph) -> ndarray of shape (2n,)`` (L block first). A polynomial
+may also give a flip rule, ``flip_rule(l, r, added)``: the outputs that
+adding (or removing) the edge (l, r) changes, as exact (index, change)
+pairs. Path probes walk with it instead of re-evaluating. The rounding
 procedure thresholds at 1, drops vertices with a selected neighbor, and fails
 when the number of dropped vertices plus values strictly between 1/2 and 1
 exceeds eta * n.
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -32,14 +35,6 @@ def check_polynomial_output(values: np.ndarray, n: int) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ParameterError("polynomial output contains non-finite values")
     return values
-
-
-@runtime_checkable
-class VertexPolynomial(Protocol):
-    n: int
-    degree: int
-
-    def evaluate(self, graph: BipartiteGraph) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,12 @@ class LinearBlockingPolynomial:
         values[self.n:] = 1.0 - counts
         return values
 
-    def norm_delta_sq_on_flip(self, l: int, r: int, old_bit: int, new_bit: int) -> float:
-        """Exact squared change of the output when one edge coordinate flips:
-        only the R value of r moves, by one, and only if l is selected."""
-        if old_bit == new_bit:
-            return 0.0
+    def flip_rule(self, l: int, r: int, added: bool) -> tuple[tuple[int, float], ...]:
+        """Only the R value of r moves, by one, and only if l is chosen."""
         k = np.searchsorted(self.chosen_l, l)
-        hit = k < self.chosen_l.size and self.chosen_l[k] == l
-        return 1.0 if hit else 0.0
+        if k < self.chosen_l.size and self.chosen_l[k] == l:
+            return ((self.n + r, -1.0 if added else 1.0),)
+        return ()
 
 
 def linear_blocking_polynomial(n: int, k_l: int, seed: RandomSeed) -> LinearBlockingPolynomial:
@@ -106,8 +99,8 @@ class LeftIndicatorPolynomial:
         values[: self.n] = 1.0
         return values
 
-    def norm_delta_sq_on_flip(self, l: int, r: int, old_bit: int, new_bit: int) -> float:
-        return 0.0
+    def flip_rule(self, l: int, r: int, added: bool) -> tuple[tuple[int, float], ...]:
+        return ()
 
 
 def left_indicator_polynomial(n: int) -> LeftIndicatorPolynomial:
@@ -137,6 +130,12 @@ class RoundingOutcome:
         return self.subset is None
 
 
+def rounding_fails(conflicted: int, fractional: int, eta: float, n: int) -> bool:
+    """The failure rule: the dropped vertices plus the fractional values
+    exceed the error budget eta * n."""
+    return conflicted + fractional > eta * n + ETA_TOLERANCE
+
+
 def round_polynomial(values: np.ndarray, graph: BipartiteGraph, eta: float) -> RoundingOutcome:
     """Threshold at 1, drop conflicted vertices, fail when the error budget
     eta*n is exceeded. Deterministic in (values, graph, eta)."""
@@ -151,7 +150,7 @@ def round_polynomial(values: np.ndarray, graph: BipartiteGraph, eta: float) -> R
     conflicted_l = np.unique(graph.el[both])
     conflicted_r = np.unique(graph.er[both])
     conflicted = int(conflicted_l.size + conflicted_r.size)
-    if conflicted + frac > eta * n + ETA_TOLERANCE:
+    if rounding_fails(conflicted, frac, eta, n):
         return RoundingOutcome(None, conflicted, frac)
     keep_l = in_i_l.copy()
     keep_l[conflicted_l] = False
@@ -168,7 +167,7 @@ def round_polynomial(values: np.ndarray, graph: BipartiteGraph, eta: float) -> R
 # Optimization checks
 # ---------------------------------------------------------------------------
 
-PolynomialFactory = Callable[[RandomSeed], VertexPolynomial]
+PolynomialFactory = Callable[[RandomSeed], Any]
 
 
 def _as_factory(polynomial) -> PolynomialFactory:

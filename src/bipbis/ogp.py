@@ -4,26 +4,29 @@ construction and checker.
 The path resamples one edge coordinate per step from Ber(d/n), sweeping the
 fixed coordinate order cyclically, so the marginal law of every step is the
 original random graph and any m consecutive steps refresh every coordinate.
-Paths are stored as (coordinate, resampled bit) deltas; graphs are
-materialized on demand.
+Paths are stored as (coordinate, resampled bit) deltas. Probes walk a path
+forward once, applying each flip to a mutable adjacency and updating the
+polynomial and its rounding locally; whole graphs are materialized only for
+the chain checker and as the reference the walk is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .balance import VertexSubset, independence_violation
+from .balance import EMPTY_SUBSET, VertexSubset, independence_violation
 from .errors import ParameterError
 from .exact import DEFAULT_ENUMERATION_LIMIT, pareto_profile
 from .graph import BipartiteGraph, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
-from .lowdeg import check_polynomial_output
-from .rng import RESAMPLE_DRAW, RandomSeed
+from .lowdeg import check_polynomial_output, rounding_fails
+from .rng import AUX_STREAM_OFFSET, RESAMPLE_DRAW, RandomSeed
 from .stats import wilson_interval
 
 # Counting comparisons against real thresholds get this slack; it keeps the
@@ -81,6 +84,26 @@ class InterpolationPath:
 
     def edge_count_at(self, t: int) -> int:
         return int(self.edge_coordinates_at(t).size)
+
+    def flips(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The steps whose resample changes the graph, as arrays (t, l, r, added).
+
+        A step's old bit is the bit its coordinate was last resampled to, or
+        its base bit on the first visit; a step that redraws the current bit
+        changes nothing and is left out.
+        """
+        order = np.argsort(self.sigmas, kind="stable")
+        coords = self.sigmas[order] - 1
+        old = np.empty(self.length, dtype=np.uint8)
+        old[1:] = self.bits[order][:-1]
+        first = np.ones(self.length, dtype=bool)
+        first[1:] = coords[1:] != coords[:-1]
+        old[first] = np.isin(coords[first], self.base.coords)
+        changed = np.zeros(self.length, dtype=bool)
+        changed[order] = old != self.bits[order]
+        steps = np.flatnonzero(changed)
+        l, r = np.divmod(self.sigmas[steps] - 1, self.n)
+        return steps + 1, l, r, self.bits[steps] == 1
 
 
 def build_interpolation_path(
@@ -144,26 +167,18 @@ def detect_bad_steps(
     """Steps t whose single-coordinate flip moves f by at least
     c * norm_estimate in squared norm. Exact, no sampling within a step.
 
-    Uses the polynomial's O(1) flip rule when it has one; ``force_full``
-    re-evaluates from materialized graphs instead (the two must agree).
+    Uses the polynomial's flip rule over the path's flips when it has one;
+    ``force_full`` re-evaluates from materialized graphs instead (the two must
+    agree). A step that changes no edge moves nothing and is never bad, as
+    the threshold is positive.
     """
     threshold = config.badness_threshold
     n = path.n
+    if hasattr(f, "flip_rule") and not force_full:
+        steps, ls, rs, added = (a.tolist() for a in path.flips())
+        return [t for t, l, r, a in zip(steps, ls, rs, added)
+                if sum(dv * dv for _, dv in f.flip_rule(l, r, a)) >= threshold]
     bad: list[int] = []
-    incremental = hasattr(f, "norm_delta_sq_on_flip") and not force_full
-    if incremental:
-        state = np.zeros(n * n, dtype=np.uint8)
-        state[path.base.coords] = 1
-        for t in range(1, path.length + 1):
-            coord = int(path.sigmas[t - 1]) - 1
-            old_bit = int(state[coord])
-            new_bit = int(path.bits[t - 1])
-            l, r = divmod(coord, n)
-            dsq = float(f.norm_delta_sq_on_flip(l, r, old_bit, new_bit))
-            if dsq >= threshold:
-                bad.append(t)
-            state[coord] = new_bit
-        return bad
     prev = check_polynomial_output(f.evaluate(path.base), n)
     for t in range(1, path.length + 1):
         cur = check_polynomial_output(f.evaluate(path.materialize(t)), n)
@@ -172,6 +187,88 @@ def detect_bad_steps(
             bad.append(t)
         prev = cur
     return bad
+
+
+def walk_rounded_subsets(f, path: InterpolationPath, eta: float) -> Iterator[VertexSubset]:
+    """For t = 0..T in order, the set that
+    ``round_polynomial(f.evaluate(path.materialize(t)), path.materialize(t), eta)``
+    keeps, or EMPTY_SUBSET where that rounding fails.
+
+    The path is walked forward once. Each flip updates per-vertex neighbour
+    sets, the outputs named by ``f.flip_rule`` (whose changes must be exact),
+    each vertex's count of neighbours in I = {v : value >= 1}, and the running
+    conflicted and fractional totals; a flip touches only l, r and the
+    neighbours of a vertex that enters or leaves I. Steps without a flip
+    yield the same subset object as the step before.
+    """
+    if eta < 0:
+        raise ParameterError(f"eta must be non-negative, got {eta}")
+    if not hasattr(f, "flip_rule"):
+        raise ParameterError(f"{type(f).__name__} has no flip rule to walk a path with")
+    values = check_polynomial_output(f.evaluate(path.base), path.n)
+    return _walk(f, path, values.tolist(), eta)
+
+
+def _walk(f, path: InterpolationPath, values: list, eta: float) -> Iterator[VertexSubset]:
+    n = path.n
+    # vertices are numbered as the polynomial's outputs: L is 0..n-1, R is n..2n-1
+    adj: list[set] = [set() for _ in range(2 * n)]
+    for l, w in zip(path.base.el.tolist(), (path.base.er + n).tolist()):
+        adj[l].add(w)
+        adj[w].add(l)
+    in_i = [v >= 1.0 for v in values]
+    frac = sum(0.5 < v < 1.0 for v in values)
+    count = [sum(in_i[u] for u in adj[v]) for v in range(2 * n)]
+    kept: tuple[set, set] = (set(), set())  # per side, by index within the side
+    conflicted: set = set()
+
+    def place(v):
+        side, i = divmod(v, n)
+        kept[side].discard(i)
+        conflicted.discard(v)
+        if in_i[v] and count[v]:
+            conflicted.add(v)
+        elif in_i[v]:
+            kept[side].add(i)
+
+    def rounded():
+        if rounding_fails(len(conflicted), frac, eta, n):
+            return EMPTY_SUBSET
+        return VertexSubset(frozenset(kept[0]), frozenset(kept[1]))
+
+    for v in range(2 * n):
+        place(v)
+    current = rounded()
+    t = 0
+    for step, l, r, added in zip(*(a.tolist() for a in path.flips())):
+        yield from itertools.repeat(current, step - t)
+        t = step
+        w = n + r
+        sign = 1 if added else -1
+        if added:
+            adj[l].add(w)
+            adj[w].add(l)
+        else:
+            adj[l].discard(w)
+            adj[w].discard(l)
+        if in_i[w]:
+            count[l] += sign
+            place(l)
+        if in_i[l]:
+            count[w] += sign
+            place(w)
+        for v, delta in f.flip_rule(l, r, added):
+            old = values[v]
+            new = values[v] = old + float(delta)
+            frac += (0.5 < new < 1.0) - (0.5 < old < 1.0)
+            if (new >= 1.0) != in_i[v]:
+                in_i[v] = new >= 1.0
+                for u in adj[v]:
+                    count[u] += 1 if in_i[v] else -1
+                    place(u)
+                place(v)
+        current = rounded()
+    yield from itertools.repeat(current, path.length + 1 - t)
 
 
 @dataclass(frozen=True)
@@ -207,7 +304,8 @@ def stability_trial(
 
     ``make_f`` is a factory called with the per-trial seed (coefficient
     randomness, labels of a wrapped local pair, ...). When ``norm_estimate``
-    is omitted it is measured on dedicated streams first.
+    is omitted it is measured first, on the streams reserved for auxiliary
+    estimates (``seed.shifted(AUX_STREAM_OFFSET)`` on).
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -219,8 +317,10 @@ def stability_trial(
     if norm_estimate is None:
         from .lowdeg import norm_second_moment
 
+        if trials >= AUX_STREAM_OFFSET:
+            raise ParameterError(f"trials must be below {AUX_STREAM_OFFSET}")
         norm_estimate, _ = norm_second_moment(
-            make_f, n, d, trials=norm_trials, seed=seed.shifted(1_000_000))
+            make_f, n, d, trials=norm_trials, seed=seed.shifted(AUX_STREAM_OFFSET))
     config = StabilityConfig(c=c, gamma_steps=gamma_steps, degree=degree,
                              norm_estimate=norm_estimate)
     T = gamma_steps * n * n
@@ -321,28 +421,37 @@ class GreedyChainResult:
 
 
 def greedy_overlap_chain(
-    path_sets: Sequence[VertexSubset], params: OverlapChainParams,
+    path_sets: Iterable[VertexSubset], params: OverlapChainParams,
 ) -> GreedyChainResult:
     """Greedy selection along the path: the first set is kept outright, then
     each next pick is the first set contributing at least (epsilon/4)*phi
-    vertices outside the union so far. Succeeds iff K sets are selected."""
-    if not path_sets:
+    vertices outside the union so far. Succeeds iff K sets are selected.
+
+    ``path_sets`` is any iterable of the sets at t = 0, 1, ...; no set is
+    pulled after the K-th pick.
+    """
+    sets_at = iter(path_sets)
+    first = next(sets_at, None)
+    if first is None:
         raise ParameterError("path_sets must be non-empty")
     threshold = params.new_mass_min - COUNT_TOLERANCE
-    sets = [path_sets[0]]
+    sets = [first]
     timestamps = [0]
-    union_l = set(path_sets[0].in_l)
-    union_r = set(path_sets[0].in_r)
-    t = 1
-    while len(sets) < params.K and t < len(path_sets):
-        v = path_sets[t]
-        new_mass = len(v.in_l - union_l) + len(v.in_r - union_r)
+    union_l = set(first.in_l)
+    union_r = set(first.in_r)
+    last = None
+    for t, v in enumerate(sets_at, start=1):
+        if v is not last:  # a walk repeats one object until its set changes
+            last = v
+            new_mass = len(v.in_l - union_l) + len(v.in_r - union_r)
         if new_mass >= threshold:
             sets.append(v)
             timestamps.append(t)
             union_l |= v.in_l
             union_r |= v.in_r
-        t += 1
+            last = None
+            if len(sets) == params.K:
+                break
     return GreedyChainResult(tuple(sets), tuple(timestamps), len(sets) == params.K)
 
 

@@ -21,6 +21,11 @@ RESAMPLE_DRAW = 2
 POLY_DRAW = 3
 TREE_DRAW = 4
 
+# Trials run on streams base + i for i below this offset; streams from
+# base + AUX_STREAM_OFFSET on are reserved for auxiliary estimates (norm
+# moments) of the same run, so the two never overlap.
+AUX_STREAM_OFFSET = 1 << 20
+
 
 @dataclass(frozen=True)
 class RandomSeed:

@@ -19,8 +19,8 @@ from bipbis import (RandomSeed, OverlapChainParams, StabilityConfig,
                     is_gamma_balanced, is_independent,
                     left_indicator_polynomial, linear_blocking_polynomial,
                     max_gamma_balanced_is, norm_second_moment,
-                    random_threshold_pair, round_polynomial,
-                    sample_bipartite_graph, stability_trial)
+                    optimal_local_threshold, random_threshold_pair,
+                    round_polynomial, sample_bipartite_graph, stability_trial)
 from bipbis.analysis import PhasePoint, PhaseRegion
 from conftest import ACCEPTANCE_LINES, brute_max_balanced, graph_from_edges, subset_of
 
@@ -30,17 +30,6 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     ACCEPTANCE_LINES.append(line)
     print(line, flush=True)
     assert ok, line
-
-
-def bisect_fixed_point(d: float) -> float:
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - math.exp(-d * mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def run_local_trials(n, d, p, gamma, trials, seed_base):
@@ -73,7 +62,7 @@ def test_criterion_01_local_pair_expectations():
 
 def test_criterion_02_balanced_value_at_optimal_threshold():
     n, d, gamma, trials = 100_000, 10, 0.5, 20
-    p_star = bisect_fixed_point(d)
+    p_star = optimal_local_threshold(d)
     _, _, trimmed = run_local_trials(n, d, p_star, gamma, trials, seed_base=202)
     mean_density = float(trimmed.mean())
     rel_err = abs(mean_density - p_star) / p_star

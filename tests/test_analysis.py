@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bipbis import (ParameterError, PhasePoint, PhaseRegion, Sign,
                     algorithmic_threshold, classify_phase, existence_threshold,
                     first_moment_exponent, negativity_onset_d,
-                    predicted_easy_point)
+                    optimal_local_threshold, predicted_easy_point)
 
 
 # ---------------------------------------------------------------------------
@@ -21,6 +21,15 @@ def test_threshold_values():
     assert existence_threshold(0.25) == pytest.approx(8 / 3)
     assert algorithmic_threshold(0.5) == 1.0
     assert algorithmic_threshold(0.25) == 2.0
+
+
+def test_optimal_local_threshold_is_the_fixed_point():
+    assert abs(optimal_local_threshold(10) - 0.1745528) < 1e-6
+    for d in (0.5, 2.0, 10.0, 100.0):
+        p = optimal_local_threshold(d)
+        assert abs(p - math.exp(-d * p)) < 1e-12
+    with pytest.raises(ParameterError):
+        optimal_local_threshold(0.0)
 
 
 def test_threshold_ratio_is_one_over_one_minus_gamma():

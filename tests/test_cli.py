@@ -2,6 +2,9 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
+from bipbis import experiments
 from bipbis.cli import main
 from bipbis.experiments import SCHEMAS
 
@@ -137,6 +140,30 @@ def test_ogp_command_csv(capsys, tmp_path):
     assert all(r[3] == "64" for r in rows[1:])  # T = gamma_steps * n^2
 
 
+# rows written by the code that rebuilt every path graph, before the forward walk
+PINNED_OGP_ROWS = {
+    ("--n", "20", "--gamma-steps", "2", "--K", "4", "--c", "0.05", "--seed", "7"): [
+        "0,20,4.0,800,18,0,0", "1,20,4.0,800,25,1,5",
+        "2,20,4.0,800,19,1,5", "3,20,4.0,800,22,0,0"],
+    ("--n", "40", "--gamma-steps", "1", "--K", "5", "--c", "0.02", "--seed", "5"): [
+        "0,40,4.0,1600,29,1,5", "1,40,4.0,1600,39,1,5",
+        "2,40,4.0,1600,43,1,5", "3,40,4.0,1600,27,0,0"],
+    ("--n", "60", "--gamma-steps", "1", "--K", "6", "--c", "0.01", "--seed", "3"): [
+        "0,60,4.0,3600,51,0,0", "1,60,4.0,3600,59,1,5",
+        "2,60,4.0,3600,51,0,0", "3,60,4.0,3600,59,0,0"],
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("args", list(PINNED_OGP_ROWS))
+def test_ogp_rows_are_pinned(capsys, tmp_path, args, workers):
+    out_csv = tmp_path / "ogp.csv"
+    code, _, _ = run_cli(capsys, "ogp", "--d", "4", "--epsilon", "0.6", "--trials", "4",
+                         "--workers", workers, *args, "--csv", str(out_csv))
+    assert code == 0
+    assert [",".join(r) for r in read_rows(out_csv)[1:]] == PINNED_OGP_ROWS[args]
+
+
 def test_record_json(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     rec_path = tmp_path / "r.json"
@@ -174,6 +201,47 @@ def test_invalid_parameters_fail_with_machine_parsable_line(capsys):
     assert payload["error"] == "ParameterError"
     assert "d must satisfy" in payload["message"]
     assert "\n" not in err.strip()
+
+
+def test_fractional_integer_parameters_are_refused(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    for body in ({"n": 200.9, "d": 4, "p": 0.2, "trials": 1},
+                 {"n": 200, "d": 4, "p": 0.2, "trials": 1.5},
+                 {"n": 200, "d": 4, "p": 0.2, "trials": 1, "seed": 2.5}):
+        cfg.write_text(json.dumps(body))
+        code, _, err = run_cli(capsys, "local", "--config", str(cfg))
+        assert code == 1
+        assert "must be an integer" in assert_one_error_line(err)
+    for spec in ("n=200.5", "gamma_steps=1.5"):
+        code, _, err = run_cli(capsys, "sweep", "ogp", "--grid", spec, "--n", "8", "--d", "2",
+                               "--epsilon", "0.6", "--trials", "1")
+        assert code == 1
+        assert "must be an integer" in assert_one_error_line(err)
+    # an integral float from a grid still runs, at the integer value
+    out_csv = tmp_path / "grid.csv"
+    code, _, _ = run_cli(capsys, "sweep", "local", "--grid", "n=200.0", "--d", "4",
+                         "--p", "0.2", "--trials", "1", "--csv", str(out_csv))
+    assert code == 0
+    assert read_rows(out_csv)[1][1] == "200"
+
+
+def test_side_targets_are_range_checked_before_work(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 200, "d": 4, "epsilon": 0.5, "k_r": -5, "trials": 1}))
+    code, _, err = run_cli(capsys, "lowdeg", "--config", str(cfg))
+    assert code == 1
+    assert "k_r must lie in [0, n]" in assert_one_error_line(err)
+
+    # ogp's k_l fails in validation, before the shared norm estimate starts
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the norm estimate ran before k_l was checked")
+
+    monkeypatch.setattr(experiments, "norm_second_moment", no_estimate)
+    for k_l in (-1, 9):
+        cfg.write_text(json.dumps({"n": 8, "d": 2, "epsilon": 0.6, "k_l": k_l, "trials": 1}))
+        code, _, err = run_cli(capsys, "ogp", "--config", str(cfg))
+        assert code == 1
+        assert "k_l must lie in [0, n]" in assert_one_error_line(err)
 
 
 def test_missing_graph_file_fails_cleanly(capsys, tmp_path):

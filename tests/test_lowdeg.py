@@ -61,24 +61,26 @@ def test_chosen_set_is_seed_deterministic_and_graph_independent():
 
 def test_degree_discipline_under_single_coordinate_flips():
     # flipping one edge coordinate changes no L value and moves at most one
-    # R value, by at most 1
+    # R value, by at most 1; the flip rule names exactly the change that a
+    # full re-evaluation shows
     rng = np.random.default_rng(8)
     n = 12
-    f = make_poly(n, 4, seed=21)
-    for _ in range(60):
-        s = RandomSeed(int(rng.integers(0, 2**31)))
-        g = sample_bipartite_graph(n, 2, s)
-        before = f.evaluate(g)
-        l, r = int(rng.integers(0, n)), int(rng.integers(0, n))
-        present = set(zip(g.el.tolist(), g.er.tolist()))
-        g2 = graph_from_edges(n, sorted(present.symmetric_difference([(l, r)])))
-        after = f.evaluate(g2)
-        delta = after - before
-        assert np.all(delta[:n] == 0.0)
-        assert np.abs(delta).max() <= 1.0
-        assert np.count_nonzero(delta) <= 1
-        expected = float(f.norm_delta_sq_on_flip(l, r, 0, 1))
-        assert float(delta @ delta) == expected
+    for f in (make_poly(n, 4, seed=21), left_indicator_polynomial(n)):
+        for _ in range(60):
+            s = RandomSeed(int(rng.integers(0, 2**31)))
+            g = sample_bipartite_graph(n, 2, s)
+            before = f.evaluate(g)
+            l, r = int(rng.integers(0, n)), int(rng.integers(0, n))
+            present = set(zip(g.el.tolist(), g.er.tolist()))
+            g2 = graph_from_edges(n, sorted(present.symmetric_difference([(l, r)])))
+            delta = f.evaluate(g2) - before
+            assert np.all(delta[:n] == 0.0)
+            assert np.abs(delta).max() <= 1.0
+            assert np.count_nonzero(delta) <= 1
+            ruled = np.zeros(2 * n)
+            for index, change in f.flip_rule(l, r, (l, r) not in present):
+                ruled[index] += change
+            assert np.array_equal(ruled, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bipbis import (LocalPairVectorFunction, OverlapChainParams, ParameterError,
-                    RandomSeed, StabilityConfig,
+from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
+                    ParameterError, RandomSeed, StabilityConfig,
                     balance_inequality_probe, build_interpolation_path,
                     check_overlap_chain, coordinate_at_step,
                     detect_bad_steps, draw_labels, greedy_overlap_chain,
-                    linear_blocking_polynomial,
+                    left_indicator_polynomial, linear_blocking_polynomial,
                     profile_violates_balance_inequality, random_threshold_pair,
-                    sample_bipartite_graph, stability_trial, validate_graph)
+                    round_polynomial, sample_bipartite_graph, stability_trial,
+                    validate_graph, walk_rounded_subsets)
 from conftest import graph_from_edges, subset_of
 
 
@@ -67,6 +70,19 @@ def test_delta_reconstruction_matches_step_by_step_replay():
         state[path.sigmas[t - 1] - 1] = path.bits[t - 1]
         expected = np.flatnonzero(state)
         assert np.array_equal(path.edge_coordinates_at(t), expected)
+
+
+def test_flips_are_the_steps_that_change_the_graph():
+    path = small_path(n=5, d=1.8, T=60, seed=21)
+    steps, ls, rs, added = path.flips()
+    expected = []
+    for t in range(1, path.length + 1):
+        before = set(path.edge_coordinates_at(t - 1).tolist())
+        after = set(path.edge_coordinates_at(t).tolist())
+        for coord in before ^ after:
+            expected.append((t, coord // 5, coord % 5, coord in after))
+    got = list(zip(steps.tolist(), ls.tolist(), rs.tolist(), added.tolist()))
+    assert got == expected and len(got) > 0
 
 
 def test_full_cycle_refreshes_every_coordinate():
@@ -184,6 +200,84 @@ def test_stability_trial_warns_on_large_step_budget():
 
 
 # ---------------------------------------------------------------------------
+# the forward walk of the rounded sets
+# ---------------------------------------------------------------------------
+
+
+class DyadicLinearPolynomial:
+    """A constant plus a weight per incident edge on every vertex, in quarter
+    steps so sums are exact in any order. Unlike the blocking construction,
+    its rounding meets conflicts, fractional values and failures."""
+
+    degree = 1
+
+    def __init__(self, n, seed):
+        rng = np.random.default_rng(seed)
+        self.n = n
+        self.const = rng.integers(-2, 7, size=2 * n) / 4.0
+        self.weight = rng.integers(-2, 3, size=(n, n)) / 4.0
+
+    def evaluate(self, graph):
+        values = self.const.copy()
+        w = self.weight[graph.el, graph.er]
+        np.add.at(values, graph.el, w)
+        np.add.at(values, self.n + graph.er, w)
+        return values
+
+    def flip_rule(self, l, r, added):
+        w = self.weight[l, r] if added else -self.weight[l, r]
+        return ((l, w), (self.n + r, w)) if w else ()
+
+
+def rounded_by_materializing(f, path, eta):
+    """The oracle: every path graph built whole, evaluated and rounded."""
+    out = []
+    for t in range(path.length + 1):
+        g = path.materialize(t)
+        outcome = round_polynomial(f.evaluate(g), g, eta)
+        out.append(EMPTY_SUBSET if outcome.failed else outcome.subset)
+    return out
+
+
+@given(n=st.integers(2, 7), density=st.floats(0.1, 0.9), kind=st.integers(0, 2),
+       k_frac=st.floats(0.0, 1.0), eta=st.sampled_from([0.0, 0.15, 0.5, 2.0]),
+       gamma_steps=st.sampled_from([1, 2]), entropy=st.integers(0, 2**31 - 1))
+@settings(max_examples=120, deadline=None)
+def test_walk_matches_materialized_rounding_at_every_step(
+        n, density, kind, k_frac, eta, gamma_steps, entropy):
+    seed = RandomSeed(entropy)
+    d = density * n
+    path = build_interpolation_path(sample_bipartite_graph(n, d, seed),
+                                    gamma_steps * n * n, d, seed)
+    f = (linear_blocking_polynomial(n, round(k_frac * n), seed),
+         left_indicator_polynomial(n),
+         DyadicLinearPolynomial(n, entropy))[kind]
+    assert list(walk_rounded_subsets(f, path, eta)) == rounded_by_materializing(f, path, eta)
+    config = StabilityConfig(c=0.05, gamma_steps=gamma_steps, degree=1, norm_estimate=2.0)
+    assert detect_bad_steps(f, path, config) == \
+        detect_bad_steps(f, path, config, force_full=True)
+
+
+def test_walk_reaches_failures_and_recoveries():
+    # the property above must cover rounding that fails and then succeeds again
+    n = 6
+    path = small_path(n=n, d=3.0, seed=5)
+    f = DyadicLinearPolynomial(n, 11)
+    walked = list(walk_rounded_subsets(f, path, 0.5))
+    assert walked == rounded_by_materializing(f, path, 0.5)
+    failed = [s is EMPTY_SUBSET for s in walked]
+    assert any(failed) and not all(failed)
+
+
+def test_walk_rejects_bad_input():
+    path = small_path()
+    with pytest.raises(ParameterError):
+        walk_rounded_subsets(linear_blocking_polynomial(path.n, 2, RandomSeed(1)), path, -0.1)
+    with pytest.raises(ParameterError):
+        walk_rounded_subsets(SpikePolynomial(path.n), path, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # the overlap chain
 # ---------------------------------------------------------------------------
 
@@ -207,6 +301,25 @@ def test_greedy_succeeds_on_disjoint_sets():
     result = greedy_overlap_chain(sets, params)
     assert result.success
     assert result.timestamps == (0, 1, 2, 3)
+
+
+def test_greedy_over_a_generator_matches_the_list_and_stops_at_k():
+    params = chain_params(epsilon=0.6, K=4, phi=40.0)
+    step = math.ceil(params.new_mass_min)
+    sets = [subset_of(range(10 + (t // 3) * step), range(10)) for t in range(60)]
+    pulled = []
+
+    def stream():
+        for t, s in enumerate(sets):
+            pulled.append(t)
+            yield s
+
+    from_list = greedy_overlap_chain(sets, params)
+    from_stream = greedy_overlap_chain(stream(), params)
+    assert from_stream == from_list and from_list.success
+    assert pulled[-1] == from_list.timestamps[-1]
+    with pytest.raises(ParameterError):
+        greedy_overlap_chain(iter(()), params)
 
 
 def test_greedy_selection_lands_in_window():
