@@ -15,6 +15,15 @@ from .experiments import (ExperimentConfig, SCHEMAS, TRIAL_COMMANDS,
                           run_experiment, sweep)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParameterError, so they end
+    in the one JSON error line instead of argparse's usage text and exit 2.
+    Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with parameters; flags override")
     p.add_argument("--seed", type=int, help="base seed (default 1)")
@@ -31,7 +40,7 @@ def _add_trial_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bipbis",
         description="Balanced independent sets in sparse random bipartite graphs",
     )
@@ -101,6 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A range grid stops here; a step too small to move start, or an infinite
+# stop, would otherwise never end.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid_values(spec: str) -> tuple[str, list[float]]:
     if "=" not in spec:
         raise ParameterError(f"grid spec must look like name=...: got {spec!r}")
@@ -120,11 +134,13 @@ def _parse_grid_values(spec: str) -> tuple[str, list[float]]:
         if len(parts) != 3:
             raise ParameterError(f"range grid must be start:stop:step, got {body!r}")
         start, stop, step = (number(x) for x in parts)
-        if step <= 0:
+        if not step > 0:
             raise ParameterError("grid step must be positive")
         values = []
         v = start
         while v <= stop + 1e-12:
+            if len(values) == _MAX_GRID_POINTS:
+                raise ParameterError(f"range grid for {name!r} has more than {_MAX_GRID_POINTS} points")
             values.append(round(v, 12))
             v += step
     else:
@@ -165,9 +181,8 @@ def _gather_params(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         params = _gather_params(args)
         if args.command == "sweep":
             grid = _parse_grid(args.grid)

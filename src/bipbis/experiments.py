@@ -24,7 +24,8 @@ from .analysis import (algorithmic_threshold, classify_phase, existence_threshol
                        first_moment_exponent, PhasePoint)
 from .errors import ParameterError
 from .exact import max_gamma_balanced_is
-from .graph import read_graph_text, sample_bipartite_graph, write_graph_text
+from .graph import (_INT64_MAX, _check_vertex_count, read_graph_text,
+                    sample_bipartite_graph, write_graph_text)
 from .local import apply_local_pair, gamma_trim, random_threshold_pair
 from .lowdeg import (linear_blocking_polynomial, norm_second_moment,
                      round_polynomial)
@@ -82,8 +83,10 @@ class ExperimentRecord:
 def _coerce(key, value, kind):
     """``kind(value)`` for a parameter, with a failure raised as ParameterError.
     An integer parameter refuses a float with a fractional part rather than
-    truncating it."""
+    truncating it, and no parameter takes a boolean for a number."""
     message = f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+    if isinstance(value, bool):
+        raise ParameterError(message)
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -107,7 +110,18 @@ def _real(params, key, default=None):
     v = params.get(key, default)
     if v is None:
         raise ParameterError(f"missing required parameter {key!r}")
-    return _coerce(key, v, float)
+    v = _coerce(key, v, float)
+    if not math.isfinite(v):
+        raise ParameterError(f"{key} must be finite, got {v}")
+    return v
+
+
+def _path(params, key):
+    """A file path parameter: absent, or a nonempty string without NUL bytes."""
+    v = params.get(key)
+    if v is not None and not (isinstance(v, str) and v and "\0" not in v):
+        raise ParameterError(f"{key} must be a file path, got {v!r}")
+    return v
 
 
 def resolve_params(command: str, raw: dict) -> dict:
@@ -118,8 +132,8 @@ def resolve_params(command: str, raw: dict) -> dict:
         "seed": _coerce("seed", p.get("seed", 1), int),
         "stream": _coerce("stream", p.get("stream", 0), int),
         "workers": p.get("workers"),
-        "csv": p.get("csv"),
-        "record": p.get("record"),
+        "csv": _path(p, "csv"),
+        "record": _path(p, "record"),
     }
     if out["stream"] < 0:
         raise ParameterError("stream must be non-negative")
@@ -133,6 +147,7 @@ def resolve_params(command: str, raw: dict) -> dict:
         if out["trials"] >= AUX_STREAM_OFFSET:
             raise ParameterError(f"trials must be below {AUX_STREAM_OFFSET}")
         out["n"] = _positive_int(p, "n")
+        _check_vertex_count(out["n"])
         out["d"] = _real(p, "d")
         if not (0.0 < out["d"] < out["n"]):
             raise ParameterError(f"d must satisfy 0 < d < n, got d={out['d']}, n={out['n']}")
@@ -167,6 +182,8 @@ def resolve_params(command: str, raw: dict) -> dict:
             raise ParameterError("ogp requires d > 1")
         out["K"] = _positive_int(p, "K", default=2, minimum=2)
         out["gamma_steps"] = _positive_int(p, "gamma_steps", default=1)
+        if out["gamma_steps"] * out["n"] ** 2 > _INT64_MAX:
+            raise ParameterError("the path length gamma_steps * n^2 must fit in int64")
         out["c"] = _real(p, "c", default=0.5)
         if out["c"] <= 0:
             raise ParameterError("c must be positive")
@@ -180,14 +197,15 @@ def resolve_params(command: str, raw: dict) -> dict:
             raise ParameterError("eta must be non-negative")
     elif command == "sample":
         out["n"] = _positive_int(p, "n")
+        _check_vertex_count(out["n"])
         out["d"] = _real(p, "d")
         if not (0.0 < out["d"] < out["n"]):
             raise ParameterError(f"d must satisfy 0 < d < n, got d={out['d']}, n={out['n']}")
-        out["out"] = p.get("out")
+        out["out"] = _path(p, "out")
         if not out["out"]:
             raise ParameterError("sample requires an output path (out)")
     elif command == "exact":
-        out["graph"] = p.get("graph")
+        out["graph"] = _path(p, "graph")
         if not out["graph"]:
             raise ParameterError("exact requires a graph file (graph)")
         out["gamma"] = _real(p, "gamma", default=0.5)
@@ -415,6 +433,8 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
     trials = _coerce("trials", config.params.get("trials", 20), int)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    csv_path = _path(config.params, "csv")
+    record_path = _path(config.params, "record")
     all_rows: list[tuple] = []
     sub_records = []
     for idx, cell in enumerate(cells):
@@ -427,7 +447,6 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
         all_rows.extend(rec.rows)
         sub_records.append({"cell": dict(zip(names, cell)), "stream": cell_params["stream"]})
     headers = SCHEMAS[config.command]
-    csv_path = config.params.get("csv")
     if csv_path:
         write_csv_atomic(csv_path, headers, all_rows)
     record = ExperimentRecord(
@@ -439,7 +458,6 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
         seed_ledger={"seed": seed, "stream_base": stream_base, "cell_stride": trials},
         wall_clock_s=time.perf_counter() - t0,
     )
-    record_path = config.params.get("record")
     if record_path:
         with open(record_path, "w", encoding="utf-8") as fh:
             fh.write(record.to_json())

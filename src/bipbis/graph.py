@@ -61,32 +61,53 @@ def edge_index_to_pair(n: int, index: int) -> tuple[int, int]:
 # The graph itself
 # ---------------------------------------------------------------------------
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_vertex_count(n: int) -> None:
+    """n must be positive, with its n^2 edge coordinates within int64."""
+    if n <= 0:
+        raise ParameterError(f"n must be positive, got {n}")
+    if n * n > _INT64_MAX:
+        raise ParameterError(f"n={n} is too large: n^2 edge coordinates must fit in int64")
+
 
 class BipartiteGraph:
     """A balanced bipartite graph on n+n vertices.
 
-    Internally the edge set is a sorted array of 0-based row-major
-    coordinates, with CSR index arrays for both sides. Arrays are read-only.
+    ``coords`` must be a strictly increasing array of 0-based row-major edge
+    coordinates in [0, n^2), with n^2 within int64; unsorted or repeated
+    coordinates raise ParameterError. ``from_coordinates`` accepts any order
+    and drops repeats. Internally the edge set is that array, with CSR index
+    arrays for both sides. Arrays are read-only.
     """
 
     __slots__ = ("n", "edge_count", "coords", "el", "er",
                  "_indptr_l", "_indptr_r", "_flat_r_to_l")
 
     def __init__(self, n: int, coords: np.ndarray):
-        if n <= 0:
-            raise ParameterError(f"n must be positive, got {n}")
+        _check_vertex_count(n)
         coords = np.asarray(coords, dtype=np.int64)
-        if coords.size and (coords.min() < 0 or coords.max() >= n * n):
+        if coords.ndim != 1:
+            raise ParameterError(f"edge coordinates must be one-dimensional, got shape {coords.shape}")
+        if np.any(coords[1:] <= coords[:-1]):
+            raise ParameterError("edge coordinates must be strictly increasing")
+        if coords.size and (coords[0] < 0 or coords[-1] >= n * n):
             raise ParameterError("edge coordinate out of range")
         self.n = n
         self.coords = coords
         self.edge_count = int(coords.size)
-        self.el = coords // n
-        self.er = coords % n
+        self.el, self.er = np.divmod(coords, n)
         counts_l = np.bincount(self.el, minlength=n)
         self._indptr_l = np.concatenate(([0], np.cumsum(counts_l)))
-        order = np.argsort(self.er, kind="stable")
-        self._flat_r_to_l = self.el[order]
+        # Row-major order makes el non-decreasing and er increasing within a
+        # row, so sorting the unique transposed keys r*n + l orders the edges
+        # by (r, l), as a stable argsort of er would; each key is below n^2.
+        keys = self.er * n
+        keys += self.el
+        keys.sort()
+        keys %= n
+        self._flat_r_to_l = keys
         counts_r = np.bincount(self.er, minlength=n)
         self._indptr_r = np.concatenate(([0], np.cumsum(counts_r)))
         for arr in (self.coords, self.el, self.er, self._indptr_l,
@@ -188,6 +209,9 @@ def _bernoulli_coordinates(m: int, p: float, rng: np.random.Generator) -> np.nda
 
     Uses geometric gap jumps, so the cost is O(successes) rather than O(m);
     with m = n^2 cells a per-cell draw is infeasible at experiment scale.
+    A gap beyond m is cut to m + 1 before the running sum: every position from
+    it on still lands past m, and for p below about 1e-17 the draws near the
+    int64 maximum would otherwise wrap the sum negative and never end.
     """
     if p <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -196,7 +220,7 @@ def _bernoulli_coordinates(m: int, p: float, rng: np.random.Generator) -> np.nda
     pos = -1
     chunks = []
     while pos < m:
-        gaps = rng.geometric(p, size=batch)
+        gaps = np.minimum(rng.geometric(p, size=batch), m + 1)
         steps = np.cumsum(gaps) + pos
         chunks.append(steps)
         pos = int(steps[-1])
@@ -207,8 +231,7 @@ def _bernoulli_coordinates(m: int, p: float, rng: np.random.Generator) -> np.nda
 def sample_bipartite_graph(n: int, d: float, seed: RandomSeed) -> BipartiteGraph:
     """Sample the random bipartite graph with each L-R pair present independently
     with probability d/n, deterministically given (n, d, seed)."""
-    if n <= 0:
-        raise ParameterError(f"n must be positive, got {n}")
+    _check_vertex_count(n)
     if not (0.0 < d < n):
         raise ParameterError(f"d must satisfy 0 < d < n (edge probability d/n in (0,1)), got d={d}, n={n}")
     rng = seed.generator(GRAPH_DRAW)
@@ -308,7 +331,6 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e"
 # A longer token with a nonzero digit before them is at least 10**18, out of
 # range for any n whose n^2 edge coordinates fit in int64.
 _MAX_DIGITS = 18
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def graph_from_text(text: str | bytes) -> BipartiteGraph:
@@ -345,8 +367,7 @@ def graph_from_text(text: str | bytes) -> BipartiteGraph:
     n, m = int(raw[starts[0]:ends[0]]), int(raw[starts[1]:ends[1]])
     if starts.size // 2 - 1 != m:
         raise ParameterError(f"header promises {m} edges, file has {starts.size // 2 - 1}")
-    if n * n > _INT64_MAX:
-        raise ParameterError(f"n={n} is too large: n^2 edge coordinates must fit in int64")
+    _check_vertex_count(n)
 
     starts, ends = starts[2:], ends[2:]
     widths = ends - starts

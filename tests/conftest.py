@@ -153,6 +153,39 @@ def validate_graph_sets(graph: BipartiteGraph) -> None:
         raise ParameterError("adjacency is not symmetric across sides")
 
 
+def csr_argsort(n: int, coords: np.ndarray) -> dict[str, np.ndarray]:
+    """Every array of BipartiteGraph(n, coords), the R side built by a stable
+    argsort of the R endpoints."""
+    coords = np.asarray(coords, dtype=np.int64)
+    el, er = coords // n, coords % n
+    order = np.argsort(er, kind="stable")
+    return {
+        "coords": coords,
+        "el": el,
+        "er": er,
+        "_indptr_l": np.concatenate(([0], np.cumsum(np.bincount(el, minlength=n)))),
+        "_indptr_r": np.concatenate(([0], np.cumsum(np.bincount(er, minlength=n)))),
+        "_flat_r_to_l": el[order],
+    }
+
+
+def bernoulli_coordinates_unclipped(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The geometric-gap sampler summing the raw gaps, which wraps int64 (and
+    never ends) once p is small enough for gaps near the int64 maximum."""
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    expected = m * p
+    batch = max(int(expected + 6.0 * np.sqrt(expected + 1.0)) + 16, 16)
+    pos = -1
+    chunks = []
+    while pos < m:
+        steps = np.cumsum(rng.geometric(p, size=batch)) + pos
+        chunks.append(steps)
+        pos = int(steps[-1])
+    coords = np.concatenate(chunks)
+    return coords[coords < m]
+
+
 def random_small_graph(rng: np.random.Generator, max_n: int = 8) -> BipartiteGraph:
     n = int(rng.integers(1, max_n + 1))
     d = float(rng.uniform(0.2, min(n - 0.01, 4.0))) if n > 1 else 0.5

@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipbis import experiments
 from bipbis.cli import main
@@ -244,6 +251,68 @@ def test_side_targets_are_range_checked_before_work(capsys, tmp_path, monkeypatc
         assert "k_l must lie in [0, n]" in assert_one_error_line(err)
 
 
+def test_flag_errors_fail_with_one_json_line(capsys):
+    code, out, err = run_cli(capsys, "local", "--n", "abc", "--d", "4", "--p", "0.1",
+                             "--trials", "1")
+    assert code == 1 and out == ""
+    assert "argument --n: invalid int value: 'abc'" in assert_one_error_line(err)
+    code, out, err = run_cli(capsys, "local", "--n", "10", "--d", "4", "--p", "0.1",
+                             "--trials", "1", "--bogus", "3")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --bogus 3" in assert_one_error_line(err)
+    code, _, err = run_cli(capsys)
+    assert code == 1
+    assert "required: command" in assert_one_error_line(err)
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["local", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: bipbis" in capsys.readouterr().out
+
+
+def test_path_parameters_must_be_path_strings(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    for key, value in (("record", 1), ("csv", 5), ("csv", ""), ("record", "a\0b"),
+                       ("csv", ["x"])):
+        cfg.write_text(json.dumps({"n": 4, "d": 2, "p": 0.1, "trials": 1, key: value}))
+        code, out, err = run_cli(capsys, "local", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"{key} must be a file path" in assert_one_error_line(err)
+    for command, body in (("sample", '{"out": 1, "n": 4, "d": 2}'), ("exact", '{"graph": 2}')):
+        cfg.write_text(body)
+        code, _, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 1
+        assert "must be a file path" in assert_one_error_line(err)
+    cfg.write_text('{"csv": 3}')
+    code, _, err = run_cli(capsys, "sweep", "local", "--config", str(cfg), "--grid", "p=0.1",
+                           "--n", "4", "--d", "2", "--trials", "1")
+    assert code == 1
+    assert "csv must be a file path" in assert_one_error_line(err)
+
+
+def test_oversized_boolean_and_non_finite_parameters_are_refused(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    for body, message in (('{"n": 1e308, "d": 2, "p": 0.1, "trials": 1}', "too large"),
+                          ('{"n": true, "d": 0.5, "p": 0.1, "trials": 1}', "n must be an integer"),
+                          ('{"n": 4, "d": 2, "p": false, "trials": 1}', "p must be a number")):
+        cfg.write_text(body)
+        code, _, err = run_cli(capsys, "local", "--config", str(cfg))
+        assert code == 1
+        assert message in assert_one_error_line(err)
+    code, _, err = run_cli(capsys, "ogp", "--n", "4", "--d", "2", "--epsilon", "0.5",
+                           "--gamma-steps", str(2**60), "--trials", "1")
+    assert code == 1
+    assert "gamma_steps * n^2 must fit in int64" in assert_one_error_line(err)
+    for argv, message in ((["phase", "--x", "nan", "--y", "1"], "x must be finite"),
+                          (["exponent", "--c", "2", "--d", "inf"], "d must be finite")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert message in assert_one_error_line(err)
+
+
 def test_missing_graph_file_fails_cleanly(capsys, tmp_path):
     code, _, err = run_cli(capsys, "exact", "--graph", str(tmp_path / "nope.txt"))
     assert code == 1
@@ -352,6 +421,16 @@ def test_sweep_rejects_non_numeric_grid_values(capsys):
         assert "not a number" in assert_one_error_line(err)
 
 
+def test_sweep_rejects_unending_range_grids(capsys):
+    for spec, message in (("p=0:inf:0.1", "more than 10000 points"),
+                          ("p=0:1:1e-300", "more than 10000 points"),
+                          ("p=0:1:nan", "step must be positive")):
+        code, _, err = run_cli(capsys, "sweep", "local", "--grid", spec,
+                               "--n", "100", "--d", "2", "--trials", "1")
+        assert code == 1
+        assert message in assert_one_error_line(err)
+
+
 def test_sweep_rejects_repeated_grid_names(capsys):
     code, _, err = run_cli(capsys, "sweep", "local", "--grid", "p=0.1", "--grid", "p=0.2",
                            "--n", "200", "--d", "5", "--trials", "1")
@@ -374,6 +453,172 @@ def test_sweep_peak_sits_at_grid_point_nearest_optimal_threshold(capsys, tmp_pat
         density_by_p.setdefault(p, []).append(trimmed / (2 * n))
     means = {p: sum(v) / len(v) for p, v in density_by_p.items()}
     assert max(means, key=means.get) == 0.15
+
+
+# ---------------------------------------------------------------------------
+# the error contract under fuzzing
+# ---------------------------------------------------------------------------
+
+# Valid values stay tiny where they set the amount of work (n, trials, K,
+# gamma_steps, workers), so that no draw runs long; the junk ranges over
+# text, signs, fractions, non-finite and out-of-range numbers, each of which
+# the library must refuse where it would size a run.
+JUNK = ["", "abc", "-1", "0", "1.5", "nan", "inf", "-inf", "1e999", "1e-300", "0x10",
+        "\u0661", "9" * 30]
+PATHS = ["{tmp}/out.txt", "{tmp}", "{tmp}/missing/out.txt", "{tmp}/graph.txt",
+         "{tmp}/config.json"]
+FLAG_VALUES = {
+    "--n": ["1", "2", "5"], "--d": ["0.5", "1.5", "3"], "--trials": ["1", "2"],
+    "--workers": ["1"], "--p": ["0", "0.3", "1"], "--gamma": ["0.5", "0.3"],
+    "--epsilon": ["0.2", "0.6"], "--eta": ["0", "0.2"], "--K": ["2", "3"],
+    "--gamma-steps": ["1", "2"], "--c": ["0.5", "2"], "--x": ["0", "1.5"],
+    "--y": ["0", "1.5"], "--seed": ["0", "7", str(2**64 - 1), str(2**64)],
+    "--stream": ["0", "5"], "--limit": ["1", "8"],
+    "--out": PATHS, "--csv": PATHS, "--record": PATHS, "--graph": PATHS, "--config": PATHS,
+    "--grid": ["n=2,3", "p=0:1:0.5", "d=1.5", "K=2,3", "gamma_steps=1:2:1", "eta=0,nan",
+               "n=2.5", "d=abc", "bogus=1", "p", "p=1:2", "p=0:1:0", "p=0:inf:1",
+               "p=0:1:1e-300", "epsilon=0.1:0.2:nan", "n=1e999"],
+}
+COMMON_FLAGS = ["--config", "--seed", "--stream", "--record"]
+TRIAL_FLAGS = ["--n", "--d", "--trials", "--workers", "--csv"]
+COMMAND_FLAGS = {
+    "sample": ["--n", "--d", "--out"],
+    "exact": ["--graph", "--gamma", "--limit"],
+    "local": TRIAL_FLAGS + ["--p", "--gamma"],
+    "lowdeg": TRIAL_FLAGS + ["--epsilon", "--eta"],
+    "ogp": TRIAL_FLAGS + ["--epsilon", "--K", "--gamma-steps", "--c"],
+    "phase": ["--x", "--y"],
+    "thresholds": ["--gamma"],
+    "exponent": ["--c", "--d", "--gamma"],
+    "sweep": TRIAL_FLAGS + ["--grid", "--p", "--gamma", "--epsilon", "--eta", "--K",
+                            "--gamma-steps", "--c"],
+}
+# A valid run of each subcommand; the strategies add or override from here, so
+# that junk meets code past the first check.
+VALID_FLAGS = {
+    "sample": ["--n", "3", "--d", "1.5", "--out", "{tmp}/out.txt"],
+    "exact": ["--graph", "{tmp}/graph.txt"],
+    "local": ["--n", "3", "--d", "1.5", "--p", "0.3", "--trials", "1"],
+    "lowdeg": ["--n", "3", "--d", "1.5", "--epsilon", "0.5", "--trials", "1"],
+    "ogp": ["--n", "3", "--d", "1.5", "--epsilon", "0.5", "--trials", "1"],
+    "phase": ["--x", "1", "--y", "1"],
+    "thresholds": ["--gamma", "0.5"],
+    "exponent": ["--c", "2", "--d", "3"],
+}
+VALID_FLAGS["sweep"] = ["local", "--grid", "p=0.1,0.2"] + VALID_FLAGS["local"]
+GOOD_GRAPH = b"3 2\n0 1\n2 0\n"
+GOOD_CONFIG = b'{"n": 3, "d": 1.5, "p": 0.3, "epsilon": 0.5, "x": 1, "y": 1, "gamma": 0.5}'
+
+
+@st.composite
+def flag_argvs(draw):
+    """Real subcommands and flags, with values valid or junk, some flags
+    repeated, unknown or missing their value."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS) + ["bogus"]))
+    argv = [command] + VALID_FLAGS.get(command, [])
+    if draw(st.integers(0, 3)) == 0:
+        argv = argv[:draw(st.integers(0, len(argv)))]
+    flags = COMMAND_FLAGS.get(command, ["--n"]) + COMMON_FLAGS
+    for flag in draw(st.lists(st.sampled_from(flags) | st.just("--bogus"), max_size=3)):
+        argv.append(flag)
+        argv.append(draw(st.sampled_from(FLAG_VALUES.get(flag, ["1"])) | st.sampled_from(JUNK)))
+    return argv, {}
+
+
+JSON_JUNK = [None, True, False, "abc", "1", "", [], {}, [1], {"a": 1}, -1, 0, 1.5, 1e308,
+             10**30, float("nan"), float("inf"), float("-inf"), 1e-300, "a\0b"]
+CONFIG_VALUES = {
+    "n": [1, 3, 5.0], "d": [0.5, 1.5, 2], "trials": [1, 2], "p": [0, 0.3], "gamma": [0.5],
+    "epsilon": [0.2, 0.6], "eta": [0, 0.1], "K": [2, 3], "gamma_steps": [1, 2], "c": [0.5],
+    "k_l": [0, 1, 6], "k_r": [0, 2, 6], "x": [0, 1.5], "y": [1.5], "seed": [0, 3, 2**64],
+    "stream": [0, 2], "limit": [2, 8], "csv": PATHS, "record": PATHS, "out": PATHS,
+    "graph": PATHS, "bogus": [1],
+}
+VALID_CONFIGS = {
+    "sample": {"n": 3, "d": 1.5, "out": "{tmp}/out.txt"},
+    "exact": {"graph": "{tmp}/graph.txt"},
+    "local": {"n": 3, "d": 1.5, "p": 0.3, "trials": 1},
+    "lowdeg": {"n": 3, "d": 1.5, "epsilon": 0.5, "trials": 1},
+    "ogp": {"n": 3, "d": 1.5, "epsilon": 0.5, "trials": 1},
+    "phase": {"x": 1, "y": 1},
+    "thresholds": {"gamma": 0.5},
+    "exponent": {"c": 2, "d": 3},
+}
+
+
+@st.composite
+def config_argvs(draw):
+    """A subcommand whose --config file holds bytes that are not JSON, JSON
+    that is not an object, or an object with wrongly typed values."""
+    command = draw(st.sampled_from(["sample", "exact", "local", "lowdeg", "ogp", "phase",
+                                    "thresholds", "exponent"]))
+    kind = draw(st.sampled_from(["bytes", "json", "object", "object", "object"]))
+    if kind == "bytes":
+        body = draw(st.binary(max_size=40))
+    elif kind == "json":
+        body = json.dumps(draw(st.sampled_from(JSON_JUNK))).encode()
+    else:
+        payload = dict(VALID_CONFIGS[command])
+        for key in draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=3)):
+            payload[key] = draw(st.sampled_from(CONFIG_VALUES[key]) | st.sampled_from(JSON_JUNK))
+        body = json.dumps(payload).encode()
+    argv = [command, "--config", "{tmp}/fuzz.json"]
+    if command in ("local", "lowdeg", "ogp"):
+        argv += ["--workers", "1"]
+    return argv, {"fuzz.json": body}
+
+
+GRAPH_TOKENS = ["0", "1", "2", "3", "5", "00", "40", "9" * 20, "-1", "x", "1.0", "\u0661"]
+
+
+@st.composite
+def graph_argvs(draw):
+    """`bipbis exact --graph` on raw bytes, or on text lines of tokens that
+    are mostly near the format."""
+    if draw(st.integers(0, 3)) == 0:
+        body = draw(st.binary(max_size=60))
+    else:
+        n = draw(st.integers(0, 6))
+        vertex = st.sampled_from([str(v) for v in range(n)] * 4 + [str(n)])
+        lines = draw(st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=8))
+        lines.insert(0, [str(n), str(len(lines))])
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] = draw(st.lists(st.sampled_from(GRAPH_TOKENS), max_size=3))
+        sep = draw(st.sampled_from([" ", "\t"]))
+        brk = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        body = brk.join(sep.join(line) for line in lines).encode("utf-8")
+    return ["exact", "--graph", "{tmp}/fuzz.txt", "--gamma", "0.5"], {"fuzz.txt": body}
+
+
+@given(st.one_of(flag_argvs(), config_argvs(), graph_argvs()))
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+def test_every_input_ends_in_success_or_one_json_error_line(tmp_path_factory, case):
+    argv, files = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "graph.txt").write_bytes(GOOD_GRAPH)
+    (tmp / "config.json").write_bytes(GOOD_CONFIG)
+    for name, body in files.items():
+        (tmp / name).write_bytes(body.replace(b"{tmp}", str(tmp).encode()))
+    argv = [arg.replace("{tmp}", str(tmp)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp)  # junk values of path flags name files relative to here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, {"BIPBIS_WORKERS": "1"}), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "message"}
 
 
 # ---------------------------------------------------------------------------

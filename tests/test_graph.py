@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import (ParameterError, RandomSeed, Side, VertexId,
+from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId,
                     edge_index_to_pair, graph_from_text, graph_to_text,
                     neighborhood, pair_to_edge_index, read_graph_text,
                     sample_bipartite_graph, validate_graph, write_graph_text)
-from conftest import (bfs_ball, graph_from_edges, graph_from_text_loop, graph_to_text_loop,
-                      validate_graph_sets)
+from bipbis.graph import _bernoulli_coordinates
+from conftest import (bernoulli_coordinates_unclipped, bfs_ball, csr_argsort, graph_from_edges,
+                      graph_from_text_loop, graph_to_text_loop, validate_graph_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,61 @@ def test_edge_index_rejections():
 
 
 # ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+
+def test_constructor_rejects_unsorted_and_repeated_coordinates():
+    # unsorted coordinates once built a graph without the edges (0, 1) and (1, 2)
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        BipartiteGraph(3, [5, 1])
+    # a repeated coordinate once counted as two edges
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        BipartiteGraph(3, [1, 1])
+    g = BipartiteGraph.from_coordinates(3, [5, 1, 1])
+    assert g.edge_count == 2 and g.has_edge(0, 1) and g.has_edge(1, 2)
+
+
+def test_constructor_rejects_out_of_range_input():
+    for coords in ([-1, 0], [0, 9], [[0, 1]]):
+        with pytest.raises(ParameterError):
+            BipartiteGraph(3, coords)
+    with pytest.raises(ParameterError, match="too large"):
+        BipartiteGraph(2**32, [])
+
+
+@st.composite
+def edge_coordinate_sets(draw):
+    """Strictly increasing coordinates: empty, complete and sparse graphs,
+    full rows and columns, isolated vertices on both sides, and n large
+    enough that the transposed keys pass 2^31."""
+    n = draw(st.integers(min_value=1, max_value=8) | st.integers(min_value=9, max_value=300)
+             | st.integers(min_value=46_400, max_value=100_000))
+    coords = draw(st.lists(st.integers(min_value=0, max_value=n * n - 1), max_size=60))
+    if n <= 8 and draw(st.booleans()):
+        coords += range(n * n)
+    if n <= 300:
+        for line in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)):
+            coords += [line * n + k for k in range(n)]  # L vertex `line` sees all of R
+        for line in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)):
+            coords += [k * n + line for k in range(n)]  # R vertex `line` sees all of L
+    return n, np.unique(np.array(coords, dtype=np.int64))
+
+
+@given(edge_coordinate_sets())
+@settings(max_examples=200)
+def test_csr_matches_argsort_oracle(case):
+    n, coords = case
+    given_coords = coords.copy()
+    g = BipartiteGraph(n, coords)
+    assert np.array_equal(coords, given_coords)
+    for name, want in csr_argsort(n, given_coords).items():
+        got = getattr(g, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -69,6 +125,23 @@ def test_sample_determinism_and_seed_separation():
     assert graph_to_text(a) == graph_to_text(b)
     assert a == b
     assert graph_to_text(a) != graph_to_text(c)
+
+
+@given(st.integers(min_value=1, max_value=10**6), st.floats(min_value=-12, max_value=0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100)
+def test_bernoulli_coordinates_match_the_unclipped_sums(m, log_p, seed):
+    p = 10.0**log_p
+    got = _bernoulli_coordinates(m, p, np.random.default_rng(seed))
+    want = bernoulli_coordinates_unclipped(m, p, np.random.default_rng(seed))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_bernoulli_coordinates_end_at_tiny_probabilities():
+    # gaps drawn at p = 1e-20 sit at the int64 maximum; summed raw they wrap
+    for p in (1e-20, 1e-300):
+        assert _bernoulli_coordinates(25, p, np.random.default_rng(3)).size == 0
+    assert sample_bipartite_graph(5, 1e-300, RandomSeed(1)).edge_count == 0
 
 
 def test_sample_rejections():
