@@ -6,8 +6,14 @@ unblocked R-vertices as balance allows. Branch-and-bound explores L-traces
 with an optimistic balanced-total bound; a plain ascending-mask enumeration
 over the same traces serves as the in-library oracle.
 
-Witnesses are tie-broken to the lexicographically smallest (in_l, in_r)
-bitset pair, so every caller sees one deterministic answer.
+Witnesses are tie-broken so every caller sees one deterministic answer: the
+L-side is the smallest optimal L-mask (vertex i is bit i, masks compared as
+integers) and the R-side takes the lowest-index unblocked R-vertices. One
+depth-first search finds the optimum and this witness together. It replaces
+its incumbent on a larger total, or on an equal total with a smaller mask,
+and prunes a node whose bound is below the incumbent's total, or equal to it
+while the node's mask is not below the incumbent's: every trace under a node
+only adds bits to the node's mask.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balance import (VertexSubset, best_b_for_a, check_gamma,
-                      is_balanced_counts, max_balanced_total)
+                      max_balanced_total)
 from .errors import CapacityError
 from .graph import BipartiteGraph
 
@@ -98,87 +104,37 @@ def max_gamma_balanced_is(
     n = graph.n
     _check_capacity(n, limit, "branch-and-bound")
     rows = _bitset_rows(graph)
-    full = (1 << n) - 1
-    # prune bound cache: max balanced total inside [0, a_cap] x [0, u]
-    bound_cache: dict[tuple[int, int], int] = {}
-
-    def bound(a_cap: int, u: int) -> int:
-        key = (a_cap, u)
-        got = bound_cache.get(key)
-        if got is None:
-            got = max_balanced_total(a_cap, u, gamma)
-            bound_cache[key] = got
-        return got
-
-    def trace_total(a: int, u: int) -> int:
-        b = best_b_for_a(a, u, gamma)
-        return -1 if b is None else a + b
+    # total[a][u]: best balanced total of a trace with a L-vertices and u free
+    # R-vertices (-1 if none); bound[a][u]: best total inside [0, a] x [0, u]
+    total = [[-1 if b is None else a + b
+              for b in (best_b_for_a(a, u, gamma) for u in range(n + 1))]
+             for a in range(n + 1)]
+    bound = [[max_balanced_total(a, u, gamma) for u in range(n + 1)] for a in range(n + 1)]
 
     # high-degree vertices first: including them blocks the most, so both
     # branches diverge quickly and the bound bites early
     order = sorted(range(n), key=lambda i: (-rows[i].bit_count(), i))
+    best_total, best_mask, best_blocked = -1, 0, 0
 
-    # greedy incumbent: grow the trace low-degree-first, score every prefix
-    best = trace_total(0, n)
-    asc = order[::-1]
-    blocked_acc = 0
-    for k, v in enumerate(asc, start=1):
-        blocked_acc |= rows[v]
-        t = trace_total(k, n - blocked_acc.bit_count())
-        if t > best:
-            best = t
-
-    def search(i: int, a: int, blocked: int) -> None:
-        nonlocal best
+    def search(i: int, a: int, mask: int, blocked: int) -> None:
+        nonlocal best_total, best_mask, best_blocked
         u = n - blocked.bit_count()
-        if bound(a + (n - i), u) <= best:
-            return
+        t = total[a][u]  # this node's own trace: every remaining vertex out
+        if t > best_total or (t == best_total and mask < best_mask):
+            best_total, best_mask, best_blocked = t, mask, blocked
         if i == n:
-            t = trace_total(a, u)
-            if t > best:
-                best = t
+            return
+        cap = bound[a + n - i][u]
+        # every trace below extends mask, so none is smaller than mask itself
+        if cap < best_total or (cap == best_total and mask >= best_mask):
             return
         v = order[i]
-        search(i + 1, a + 1, blocked | rows[v])
-        search(i + 1, a, blocked)
+        search(i + 1, a + 1, mask | 1 << v, blocked | rows[v])
+        search(i + 1, a, mask, blocked)
 
-    search(0, 0, 0)
-    target = best
-
-    # Second pass: lexicographically smallest optimal witness. Decide vertices
-    # from the highest index down, preferring exclusion; a choice is kept iff
-    # the remaining free vertices can still complete to the optimum.
-    def reachable(free: list[int], a0: int, blocked0: int) -> bool:
-        free = sorted(free, key=lambda i: (-rows[i].bit_count(), i))
-
-        def go(i: int, a: int, blocked: int) -> bool:
-            u = n - blocked.bit_count()
-            if bound(a + (len(free) - i), u) < target:
-                return False
-            if trace_total(a, u) >= target:
-                return True
-            if i == len(free):
-                return False
-            v = free[i]
-            return go(i + 1, a + 1, blocked | rows[v]) or go(i + 1, a, blocked)
-
-        return go(0, a0, blocked0)
-
-    chosen_mask = 0
-    chosen_blocked = 0
-    a = 0
-    undecided = list(range(n))
-    for v in range(n - 1, -1, -1):
-        undecided.remove(v)
-        if reachable(undecided, a, chosen_blocked):
-            continue  # v can stay out
-        chosen_mask |= 1 << v
-        chosen_blocked |= rows[v]
-        a += 1
-    u = n - chosen_blocked.bit_count()
-    b = target - a
-    assert 0 <= b <= u and is_balanced_counts(a, b, gamma)
-    return target, _witness_from_trace(chosen_mask, chosen_blocked, b, n)
+    search(0, 0, 0, 0)
+    b = best_total - best_mask.bit_count()
+    return best_total, _witness_from_trace(best_mask, best_blocked, b, n)
 
 
 @dataclass(frozen=True)

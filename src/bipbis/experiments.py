@@ -126,7 +126,8 @@ def _path(params, key):
 
 def resolve_params(command: str, raw: dict) -> dict:
     """Apply defaults, coerce types, and check every module precondition
-    before any work starts."""
+    before any work starts. A key the command does not take is an error, so
+    a misspelt or misplaced parameter is never silently dropped."""
     p = dict(raw)
     out: dict[str, Any] = {
         "seed": _coerce("seed", p.get("seed", 1), int),
@@ -229,6 +230,9 @@ def resolve_params(command: str, raw: dict) -> dict:
             raise ParameterError("exponent requires c > 0 and d > 1")
         if not (0.0 < out["gamma"] <= 0.5):
             raise ParameterError(f"gamma must lie in (0, 1/2], got {out['gamma']}")
+    unknown = [key for key in raw if key not in out]
+    if unknown:
+        raise ParameterError(f"{command} does not take the parameters {unknown}")
     return out
 
 

@@ -8,6 +8,7 @@ arbitrate when the optimized paths are wrong.
 from __future__ import annotations
 
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,30 @@ def brute_max_balanced(graph: BipartiteGraph, gamma: float) -> int:
             if brute_balanced(a, b, gamma) and a + b > best:
                 best = a + b
     return best
+
+
+def milp_optimum(graph: BipartiteGraph, gamma: float) -> int:
+    """Maximum gamma-balanced independent set size by scipy's MILP (HiGHS).
+
+    Variables x (L) and y (R) in {0, 1}; x_l + y_r <= 1 on every edge; with
+    gamma = p/q, a = sum x and b = sum y, balance is |(q-p) a - p b| <= q - 1.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    g = Fraction(gamma).limit_denominator(64)
+    p, q = g.numerator, g.denominator
+    n, m = graph.n, graph.edge_count
+    A = np.zeros((m + 1, 2 * n))
+    A[np.arange(m), graph.el] = 1
+    A[np.arange(m), n + graph.er] = 1
+    A[m, :n] = q - p
+    A[m, n:] = -p
+    lo = np.r_[np.full(m, -np.inf), -(q - 1)]
+    hi = np.r_[np.ones(m), q - 1]
+    res = milp(-np.ones(2 * n), constraints=LinearConstraint(A, lo, hi),
+               integrality=np.ones(2 * n), bounds=Bounds(0, 1))
+    assert res.status == 0, f"MILP did not solve: {res.message}"
+    return int(round(-res.fun))
 
 
 def brute_profile(graph: BipartiteGraph) -> dict[int, int]:

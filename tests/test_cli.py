@@ -293,6 +293,22 @@ def test_path_parameters_must_be_path_strings(capsys, tmp_path):
     assert "csv must be a file path" in assert_one_error_line(err)
 
 
+def test_parameters_a_command_does_not_take_are_refused(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 3, "d": 1.5, "p": 0.3, "trials": 1, "bogus": 1, "k_r": 7,
+                               "epsilon": "abc"}))
+    out_csv = tmp_path / "local.csv"
+    code, out, err = run_cli(capsys, "local", "--workers", "1", "--config", str(cfg),
+                             "--csv", str(out_csv))
+    assert code == 1 and out == "" and not out_csv.exists()
+    assert "['bogus', 'k_r', 'epsilon']" in assert_one_error_line(err)
+    cfg.write_text(json.dumps({"K": 3}))
+    code, out, err = run_cli(capsys, "sweep", "local", "--config", str(cfg), "--grid", "p=0.1",
+                             "--n", "4", "--d", "2", "--trials", "1", "--csv", str(out_csv))
+    assert code == 1 and out == "" and not out_csv.exists()
+    assert "local does not take the parameters ['K']" in assert_one_error_line(err)
+
+
 def test_oversized_boolean_and_non_finite_parameters_are_refused(capsys, tmp_path):
     cfg = tmp_path / "c.json"
     for body, message in (('{"n": 1e308, "d": 2, "p": 0.1, "trials": 1}', "too large"),
@@ -507,7 +523,6 @@ VALID_FLAGS = {
 }
 VALID_FLAGS["sweep"] = ["local", "--grid", "p=0.1,0.2"] + VALID_FLAGS["local"]
 GOOD_GRAPH = b"3 2\n0 1\n2 0\n"
-GOOD_CONFIG = b'{"n": 3, "d": 1.5, "p": 0.3, "epsilon": 0.5, "x": 1, "y": 1, "gamma": 0.5}'
 
 
 @st.composite
@@ -544,6 +559,15 @@ VALID_CONFIGS = {
     "thresholds": {"gamma": 0.5},
     "exponent": {"c": 2, "d": 3},
 }
+
+
+def valid_config(argv: list[str]) -> bytes:
+    """A valid --config body for the command argv runs (a sweep runs its
+    trial command). Every command refuses keys it does not take, so one body
+    shared by all commands would end every run in that error."""
+    if argv[:1] == ["sweep"]:
+        argv = argv[1:]
+    return json.dumps(VALID_CONFIGS.get(argv[0] if argv else "", {})).encode()
 
 
 @st.composite
@@ -597,7 +621,7 @@ def test_every_input_ends_in_success_or_one_json_error_line(tmp_path_factory, ca
     argv, files = case
     tmp = tmp_path_factory.mktemp("fuzz")
     (tmp / "graph.txt").write_bytes(GOOD_GRAPH)
-    (tmp / "config.json").write_bytes(GOOD_CONFIG)
+    files = {"config.json": valid_config(argv), **files}
     for name, body in files.items():
         (tmp / name).write_bytes(body.replace(b"{tmp}", str(tmp).encode()))
     argv = [arg.replace("{tmp}", str(tmp)) for arg in argv]

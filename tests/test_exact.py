@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipbis import (CapacityError, RandomSeed,
                     enumerate_max_gamma_balanced, is_gamma_balanced,
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     max_joint_intersection, pareto_profile,
                     sample_bipartite_graph)
-from conftest import brute_max_balanced, brute_profile, graph_from_edges, subset_of
+from conftest import (brute_max_balanced, brute_profile, graph_from_edges, milp_optimum,
+                      subset_of)
 
 K22 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -53,6 +56,61 @@ def test_agrees_with_literal_subset_enumeration():
             assert w_bb == w_en
             assert is_independent(g, w_bb) and is_gamma_balanced(w_bb, gamma)
             assert w_bb.size == size_bb
+
+
+@given(n=st.integers(9, 14), dense=st.booleans(), fraction=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.1, 1 / 3, 0.5]))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_agrees_with_enumeration_past_the_brute_force(n, dense, fraction, seed, gamma):
+    # sparse d in [0.5, 3], dense d in [n/2, n - 1]
+    d = n / 2 + fraction * (n / 2 - 1) if dense else 0.5 + 2.5 * fraction
+    g = sample_bipartite_graph(n, d, RandomSeed(seed))
+    assert max_gamma_balanced_is(g, gamma) == enumerate_max_gamma_balanced(g, gamma)
+
+
+@pytest.mark.parametrize("n, d", [(17, 6.0), (20, 3.0), (23, 6.0), (28, 3.0)])
+def test_optimum_matches_milp(n, d):
+    g = sample_bipartite_graph(n, d, RandomSeed(31, n))
+    for gamma in (0.5, 1 / 3):
+        size, witness = max_gamma_balanced_is(g, gamma)
+        assert size == milp_optimum(g, gamma)
+        assert witness.size == size
+        assert is_independent(g, witness) and is_gamma_balanced(witness, gamma)
+
+
+# (n, d, stream of RandomSeed(1, .), gamma) -> (size, witness_l, witness_r), as
+# `bipbis exact` printed them before the solver became one search pass
+PINNED_WITNESSES = {
+    (24, 3.0, 0, 0.5): (27, "1,2,4,5,6,7,8,9,14,16,19,20,22",
+                        "0,1,3,5,6,9,10,11,13,14,17,18,19,20"),
+    (24, 3.0, 0, 1 / 3): (26, "1,2,4,5,6,14,16,19,20",
+                          "0,1,3,5,6,7,8,9,10,11,13,14,17,18,19,20,23"),
+    (24, 3.0, 1, 0.5): (26, "0,1,2,3,4,7,9,12,14,16,19,20,22",
+                        "1,4,5,8,9,10,11,12,13,14,19,22,23"),
+    (24, 3.0, 1, 1 / 3): (25, "0,1,4,7,9,10,12,16",
+                          "1,4,5,6,7,8,9,10,11,12,13,14,16,18,19,21,23"),
+    (24, 3.0, 3, 0.5): (24, "0,1,5,6,7,8,9,14,15,16,18,19",
+                        "4,6,7,8,9,10,13,14,17,20,22,23"),
+    (24, 3.0, 3, 1 / 3): (24, "3,4,5,6,17,18,19,20",
+                          "0,2,3,4,5,6,7,8,9,11,12,13,14,16,20,23"),
+    (32, 6.0, 2, 0.5): (25, "0,3,8,10,12,16,23,24,26,27,28,29",
+                        "1,2,5,8,9,10,12,14,19,22,23,26,30"),
+    (32, 6.0, 2, 1 / 3): (26, "0,8,10,16,23,24,26,29",
+                          "1,2,5,6,8,9,10,11,12,14,16,19,22,23,24,25,26,30"),
+    (32, 6.0, 3, 0.5): (23, "0,8,9,13,14,15,16,17,18,19,21",
+                        "4,6,8,9,13,14,15,21,23,28,30,31"),
+    (32, 6.0, 3, 1 / 3): (24, "2,3,4,10,13,21,22,23",
+                          "0,1,4,6,11,13,15,17,19,23,24,25,26,27,28,29"),
+}
+
+
+def test_witnesses_are_pinned():
+    for (n, d, stream, gamma), expected in PINNED_WITNESSES.items():
+        size, witness = max_gamma_balanced_is(sample_bipartite_graph(n, d, RandomSeed(1, stream)),
+                                              gamma)
+        got = (size, ",".join(map(str, sorted(witness.in_l))),
+               ",".join(map(str, sorted(witness.in_r))))
+        assert got == expected, (n, d, stream, gamma)
 
 
 def test_adding_an_edge_never_helps():
