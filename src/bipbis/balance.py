@@ -21,43 +21,86 @@ def check_gamma(gamma: float) -> None:
         raise ParameterError(f"gamma must lie in (0, 1/2], got {gamma}")
 
 
+def pack_bits(selected: np.ndarray) -> int:
+    """The bitmask of a boolean array: element i is bit i."""
+    return int.from_bytes(np.packbits(selected, bitorder="little").tobytes(), "little")
+
+
+def unpack_bits(mask: int, n: int) -> np.ndarray:
+    """The boolean array of length n whose element i is bit i of mask, for a
+    mask below 2^n (a higher bit in the last byte's padding is dropped)."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def lowest_bits(mask: int, k: int) -> int:
+    """The k >= 0 lowest set bits of mask (all of them when it has no more)."""
+    if mask.bit_count() <= k:
+        return mask
+    cut = int(np.flatnonzero(unpack_bits(mask, mask.bit_length()))[k])  # the (k+1)-th set bit
+    return mask & ((1 << cut) - 1)
+
+
+def _mask_of(indices: Iterable[int]) -> int:
+    idx = np.fromiter(map(int, indices), dtype=np.int64)
+    if idx.size and idx.min() < 0:
+        raise ParameterError(f"vertex indices must be non-negative, got {idx.min()}")
+    selected = np.zeros(idx.max(initial=-1) + 1, dtype=bool)
+    selected[idx] = True
+    return pack_bits(selected)
+
+
+def _index_set(mask: int) -> frozenset:
+    return frozenset(np.flatnonzero(unpack_bits(mask, mask.bit_length())).tolist())
+
+
 @dataclass(frozen=True)
 class VertexSubset:
-    """A subset of the 2n vertices, tracked per side."""
+    """A subset of the 2n vertices, one bitmask per side: vertex i is bit i."""
 
-    in_l: frozenset
-    in_r: frozenset
+    mask_l: int
+    mask_r: int
 
     @staticmethod
     def of(in_l: Iterable[int] = (), in_r: Iterable[int] = ()) -> "VertexSubset":
-        return VertexSubset(frozenset(int(i) for i in in_l), frozenset(int(i) for i in in_r))
+        return VertexSubset(_mask_of(in_l), _mask_of(in_r))
+
+    @property
+    def in_l(self) -> frozenset:
+        """The L indices, built on every access in O(n): not for hot paths."""
+        return _index_set(self.mask_l)
+
+    @property
+    def in_r(self) -> frozenset:
+        """The R indices, built on every access in O(n): not for hot paths."""
+        return _index_set(self.mask_r)
 
     @property
     def count_l(self) -> int:
-        return len(self.in_l)
+        return self.mask_l.bit_count()
 
     @property
     def count_r(self) -> int:
-        return len(self.in_r)
+        return self.mask_r.bit_count()
 
     @property
     def size(self) -> int:
-        return len(self.in_l) + len(self.in_r)
+        return self.mask_l.bit_count() + self.mask_r.bit_count()
 
     def union(self, other: "VertexSubset") -> "VertexSubset":
-        return VertexSubset(self.in_l | other.in_l, self.in_r | other.in_r)
+        return VertexSubset(self.mask_l | other.mask_l, self.mask_r | other.mask_r)
 
     def difference(self, other: "VertexSubset") -> "VertexSubset":
-        return VertexSubset(self.in_l - other.in_l, self.in_r - other.in_r)
+        return VertexSubset(self.mask_l & ~other.mask_l, self.mask_r & ~other.mask_r)
 
     def intersection(self, other: "VertexSubset") -> "VertexSubset":
-        return VertexSubset(self.in_l & other.in_l, self.in_r & other.in_r)
+        return VertexSubset(self.mask_l & other.mask_l, self.mask_r & other.mask_r)
 
     def symmetric_difference_size(self, other: "VertexSubset") -> int:
-        return len(self.in_l ^ other.in_l) + len(self.in_r ^ other.in_r)
+        return (self.mask_l ^ other.mask_l).bit_count() + (self.mask_r ^ other.mask_r).bit_count()
 
 
-EMPTY_SUBSET = VertexSubset(frozenset(), frozenset())
+EMPTY_SUBSET = VertexSubset(0, 0)
 
 
 def is_balanced_counts(a: int, b: int, gamma: float) -> bool:
@@ -133,16 +176,16 @@ def max_balanced_total(a_cap: int, b_cap: int, gamma: float) -> int:
     return a2 + b2
 
 
+def check_subset_range(subset: VertexSubset, n: int) -> None:
+    if subset.mask_l >> n or subset.mask_r >> n:
+        raise ParameterError(f"subset names a vertex index at or above n = {n}")
+
+
 def independence_violation(graph, subset: VertexSubset) -> tuple[int, int] | None:
     """First edge of the graph with both endpoints inside the subset, or None."""
-    if not subset.in_l or not subset.in_r:
-        return None
     n = graph.n
-    mask_l = np.zeros(n, dtype=bool)
-    mask_l[list(subset.in_l)] = True
-    mask_r = np.zeros(n, dtype=bool)
-    mask_r[list(subset.in_r)] = True
-    both = mask_l[graph.el] & mask_r[graph.er]
+    check_subset_range(subset, n)
+    both = unpack_bits(subset.mask_l, n)[graph.el] & unpack_bits(subset.mask_r, n)[graph.er]
     hits = np.flatnonzero(both)
     if hits.size == 0:
         return None

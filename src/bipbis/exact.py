@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import (VertexSubset, best_b_for_a, check_gamma,
-                      max_balanced_total)
+from .balance import (VertexSubset, best_b_for_a, check_gamma, check_subset_range,
+                      lowest_bits, max_balanced_total)
 from .errors import CapacityError
 from .graph import BipartiteGraph
 
@@ -54,21 +54,8 @@ def _blocked_table(rows: list[int], n: int) -> list[int]:
     return table
 
 
-def _lowest_bits_subset(mask: int, count: int) -> frozenset:
-    out = []
-    idx = 0
-    while len(out) < count:
-        if mask & 1:
-            out.append(idx)
-        mask >>= 1
-        idx += 1
-    return frozenset(out)
-
-
 def _witness_from_trace(l_mask: int, blocked: int, b: int, n: int) -> VertexSubset:
-    in_l = frozenset(i for i in range(n) if (l_mask >> i) & 1)
-    unblocked = ~blocked & ((1 << n) - 1)
-    return VertexSubset(in_l, _lowest_bits_subset(unblocked, b))
+    return VertexSubset(l_mask, lowest_bits(~blocked & ((1 << n) - 1), b))
 
 
 def enumerate_max_gamma_balanced(
@@ -184,20 +171,10 @@ def max_joint_intersection(
     """
     n = graph.n
     _check_capacity(n, min(limit, _ENUMERATION_HARD_CAP), "joint intersection")
-    sl = sorted(s.in_l)
-    sr = sorted(s.in_r)
-    if not sl or not sr:
-        return 0
-    rpos = {r: k for k, r in enumerate(sr)}
-    rows = []
-    for l in sl:
-        mask = 0
-        for r in graph.neighbors_l(l):
-            k = rpos.get(int(r))
-            if k is not None:
-                mask |= 1 << k
-        rows.append(mask)
-    nl, nr = len(sl), len(sr)
+    check_subset_range(s, n)
+    # rows keep their global R bits: only the count blocked inside s matters
+    rows = [row & s.mask_r for l, row in enumerate(_bitset_rows(graph)) if s.mask_l >> l & 1]
+    nl, nr = len(rows), s.count_r
     best = 0
     blocked = _blocked_table(rows, nl)
     for mask in range(1 << nl):

@@ -139,9 +139,7 @@ def resolve_params(command: str, raw: dict) -> dict:
     if out["stream"] < 0:
         raise ParameterError("stream must be non-negative")
     if out["workers"] is not None:
-        out["workers"] = _coerce("workers", out["workers"], int)
-        if out["workers"] < 1:
-            raise ParameterError("workers must be >= 1")
+        out["workers"] = _positive_int(out, "workers")
 
     if command in TRIAL_COMMANDS:
         out["trials"] = _positive_int(p, "trials", default=20)
@@ -300,9 +298,8 @@ def _trial_star(args):
 def _resolve_workers(params: dict) -> int:
     if params.get("workers"):
         return int(params["workers"])
-    env = os.environ.get("BIPBIS_WORKERS")
-    if env:
-        return max(1, _coerce("BIPBIS_WORKERS", env, int))
+    if os.environ.get("BIPBIS_WORKERS"):
+        return _positive_int(os.environ, "BIPBIS_WORKERS")
     return os.cpu_count() or 1
 
 

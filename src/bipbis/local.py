@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .balance import VertexSubset, check_gamma, max_balanced_pair
+from .balance import (VertexSubset, check_gamma, independence_violation, lowest_bits,
+                      max_balanced_pair, pack_bits)
 from .errors import CapacityError, CompatibilityViolation, ParameterError
 from .graph import BipartiteGraph, Neighborhood, Side, VertexId, neighborhood
 from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed
@@ -96,16 +97,6 @@ def pair_decisions(
     return sel_l, sel_r
 
 
-def _verify_independent(graph: BipartiteGraph, sel_l: np.ndarray, sel_r: np.ndarray) -> None:
-    both = sel_l[graph.el] & sel_r[graph.er]
-    hits = np.flatnonzero(both)
-    if hits.size:
-        k = int(hits[0])
-        l, r = int(graph.el[k]), int(graph.er[k])
-        raise CompatibilityViolation(
-            f"pair selected both endpoints of edge (l={l}, r={r})", edge=(l, r))
-
-
 def apply_local_pair(
     graph: BipartiteGraph,
     pair: LocalFunctionPair,
@@ -117,11 +108,12 @@ def apply_local_pair(
     if labels is None:
         labels = draw_labels(graph.n, seed)
     sel_l, sel_r = pair_decisions(graph, pair, labels, use_bulk=use_bulk)
-    _verify_independent(graph, sel_l, sel_r)
-    return VertexSubset(
-        frozenset(np.flatnonzero(sel_l).tolist()),
-        frozenset(np.flatnonzero(sel_r).tolist()),
-    )
+    subset = VertexSubset(pack_bits(sel_l), pack_bits(sel_r))
+    edge = independence_violation(graph, subset)
+    if edge is not None:
+        raise CompatibilityViolation(
+            f"pair selected both endpoints of edge (l={edge[0]}, r={edge[1]})", edge=edge)
+    return subset
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +187,7 @@ def gamma_trim(subset: VertexSubset, gamma: float) -> VertexSubset:
     vertices from the surplus side only (lowest indices kept)."""
     check_gamma(gamma)
     a2, b2 = max_balanced_pair(subset.count_l, subset.count_r, gamma)
-    in_l = frozenset(sorted(subset.in_l)[:a2])
-    in_r = frozenset(sorted(subset.in_r)[:b2])
-    return VertexSubset(in_l, in_r)
+    return VertexSubset(lowest_bits(subset.mask_l, a2), lowest_bits(subset.mask_r, b2))
 
 
 def gamma_balanced_value(e_l: float, e_r: float, gamma: float) -> float:

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .balance import VertexSubset
+from .balance import VertexSubset, pack_bits
 from .errors import ParameterError
 from .graph import BipartiteGraph, sample_bipartite_graph
 from .rng import POLY_DRAW, RandomSeed
@@ -152,15 +152,9 @@ def round_polynomial(values: np.ndarray, graph: BipartiteGraph, eta: float) -> R
     conflicted = int(conflicted_l.size + conflicted_r.size)
     if rounding_fails(conflicted, frac, eta, n):
         return RoundingOutcome(None, conflicted, frac)
-    keep_l = in_i_l.copy()
-    keep_l[conflicted_l] = False
-    keep_r = in_i_r.copy()
-    keep_r[conflicted_r] = False
-    subset = VertexSubset(
-        frozenset(np.flatnonzero(keep_l).tolist()),
-        frozenset(np.flatnonzero(keep_r).tolist()),
-    )
-    return RoundingOutcome(subset, conflicted, frac)
+    in_i_l[conflicted_l] = False
+    in_i_r[conflicted_r] = False
+    return RoundingOutcome(VertexSubset(pack_bits(in_i_l), pack_bits(in_i_r)), conflicted, frac)
 
 
 # ---------------------------------------------------------------------------

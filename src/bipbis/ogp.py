@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .exact import DEFAULT_ENUMERATION_LIMIT, pareto_profile
 from .graph import BipartiteGraph, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
-from .lowdeg import check_polynomial_output, rounding_fails
+from .lowdeg import _as_factory, check_polynomial_output, rounding_fails
 from .rng import AUX_STREAM_OFFSET, RESAMPLE_DRAW, RandomSeed
 from .stats import wilson_interval
 
@@ -219,22 +219,22 @@ def _walk(f, path: InterpolationPath, values: list, eta: float) -> Iterator[Vert
     in_i = [v >= 1.0 for v in values]
     frac = sum(0.5 < v < 1.0 for v in values)
     count = [sum(in_i[u] for u in adj[v]) for v in range(2 * n)]
-    kept: tuple[set, set] = (set(), set())  # per side, by index within the side
+    kept = [0, 0]  # per side, a mask over the indices within the side
     conflicted: set = set()
 
     def place(v):
         side, i = divmod(v, n)
-        kept[side].discard(i)
+        kept[side] &= ~(1 << i)
         conflicted.discard(v)
         if in_i[v] and count[v]:
             conflicted.add(v)
         elif in_i[v]:
-            kept[side].add(i)
+            kept[side] |= 1 << i
 
     def rounded():
         if rounding_fails(len(conflicted), frac, eta, n):
             return EMPTY_SUBSET
-        return VertexSubset(frozenset(kept[0]), frozenset(kept[1]))
+        return VertexSubset(*kept)
 
     for v in range(2 * n):
         place(v)
@@ -324,10 +324,11 @@ def stability_trial(
     config = StabilityConfig(c=c, gamma_steps=gamma_steps, degree=degree,
                              norm_estimate=norm_estimate)
     T = gamma_steps * n * n
+    factory = _as_factory(make_f)
     good = 0
     for t in range(trials):
         trial_seed = seed.shifted(t)
-        f = make_f(trial_seed) if callable(make_f) and not hasattr(make_f, "evaluate") else make_f
+        f = factory(trial_seed)
         base = sample_bipartite_graph(n, d, trial_seed)
         path = build_interpolation_path(base, T, d, trial_seed)
         if not detect_bad_steps(f, path, config):
@@ -437,18 +438,17 @@ def greedy_overlap_chain(
     threshold = params.new_mass_min - COUNT_TOLERANCE
     sets = [first]
     timestamps = [0]
-    union_l = set(first.in_l)
-    union_r = set(first.in_r)
+    union = first
     last = None
     for t, v in enumerate(sets_at, start=1):
         if v is not last:  # a walk repeats one object until its set changes
             last = v
-            new_mass = len(v.in_l - union_l) + len(v.in_r - union_r)
+            new_mass = ((v.mask_l & ~union.mask_l).bit_count()
+                        + (v.mask_r & ~union.mask_r).bit_count())
         if new_mass >= threshold:
             sets.append(v)
             timestamps.append(t)
-            union_l |= v.in_l
-            union_r |= v.in_r
+            union = union.union(v)
             last = None
             if len(sets) == params.K:
                 break
@@ -513,15 +513,13 @@ def check_overlap_chain(
     density_ok = [s.count_l >= dens_min and s.count_r >= dens_min for s in sets]
     new_mass_ok = [True]
     new_masses = [sets[0].size if sets else 0]
-    union_l: set = set(sets[0].in_l) if sets else set()
-    union_r: set = set(sets[0].in_r) if sets else set()
+    union = sets[0] if sets else EMPTY_SUBSET
     for s in sets[1:]:
-        mass = len(s.in_l - union_l) + len(s.in_r - union_r)
+        mass = (s.mask_l & ~union.mask_l).bit_count() + (s.mask_r & ~union.mask_r).bit_count()
         new_masses.append(mass)
         new_mass_ok.append(
             params.new_mass_min - COUNT_TOLERANCE <= mass <= params.new_mass_max + COUNT_TOLERANCE)
-        union_l |= s.in_l
-        union_r |= s.in_r
+        union = union.union(s)
     return OverlapChainReport(
         independent_ok=tuple(ind_ok),
         independence_witnesses=tuple(witnesses),

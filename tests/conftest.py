@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bipbis import (BipartiteGraph, ParameterError, RandomSeed, VertexSubset,
-                    sample_bipartite_graph)
+                    max_balanced_pair, sample_bipartite_graph)
 
 
 def graph_from_edges(n, edges):
@@ -219,6 +219,13 @@ def random_small_graph(rng: np.random.Generator, max_n: int = 8) -> BipartiteGra
 
 def subset_of(in_l=(), in_r=()):
     return VertexSubset.of(in_l, in_r)
+
+
+def gamma_trim_sorted(in_l, in_r, gamma: float) -> tuple[frozenset, frozenset]:
+    """gamma_trim on index sets: sort each side and keep the lowest indices
+    the maximum balanced pair allows."""
+    a2, b2 = max_balanced_pair(len(in_l), len(in_r), gamma)
+    return frozenset(sorted(in_l)[:a2]), frozenset(sorted(in_r)[:b2])
 
 
 @pytest.fixture

@@ -370,11 +370,12 @@ def test_malformed_config_fails_with_one_json_line(capsys, tmp_path):
 
 
 def test_malformed_workers_variable_fails_with_one_json_line(capsys, monkeypatch):
-    monkeypatch.setenv("BIPBIS_WORKERS", "two")
-    code, _, err = run_cli(capsys, "local", "--n", "50", "--d", "2", "--p", "0.1",
-                           "--trials", "1")
-    assert code == 1
-    assert "BIPBIS_WORKERS" in assert_one_error_line(err)
+    for value in ("two", "0", "-3"):
+        monkeypatch.setenv("BIPBIS_WORKERS", value)
+        code, _, err = run_cli(capsys, "local", "--n", "50", "--d", "2", "--p", "0.1",
+                               "--trials", "1")
+        assert code == 1
+        assert "BIPBIS_WORKERS" in assert_one_error_line(err)
 
 
 def test_capacity_error_surfaces(capsys, tmp_path):

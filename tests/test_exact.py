@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import (CapacityError, RandomSeed,
+from bipbis import (CapacityError, ParameterError, RandomSeed,
                     enumerate_max_gamma_balanced, is_gamma_balanced,
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     max_joint_intersection, pareto_profile,
@@ -211,3 +211,24 @@ def test_joint_intersection_restricts_to_s():
     g = graph_from_edges(3, [(0, 0)])
     assert max_joint_intersection(g, subset_of([0], [0])) == 0
     assert max_joint_intersection(g, subset_of([0, 1], [0])) == 1
+
+
+def test_joint_intersection_refuses_vertices_outside_the_graph():
+    g = graph_from_edges(3, [])
+    for in_l, in_r in (([0], [5]), ([3], [0]), ([0, 1], [7])):
+        with pytest.raises(ParameterError, match="at or above n = 3"):
+            max_joint_intersection(g, subset_of(in_l, in_r))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**10 - 1))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_joint_intersection_matches_literal_enumeration(graph_seed, s_bits):
+    n = 5
+    g = sample_bipartite_graph(n, 2.0, RandomSeed(graph_seed))
+    subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    sl, sr = subsets[s_bits % 32], subsets[s_bits // 32]
+    edges = list(zip(g.el.tolist(), g.er.tolist()))
+    best = max(min(len(in_l & sl), len(in_r & sr))
+               for in_l in subsets for in_r in subsets
+               if not any(l in in_l and r in in_r for l, r in edges))
+    assert max_joint_intersection(g, subset_of(sl, sr)) == best
