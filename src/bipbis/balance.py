@@ -50,13 +50,21 @@ def _mask_of(indices: Iterable[int]) -> int:
     return pack_bits(selected)
 
 
+def _check_mask(mask: int) -> None:
+    if mask < 0:
+        raise ParameterError(f"subset mask must be non-negative, got {mask}")
+
+
 def _index_set(mask: int) -> frozenset:
+    _check_mask(mask)
     return frozenset(np.flatnonzero(unpack_bits(mask, mask.bit_length())).tolist())
 
 
 @dataclass(frozen=True)
 class VertexSubset:
-    """A subset of the 2n vertices, one bitmask per side: vertex i is bit i."""
+    """A subset of the 2n vertices, one bitmask per side: vertex i is bit i.
+    Masks must be non-negative; the path walker builds one subset per flip,
+    so the readers of the vertex set check that, not the constructor."""
 
     mask_l: int
     mask_r: int
@@ -177,6 +185,8 @@ def max_balanced_total(a_cap: int, b_cap: int, gamma: float) -> int:
 
 
 def check_subset_range(subset: VertexSubset, n: int) -> None:
+    _check_mask(subset.mask_l)
+    _check_mask(subset.mask_r)
     if subset.mask_l >> n or subset.mask_r >> n:
         raise ParameterError(f"subset names a vertex index at or above n = {n}")
 

@@ -5,8 +5,8 @@ Edge coordinates number the n-by-n biadjacency cells 1..n^2 in row-major order
 resamples edges -- notably the interpolation path -- relies on this order
 being stable across runs, so it is fixed here once.
 
-Graphs are immutable after construction and safe to share read-only across
-parallel workers.
+Graphs are logically immutable after construction and safe to share
+read-only across parallel workers; the R-side CSR is built once, on first use.
 """
 
 from __future__ import annotations
@@ -78,12 +78,14 @@ class BipartiteGraph:
     ``coords`` must be a strictly increasing array of 0-based row-major edge
     coordinates in [0, n^2), with n^2 within int64; unsorted or repeated
     coordinates raise ParameterError. ``from_coordinates`` accepts any order
-    and drops repeats. Internally the edge set is that array, with CSR index
-    arrays for both sides. Arrays are read-only.
+    and drops repeats. Internally the edge set is that array and its endpoint
+    arrays ``el`` and ``er``, with CSR index arrays for both sides. The graph
+    is logically immutable and its arrays are read-only. The R-side CSR is
+    built once, on first use by ``csr_r``, ``neighbors_r``, ``degrees_r``,
+    ``validate_graph`` or the ball engine; edge-list kernels never build it.
     """
 
-    __slots__ = ("n", "edge_count", "coords", "el", "er",
-                 "_indptr_l", "_indptr_r", "_flat_r_to_l")
+    __slots__ = ("n", "edge_count", "coords", "el", "er", "_indptr_l", "_csr_r")
 
     def __init__(self, n: int, coords: np.ndarray):
         _check_vertex_count(n)
@@ -100,19 +102,26 @@ class BipartiteGraph:
         self.el, self.er = np.divmod(coords, n)
         counts_l = np.bincount(self.el, minlength=n)
         self._indptr_l = np.concatenate(([0], np.cumsum(counts_l)))
-        # Row-major order makes el non-decreasing and er increasing within a
-        # row, so sorting the unique transposed keys r*n + l orders the edges
-        # by (r, l), as a stable argsort of er would; each key is below n^2.
-        keys = self.er * n
-        keys += self.el
-        keys.sort()
-        keys %= n
-        self._flat_r_to_l = keys
-        counts_r = np.bincount(self.er, minlength=n)
-        self._indptr_r = np.concatenate(([0], np.cumsum(counts_r)))
-        for arr in (self.coords, self.el, self.er, self._indptr_l,
-                    self._indptr_r, self._flat_r_to_l):
+        self._csr_r = None
+        for arr in (self.coords, self.el, self.er, self._indptr_l):
             arr.setflags(write=False)
+
+    # The R-side arrays by name; assigning one builds the other first.
+    @property
+    def _indptr_r(self) -> np.ndarray:
+        return self.csr_r()[0]
+
+    @_indptr_r.setter
+    def _indptr_r(self, value: np.ndarray) -> None:
+        self._csr_r = (value, self.csr_r()[1])
+
+    @property
+    def _flat_r_to_l(self) -> np.ndarray:
+        return self.csr_r()[1]
+
+    @_flat_r_to_l.setter
+    def _flat_r_to_l(self, value: np.ndarray) -> None:
+        self._csr_r = (self.csr_r()[0], value)
 
     @staticmethod
     def from_coordinates(n: int, coords: np.ndarray) -> "BipartiteGraph":
@@ -133,7 +142,8 @@ class BipartiteGraph:
 
     def neighbors_r(self, j: int) -> np.ndarray:
         """Sorted L-neighbors of R-vertex j."""
-        return self._flat_r_to_l[self._indptr_r[j]:self._indptr_r[j + 1]]
+        indptr, flat = self.csr_r()
+        return flat[indptr[j]:indptr[j + 1]]
 
     def neighbors(self, v: VertexId) -> np.ndarray:
         if not (0 <= v.index < self.n):
@@ -144,14 +154,29 @@ class BipartiteGraph:
         return np.diff(self._indptr_l)
 
     def degrees_r(self) -> np.ndarray:
-        return np.diff(self._indptr_r)
+        return np.diff(self.csr_r()[0])
 
     def csr_l(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, flat R-neighbor indices) over L vertices, for bulk kernels."""
         return self._indptr_l, self.er
 
     def csr_r(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._indptr_r, self._flat_r_to_l
+        """(indptr, flat L-neighbor indices) over R vertices, built on first use."""
+        if self._csr_r is None:
+            n = self.n
+            # Row-major order makes el non-decreasing and er increasing within
+            # a row, so sorting the unique transposed keys r*n + l orders the
+            # edges by (r, l), as a stable argsort of er would; each key is
+            # below n^2.
+            keys = self.er * n
+            keys += self.el
+            keys.sort()
+            keys %= n
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(self.er, minlength=n))))
+            indptr.setflags(write=False)
+            keys.setflags(write=False)
+            self._csr_r = (indptr, keys)
+        return self._csr_r
 
     def has_edge(self, l: int, r: int) -> bool:
         row = self.neighbors_l(l)

@@ -122,21 +122,6 @@ def apply_local_pair(
 # ---------------------------------------------------------------------------
 
 
-def _segment_min_exceeds(flat_values: np.ndarray, indptr: np.ndarray, threshold: float) -> np.ndarray:
-    """Per CSR segment: does every value exceed the threshold? Empty segments
-    count as True (an empty minimum blocks nothing)."""
-    n = indptr.size - 1
-    out = np.ones(n, dtype=bool)
-    degs = np.diff(indptr)
-    nonempty = np.flatnonzero(degs > 0)
-    if nonempty.size:
-        # consecutive non-empty segments are contiguous in the flat array,
-        # so reduceat over their start offsets reduces exactly each segment
-        mins = np.minimum.reduceat(flat_values, indptr[nonempty])
-        out[nonempty] = mins > threshold
-    return out
-
-
 def random_threshold_pair(p: float) -> LocalFunctionPair:
     """The 1-local pair with parameter p: an L vertex joins iff its own label
     is at most p; an R vertex joins iff every neighbor's label exceeds p.
@@ -155,8 +140,9 @@ def random_threshold_pair(p: float) -> LocalFunctionPair:
         return labels.l <= p
 
     def bulk_r(graph: BipartiteGraph, labels: VertexLabels) -> np.ndarray:
-        indptr, flat_l = graph.csr_r()
-        return _segment_min_exceeds(labels.l[flat_l], indptr, p)
+        blocked = np.zeros(graph.n, dtype=bool)
+        blocked[graph.er[labels.l[graph.el] <= p]] = True
+        return ~blocked
 
     return LocalFunctionPair(1, decide_l, decide_r, bulk_l, bulk_r)
 

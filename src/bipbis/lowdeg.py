@@ -47,6 +47,10 @@ class LinearBlockingPolynomial:
     chosen_l: np.ndarray  # sorted indices, |chosen_l| = k_l
     degree: int = 1
 
+    def __post_init__(self):
+        # the flip rule's membership test, kept out of the dataclass fields
+        object.__setattr__(self, "_chosen", frozenset(self.chosen_l.tolist()))
+
     @property
     def k_l(self) -> int:
         return int(self.chosen_l.size)
@@ -58,19 +62,12 @@ class LinearBlockingPolynomial:
         values[self.chosen_l] = 1.0
         mask = np.zeros(self.n, dtype=bool)
         mask[self.chosen_l] = True
-        indptr, flat_l = graph.csr_r()
-        counts = np.zeros(self.n, dtype=np.int64)
-        degs = np.diff(indptr)
-        nonempty = np.flatnonzero(degs > 0)
-        if nonempty.size:
-            counts[nonempty] = np.add.reduceat(mask[flat_l].astype(np.int64), indptr[nonempty])
-        values[self.n:] = 1.0 - counts
+        values[self.n:] = 1.0 - np.bincount(graph.er[mask[graph.el]], minlength=self.n)
         return values
 
     def flip_rule(self, l: int, r: int, added: bool) -> tuple[tuple[int, float], ...]:
         """Only the R value of r moves, by one, and only if l is chosen."""
-        k = np.searchsorted(self.chosen_l, l)
-        if k < self.chosen_l.size and self.chosen_l[k] == l:
+        if l in self._chosen:
             return ((self.n + r, -1.0 if added else 1.0),)
         return ()
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bipbis import (BipartiteGraph, ParameterError, RandomSeed, VertexSubset,
                     max_balanced_pair, sample_bipartite_graph)
@@ -192,6 +193,49 @@ def csr_argsort(n: int, coords: np.ndarray) -> dict[str, np.ndarray]:
         "_indptr_r": np.concatenate(([0], np.cumsum(np.bincount(er, minlength=n)))),
         "_flat_r_to_l": el[order],
     }
+
+
+def segment_min_exceeds(flat_values: np.ndarray, indptr: np.ndarray, threshold: float) -> np.ndarray:
+    """Per CSR segment: does every value exceed the threshold? Empty segments
+    count as True (an empty minimum blocks nothing)."""
+    n = indptr.size - 1
+    out = np.ones(n, dtype=bool)
+    degs = np.diff(indptr)
+    nonempty = np.flatnonzero(degs > 0)
+    if nonempty.size:
+        # consecutive non-empty segments are contiguous in the flat array,
+        # so reduceat over their start offsets reduces exactly each segment
+        mins = np.minimum.reduceat(flat_values, indptr[nonempty])
+        out[nonempty] = mins > threshold
+    return out
+
+
+def chosen_neighbor_counts(graph: BipartiteGraph, chosen_l) -> np.ndarray:
+    """For each R vertex, its number of L neighbours in chosen_l, one vertex
+    at a time over neighbors_r."""
+    chosen = set(np.asarray(chosen_l).tolist())
+    return np.array([sum(int(l) in chosen for l in graph.neighbors_r(j))
+                     for j in range(graph.n)], dtype=np.int64)
+
+
+@st.composite
+def edge_list_graphs(draw, max_n: int = 3000):
+    """Graphs for the edge-list kernels: n small or in the thousands, from
+    edgeless to average degree 12, so isolated R vertices are common at the
+    low end; below n = 300 some draws add an R vertex that sees all of L."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=20),
+                       st.integers(min_value=max_n // 3, max_value=max_n)))
+    d = draw(st.sampled_from([0.0, 0.05, 0.5, 2.0, 12.0]))
+    if d <= 0.0 or d >= n:
+        graph = BipartiteGraph(n, np.empty(0, dtype=np.int64))
+    else:
+        seed = RandomSeed(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        graph = sample_bipartite_graph(n, d, seed)
+    if n <= 300 and draw(st.booleans()):
+        full = draw(st.integers(min_value=0, max_value=n - 1))
+        graph = BipartiteGraph.from_coordinates(
+            n, np.concatenate((graph.coords, np.arange(n) * n + full)))
+    return graph
 
 
 def bernoulli_coordinates_unclipped(m: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import (ParameterError, RandomSeed, apply_local_pair, draw_labels, gamma_trim,
-                    independence_violation, is_gamma_balanced, is_independent,
-                    max_balanced_pair, pair_decisions, random_threshold_pair,
-                    sample_bipartite_graph)
+from bipbis import (ParameterError, RandomSeed, VertexSubset, apply_local_pair, draw_labels,
+                    gamma_trim, independence_violation, is_gamma_balanced, is_independent,
+                    max_balanced_pair, max_joint_intersection, pair_decisions,
+                    random_threshold_pair, sample_bipartite_graph)
 from bipbis.balance import (best_a_for_b, best_b_for_a, is_balanced_counts, lowest_bits,
                             max_balanced_total, pack_bits, unpack_bits)
 from conftest import (brute_balanced, brute_trim_best, gamma_trim_sorted, graph_from_edges,
@@ -84,6 +84,20 @@ def test_vertex_indices_outside_the_graph_are_refused():
     for in_l, in_r in (([5], [0]), ([3], [0]), ([0], [7]), ([7], []), ([], [200])):
         with pytest.raises(ParameterError, match="at or above n = 3"):
             independence_violation(g, subset_of(in_l, in_r))
+
+
+def test_negative_masks_are_refused():
+    # the constructor takes any int; every reader of the vertex set refuses
+    # a negative mask instead of counting or unpacking its sign bits
+    g = graph_from_edges(3, [(2, 0)])
+    for subset in (VertexSubset(-1, 0), VertexSubset(0, -4)):
+        for read in (independence_violation, max_joint_intersection):
+            with pytest.raises(ParameterError, match="non-negative"):
+                read(g, subset)
+    with pytest.raises(ParameterError, match="non-negative"):
+        VertexSubset(-1, 0).in_l
+    with pytest.raises(ParameterError, match="non-negative"):
+        VertexSubset(0, -1).in_r
 
 
 INDEX_SETS = st.frozensets(st.one_of(st.integers(0, 70), st.integers(0, 100_000)), max_size=40)

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId,
-                    edge_index_to_pair, graph_from_text, graph_to_text,
-                    neighborhood, pair_to_edge_index, read_graph_text,
-                    sample_bipartite_graph, validate_graph, write_graph_text)
+                    apply_local_pair, edge_index_to_pair, gamma_trim, graph_from_text,
+                    graph_to_text, linear_blocking_polynomial, neighborhood,
+                    pair_to_edge_index, random_threshold_pair, read_graph_text,
+                    round_polynomial, sample_bipartite_graph, validate_graph,
+                    write_graph_text)
 from bipbis.graph import _bernoulli_coordinates
 from conftest import (bernoulli_coordinates_unclipped, bfs_ball, csr_argsort, graph_from_edges,
                       graph_from_text_loop, graph_to_text_loop, validate_graph_sets)
@@ -99,6 +101,39 @@ def test_csr_matches_argsort_oracle(case):
         got = getattr(g, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert not got.flags.writeable
+
+
+def test_easy_algorithms_leave_the_r_side_unbuilt():
+    # the calls of one local and one lowdeg trial scan the edge list only
+    s = RandomSeed(5)
+    g = sample_bipartite_graph(2000, 10, s)
+    subset = apply_local_pair(g, random_threshold_pair(0.1746), s)
+    gamma_trim(subset, 0.5)
+    values = linear_blocking_polynomial(2000, 700, s).evaluate(g)
+    round_polynomial(values, g, 0.0)
+    assert g._csr_r is None
+
+
+R_SIDE_USES = {
+    "csr_r": lambda g: g.csr_r(),
+    "neighbors_r": lambda g: g.neighbors_r(0),
+    "degrees_r": lambda g: g.degrees_r(),
+    "validate_graph": validate_graph,
+    "neighborhood": lambda g: neighborhood(g, VertexId(Side.R, 1), 1),
+}
+
+
+@pytest.mark.parametrize("use", sorted(R_SIDE_USES))
+def test_r_side_is_built_on_first_use(use):
+    g = sample_bipartite_graph(300, 4, RandomSeed(6))
+    assert g._csr_r is None
+    R_SIDE_USES[use](g)
+    want = csr_argsort(g.n, g.coords)
+    for name in ("_indptr_r", "_flat_r_to_l"):
+        got = getattr(g, name)
+        assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+        assert not got.flags.writeable
+    assert g.csr_r()[0] is g._indptr_r and g.csr_r()[1] is g._flat_r_to_l
 
 
 # ---------------------------------------------------------------------------

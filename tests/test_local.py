@@ -11,8 +11,9 @@ from bipbis import (CompatibilityViolation, ParameterError,
                     estimate_gw_expectation, gamma_balanced_value, gamma_trim,
                     pair_decisions, random_threshold_pair,
                     sample_bipartite_graph)
-from bipbis.local import GaltonWatsonTree
-from conftest import brute_trim_best, graph_from_edges, subset_of
+from bipbis.local import GaltonWatsonTree, VertexLabels
+from conftest import (brute_trim_best, csr_argsort, edge_list_graphs, graph_from_edges,
+                      segment_min_exceeds, subset_of)
 
 
 def bisect_fixed_point(d, lo=0.0, hi=1.0, iters=200):
@@ -99,6 +100,24 @@ def test_bulk_and_generic_paths_agree():
         fast = pair_decisions(g, pair, labels, use_bulk=True)
         slow = pair_decisions(g, pair, labels, use_bulk=False)
         assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
+
+
+@given(edge_list_graphs(), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.sampled_from([0.0, 0.05, 0.5]), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+def test_threshold_pair_matches_the_segment_minimum_oracle(graph, p, ties, entropy):
+    # the edge-list scatter against per-R-vertex minima over an argsort CSR;
+    # some labels equal p exactly, and a label at p blocks its R neighbours
+    n = graph.n
+    rng = np.random.default_rng(entropy)
+    values = rng.random(2 * n)
+    values[rng.random(2 * n) < ties] = p
+    labels = VertexLabels(n, values)
+    oracle = csr_argsort(n, graph.coords)
+    sel_l, sel_r = pair_decisions(graph, random_threshold_pair(p), labels)
+    assert np.array_equal(sel_l, labels.l <= p)
+    assert np.array_equal(
+        sel_r, segment_min_exceeds(labels.l[oracle["_flat_r_to_l"]], oracle["_indptr_r"], p))
 
 
 def _distances_from(graph, v, cap):

@@ -7,7 +7,7 @@ from bipbis import (ParameterError, RandomSeed, check_optimization,
                     is_independent, left_indicator_polynomial,
                     linear_blocking_polynomial, norm_second_moment,
                     round_polynomial, sample_bipartite_graph)
-from conftest import graph_from_edges
+from conftest import chosen_neighbor_counts, edge_list_graphs, graph_from_edges
 
 
 def make_poly(n, k_l, seed=77):
@@ -44,6 +44,19 @@ def test_linear_polynomial_counts_selected_neighbors():
     l1 = sorted(f3.chosen_l.tolist())
     g3 = graph_from_edges(5, [(l1[0], 0), (l1[1], 0), (l1[2], 0)])
     assert f3.evaluate(g3)[5 + 0] == -2.0
+
+
+@given(edge_list_graphs(), st.data())
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_linear_polynomial_matches_the_neighbor_count_oracle(graph, data):
+    n = graph.n
+    k_l = data.draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+    f = make_poly(n, k_l, seed=data.draw(st.integers(0, 2**32 - 1)))
+    values = f.evaluate(graph)
+    chosen = np.zeros(n)
+    chosen[f.chosen_l] = 1.0
+    assert np.array_equal(values[:n], chosen)
+    assert np.array_equal(values[n:], 1.0 - chosen_neighbor_counts(graph, f.chosen_l))
 
 
 def test_linear_polynomial_rejects_bad_k():
