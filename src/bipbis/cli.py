@@ -11,8 +11,8 @@ import json
 import sys
 
 from .errors import BipbisError, ParameterError
-from .experiments import (ExperimentConfig, SCHEMAS, TRIAL_COMMANDS,
-                          run_experiment, sweep)
+from .experiments import (ExperimentConfig, PARAMS, SCHEMAS, TRIAL_COMMANDS,
+                          command_params, run_experiment, sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -24,19 +24,26 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_HELP = {
+    "sample": "sample a graph and write the text format",
+    "exact": "exact max gamma-balanced independent set of a graph file",
+    "local": "run the 1-local algorithm over seeded trials",
+    "lowdeg": "run the degree-1 polynomial with rounding over seeded trials",
+    "ogp": "interpolation-path stability and overlap-chain probe",
+    "phase": "classify a phase-diagram point",
+    "thresholds": "existence and algorithmic density thresholds",
+    "exponent": "first-moment exponent at density c*(log d)/d",
+}
+
+
+def _add_command(sub, command: str) -> argparse.ArgumentParser:
+    """A subparser with one flag per parameter of ``command``."""
+    p = sub.add_parser(command, help=_HELP[command])
     p.add_argument("--config", help="JSON file with parameters; flags override")
-    p.add_argument("--seed", type=int, help="base seed (default 1)")
-    p.add_argument("--stream", type=int, help="base stream offset (default 0)")
-    p.add_argument("--record", help="write the full experiment record as JSON here")
-
-
-def _add_trial_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, help="vertices per side")
-    p.add_argument("--d", type=float, help="average degree")
-    p.add_argument("--trials", type=int, help="number of trials (default 20)")
-    p.add_argument("--workers", type=int, help="parallel workers (default: BIPBIS_WORKERS or cpu count)")
-    p.add_argument("--csv", help="output CSV path")
+    for param in command_params(command):
+        p.add_argument("--" + param.name.replace("_", "-"), dest=param.name, type=param.kind,
+                       help=param.help)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,68 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Balanced independent sets in sparse random bipartite graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="sample a graph and write the text format")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=float)
-    p.add_argument("--out", help="output path for the graph text file")
-    _add_common(p)
-
-    p = sub.add_parser("exact", help="exact max gamma-balanced independent set of a graph file")
-    p.add_argument("--graph", help="graph text file (header 'n m', then 'l r' lines)")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--limit", type=int, help="per-side capacity limit (default 32)")
-    _add_common(p)
-
-    p = sub.add_parser("local", help="run the 1-local algorithm over seeded trials")
-    _add_trial_flags(p)
-    p.add_argument("--p", type=float, help="L-side inclusion threshold")
-    p.add_argument("--gamma", type=float, help="balance parameter (default 0.5)")
-    _add_common(p)
-
-    p = sub.add_parser("lowdeg", help="run the degree-1 polynomial with rounding over seeded trials")
-    _add_trial_flags(p)
-    p.add_argument("--epsilon", type=float, help="density slack; sets k_l and k_r")
-    p.add_argument("--eta", type=float, help="rounding error budget (default 0)")
-    _add_common(p)
-
-    p = sub.add_parser("ogp", help="interpolation-path stability and overlap-chain probe")
-    _add_trial_flags(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--K", type=int, help="chain length target (default 2)")
-    p.add_argument("--gamma-steps", dest="gamma_steps", type=int, help="path length in units of n^2 (default 1)")
-    p.add_argument("--c", type=float, help="badness threshold factor (default 0.5)")
-    _add_common(p)
-
-    p = sub.add_parser("phase", help="classify a phase-diagram point")
-    p.add_argument("--x", type=float)
-    p.add_argument("--y", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("thresholds", help="existence and algorithmic density thresholds")
-    p.add_argument("--gamma", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("exponent", help="first-moment exponent at density c*(log d)/d")
-    p.add_argument("--c", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--gamma", type=float)
-    _add_common(p)
-
+    for command in PARAMS:
+        _add_command(sub, command)
     p = sub.add_parser("sweep", help="grid sweep of a trial command (at most 2 parameters)")
-    p.add_argument("trial_command", choices=TRIAL_COMMANDS)
-    p.add_argument("--grid", action="append", default=[],
-                   help="param=start:stop:step or param=v1,v2,... (repeatable, max 2)")
-    _add_trial_flags(p)
-    p.add_argument("--p", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--K", type=int)
-    p.add_argument("--gamma-steps", dest="gamma_steps", type=int)
-    p.add_argument("--c", type=float)
-    _add_common(p)
-
+    trial_sub = p.add_subparsers(dest="trial_command", required=True)
+    for command in TRIAL_COMMANDS:
+        _add_command(trial_sub, command).add_argument(
+            "--grid", action="append", default=[],
+            help="param=start:stop:step or param=v1,v2,... (repeatable, max 2)")
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Experiment orchestration: config validation, seeded parallel trials, CSV.
+"""Experiment orchestration: parameter tables, seeded parallel trials, CSV.
 
 Every trial command assigns trial i the stream ``base_stream + i`` of the base
 seed, independent of how trials are partitioned across workers, so the data
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
@@ -17,7 +18,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from . import __version__
 from .analysis import (algorithmic_threshold, classify_phase, existence_threshold,
@@ -32,7 +33,7 @@ from .lowdeg import (linear_blocking_polynomial, norm_second_moment,
 from .ogp import (OverlapChainParams, StabilityConfig, build_interpolation_path,
                   check_overlap_chain, detect_bad_steps, greedy_overlap_chain,
                   walk_rounded_subsets)
-from .rng import AUX_STREAM_OFFSET, RandomSeed
+from .rng import AUX_STREAM_OFFSET, RandomSeed, check_trial_streams
 
 CSV_SCHEMA_VERSION = 1
 
@@ -43,8 +44,6 @@ SCHEMAS = {
 }
 
 TRIAL_COMMANDS = tuple(SCHEMAS)
-SCALAR_COMMANDS = ("sample", "exact", "phase", "thresholds", "exponent")
-ALL_COMMANDS = TRIAL_COMMANDS + SCALAR_COMMANDS
 
 # the rule lives in rng; this name stays importable for existing callers
 _AUX_STREAM_OFFSET = AUX_STREAM_OFFSET
@@ -80,11 +79,175 @@ class ExperimentRecord:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _coerce(key, value, kind):
+# ---------------------------------------------------------------------------
+# Parameters: one table row per parameter of each command
+# ---------------------------------------------------------------------------
+
+
+REQUIRED = object()  # the default of a parameter that has none
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a command: its ``--config`` key, and its flag with
+    ``_`` spelt ``-``.
+
+    ``kind`` is int, float or str (a file path). ``default`` is a value, None
+    for an optional parameter, REQUIRED, or a function of the parameters
+    resolved before it. ``check(name, value, resolved)`` raises
+    ParameterError for a value out of range.
+    """
+
+    name: str
+    kind: type
+    default: Any
+    check: Optional[Callable[[str, Any, dict], None]]
+    help: str
+
+
+def _must(ok: bool, message: str) -> None:
+    if not ok:
+        raise ParameterError(message)
+
+
+def _at_least(minimum: int) -> Callable[[str, Any, dict], None]:
+    return lambda name, v, p: _must(v >= minimum, f"{name} must be >= {minimum}, got {v}")
+
+
+def _positive(name, v, p):
+    _must(v > 0, f"{name} must be positive")
+
+
+def _non_negative(name, v, p):
+    _must(v >= 0, f"{name} must be non-negative")
+
+
+def _at_most_n(name, v, p):
+    _must(0 <= v <= p["n"], f"{name} must lie in [0, n], got {v}")
+
+
+def _balance(name, v, p):
+    _must(0.0 < v <= 0.5, f"gamma must lie in (0, 1/2], got {v}")
+
+
+def _probability(name, v, p):
+    _must(0.0 <= v <= 1.0, f"p must lie in [0, 1], got {v}")
+
+
+def _trial_count(name, v, p):
+    _at_least(1)(name, v, p)
+    check_trial_streams(v)
+
+
+def _vertex_count(name, v, p):
+    _at_least(1)(name, v, p)
+    _check_vertex_count(v)
+
+
+def _degree(name, v, p):
+    _must(0.0 < v < p["n"], f"d must satisfy 0 < d < n, got d={v}, n={p['n']}")
+
+
+def _lowdeg_epsilon(name, v, p):
+    _must(0.0 < v < 1.0, f"epsilon must lie in (0, 1), got {v}")
+    _must(p["d"] > 1, "lowdeg requires d > 1")
+
+
+def _ogp_epsilon(name, v, p):
+    _positive(name, v, p)
+    _must(p["d"] > 1, "ogp requires d > 1")
+
+
+def _path_length(name, v, p):
+    _at_least(1)(name, v, p)
+    _must(v * p["n"] ** 2 <= _INT64_MAX, "the path length gamma_steps * n^2 must fit in int64")
+
+
+def _phase_point(name, v, p):
+    _must(p["x"] >= 0 and v >= 0, "phase coordinates must be non-negative")
+
+
+def _exponent_point(name, v, p):
+    _must(p["c"] > 0 and v > 1, "exponent requires c > 0 and d > 1")
+
+
+_RUN_PARAMS = (
+    Param("seed", int, 1, None, "base seed (default 1)"),
+    Param("stream", int, 0, _non_negative, "base stream offset (default 0)"),
+    Param("workers", int, None, _at_least(1),
+          "parallel workers (default: BIPBIS_WORKERS or cpu count)"),
+    Param("csv", str, None, None, "output CSV path"),
+    Param("record", str, None, None, "write the full experiment record as JSON here"),
+)
+_TRIALS = Param("trials", int, 20, _trial_count, "number of trials (default 20)")
+_N = Param("n", int, REQUIRED, _vertex_count, "vertices per side")
+_D = Param("d", float, REQUIRED, _degree, "average degree")
+_GAMMA = Param("gamma", float, 0.5, _balance, "balance parameter (default 0.5)")
+
+# The rows after the run parameters (and, for a trial command, trials), in the
+# order they are checked. A sweep may grid any numeric one of them.
+PARAMS: dict[str, tuple[Param, ...]] = {
+    "sample": (_N, _D, Param("out", str, REQUIRED, None, "output path for the graph text file")),
+    "exact": (
+        Param("graph", str, REQUIRED, None, "graph text file (header 'n m', then 'l r' lines)"),
+        _GAMMA,
+        Param("limit", int, 32, _at_least(1), "per-side capacity limit (default 32)"),
+    ),
+    "local": (_N, _D, Param("p", float, REQUIRED, _probability, "L-side inclusion threshold"),
+              _GAMMA),
+    "lowdeg": (
+        _N, _D,
+        Param("epsilon", float, REQUIRED, _lowdeg_epsilon, "density slack; sets k_l and k_r"),
+        Param("k_l", int,
+              lambda p: math.floor((1 - p["epsilon"]) * math.log(p["d"]) / p["d"] * p["n"]),
+              _at_most_n, "chosen L vertices (default (1 - epsilon) log(d) / d * n)"),
+        Param("k_r", int,
+              lambda p: math.floor((1 - p["epsilon"]) * p["d"] ** (p["epsilon"] - 1) * p["n"]),
+              _at_most_n, "R-side target size (default (1 - epsilon) d^(epsilon - 1) n)"),
+        Param("eta", float, 0.0, _non_negative, "rounding error budget (default 0)"),
+    ),
+    "ogp": (
+        _N, _D,
+        Param("epsilon", float, REQUIRED, _ogp_epsilon, "overlap-chain slack; sets k_l and eta"),
+        Param("K", int, 2, _at_least(2), "chain length target (default 2)"),
+        Param("gamma_steps", int, 1, _path_length, "path length in units of n^2 (default 1)"),
+        Param("c", float, 0.5, _positive, "badness threshold factor (default 0.5)"),
+        Param("k_l", int, lambda p: max(1, math.floor(
+            (1 - min(p["epsilon"], 0.999)) * math.log(p["d"]) / p["d"] * p["n"])),
+              _at_most_n, "chosen L vertices (default (1 - epsilon) log(d) / d * n, at least 1)"),
+        Param("eta", float, lambda p: p["epsilon"] / 16.0 * math.log(p["d"]) / p["d"],
+              _non_negative, "rounding error budget (default epsilon / 16 * log(d) / d)"),
+    ),
+    "phase": (
+        Param("x", float, REQUIRED, None, "L-side density in units of (log d)/d"),
+        Param("y", float, REQUIRED, _phase_point, "R-side density in units of (log d)/d"),
+    ),
+    "thresholds": (Param("gamma", float, REQUIRED, _balance, "balance parameter"),),
+    "exponent": (
+        Param("c", float, REQUIRED, None, "density in units of (log d)/d"),
+        Param("d", float, REQUIRED, _exponent_point, "average degree"),
+        _GAMMA,
+    ),
+}
+
+ALL_COMMANDS = tuple(PARAMS)
+
+
+def command_params(command: str) -> tuple[Param, ...]:
+    """Every parameter ``command`` takes, in the order they are resolved."""
+    return _RUN_PARAMS + ((_TRIALS,) if command in TRIAL_COMMANDS else ()) + PARAMS[command]
+
+
+def _coerce(name: str, value, kind: type):
     """``kind(value)`` for a parameter, with a failure raised as ParameterError.
-    An integer parameter refuses a float with a fractional part rather than
-    truncating it, and no parameter takes a boolean for a number."""
-    message = f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+    An integer refuses a float with a fractional part rather than truncating
+    it, a number refuses NaN and infinities, no parameter takes a boolean for
+    a number, and a path is a nonempty string without NUL bytes."""
+    if kind is str:
+        if not (isinstance(value, str) and value and "\0" not in value):
+            raise ParameterError(f"{name} must be a file path, got {value!r}")
+        return value
+    message = f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
     if isinstance(value, bool):
         raise ParameterError(message)
     try:
@@ -93,141 +256,29 @@ def _coerce(key, value, kind):
         raise ParameterError(message) from None
     if kind is int and isinstance(value, float) and out != value:
         raise ParameterError(message)
+    if kind is float and not math.isfinite(out):
+        raise ParameterError(f"{name} must be finite, got {out}")
     return out
-
-
-def _positive_int(params, key, default=None, minimum=1):
-    v = params.get(key, default)
-    if v is None:
-        raise ParameterError(f"missing required parameter {key!r}")
-    v = _coerce(key, v, int)
-    if v < minimum:
-        raise ParameterError(f"{key} must be >= {minimum}, got {v}")
-    return v
-
-
-def _real(params, key, default=None):
-    v = params.get(key, default)
-    if v is None:
-        raise ParameterError(f"missing required parameter {key!r}")
-    v = _coerce(key, v, float)
-    if not math.isfinite(v):
-        raise ParameterError(f"{key} must be finite, got {v}")
-    return v
-
-
-def _path(params, key):
-    """A file path parameter: absent, or a nonempty string without NUL bytes."""
-    v = params.get(key)
-    if v is not None and not (isinstance(v, str) and v and "\0" not in v):
-        raise ParameterError(f"{key} must be a file path, got {v!r}")
-    return v
 
 
 def resolve_params(command: str, raw: dict) -> dict:
     """Apply defaults, coerce types, and check every module precondition
     before any work starts. A key the command does not take is an error, so
-    a misspelt or misplaced parameter is never silently dropped."""
-    p = dict(raw)
-    out: dict[str, Any] = {
-        "seed": _coerce("seed", p.get("seed", 1), int),
-        "stream": _coerce("stream", p.get("stream", 0), int),
-        "workers": p.get("workers"),
-        "csv": _path(p, "csv"),
-        "record": _path(p, "record"),
-    }
-    if out["stream"] < 0:
-        raise ParameterError("stream must be non-negative")
-    if out["workers"] is not None:
-        out["workers"] = _positive_int(out, "workers")
-
-    if command in TRIAL_COMMANDS:
-        out["trials"] = _positive_int(p, "trials", default=20)
-        if out["trials"] >= AUX_STREAM_OFFSET:
-            raise ParameterError(f"trials must be below {AUX_STREAM_OFFSET}")
-        out["n"] = _positive_int(p, "n")
-        _check_vertex_count(out["n"])
-        out["d"] = _real(p, "d")
-        if not (0.0 < out["d"] < out["n"]):
-            raise ParameterError(f"d must satisfy 0 < d < n, got d={out['d']}, n={out['n']}")
-
-    if command == "local":
-        out["p"] = _real(p, "p")
-        if not (0.0 <= out["p"] <= 1.0):
-            raise ParameterError(f"p must lie in [0, 1], got {out['p']}")
-        out["gamma"] = _real(p, "gamma", default=0.5)
-        if not (0.0 < out["gamma"] <= 0.5):
-            raise ParameterError(f"gamma must lie in (0, 1/2], got {out['gamma']}")
-    elif command == "lowdeg":
-        out["epsilon"] = _real(p, "epsilon")
-        if not (0.0 < out["epsilon"] < 1.0):
-            raise ParameterError(f"epsilon must lie in (0, 1), got {out['epsilon']}")
-        if out["d"] <= 1:
-            raise ParameterError("lowdeg requires d > 1")
-        n, d, eps = out["n"], out["d"], out["epsilon"]
-        out["k_l"] = _coerce("k_l", p.get("k_l", math.floor((1 - eps) * math.log(d) / d * n)), int)
-        out["k_r"] = _coerce("k_r", p.get("k_r", math.floor((1 - eps) * d ** (eps - 1) * n)), int)
-        for key in ("k_l", "k_r"):
-            if not (0 <= out[key] <= n):
-                raise ParameterError(f"{key} must lie in [0, n], got {out[key]}")
-        out["eta"] = _real(p, "eta", default=0.0)
-        if out["eta"] < 0:
-            raise ParameterError("eta must be non-negative")
-    elif command == "ogp":
-        out["epsilon"] = _real(p, "epsilon")
-        if not (0.0 < out["epsilon"]):
-            raise ParameterError("epsilon must be positive")
-        if out["d"] <= 1:
-            raise ParameterError("ogp requires d > 1")
-        out["K"] = _positive_int(p, "K", default=2, minimum=2)
-        out["gamma_steps"] = _positive_int(p, "gamma_steps", default=1)
-        if out["gamma_steps"] * out["n"] ** 2 > _INT64_MAX:
-            raise ParameterError("the path length gamma_steps * n^2 must fit in int64")
-        out["c"] = _real(p, "c", default=0.5)
-        if out["c"] <= 0:
-            raise ParameterError("c must be positive")
-        n, d, eps = out["n"], out["d"], out["epsilon"]
-        default_k_l = max(1, math.floor((1 - min(eps, 0.999)) * math.log(d) / d * n))
-        out["k_l"] = _coerce("k_l", p.get("k_l", default_k_l), int)
-        if not (0 <= out["k_l"] <= n):
-            raise ParameterError(f"k_l must lie in [0, n], got {out['k_l']}")
-        out["eta"] = _real(p, "eta", default=eps / 16.0 * math.log(d) / d)
-        if out["eta"] < 0:
-            raise ParameterError("eta must be non-negative")
-    elif command == "sample":
-        out["n"] = _positive_int(p, "n")
-        _check_vertex_count(out["n"])
-        out["d"] = _real(p, "d")
-        if not (0.0 < out["d"] < out["n"]):
-            raise ParameterError(f"d must satisfy 0 < d < n, got d={out['d']}, n={out['n']}")
-        out["out"] = _path(p, "out")
-        if not out["out"]:
-            raise ParameterError("sample requires an output path (out)")
-    elif command == "exact":
-        out["graph"] = _path(p, "graph")
-        if not out["graph"]:
-            raise ParameterError("exact requires a graph file (graph)")
-        out["gamma"] = _real(p, "gamma", default=0.5)
-        if not (0.0 < out["gamma"] <= 0.5):
-            raise ParameterError(f"gamma must lie in (0, 1/2], got {out['gamma']}")
-        out["limit"] = _positive_int(p, "limit", default=32)
-    elif command == "phase":
-        out["x"] = _real(p, "x")
-        out["y"] = _real(p, "y")
-        if out["x"] < 0 or out["y"] < 0:
-            raise ParameterError("phase coordinates must be non-negative")
-    elif command == "thresholds":
-        out["gamma"] = _real(p, "gamma")
-        if not (0.0 < out["gamma"] <= 0.5):
-            raise ParameterError(f"gamma must lie in (0, 1/2], got {out['gamma']}")
-    elif command == "exponent":
-        out["c"] = _real(p, "c")
-        out["d"] = _real(p, "d")
-        out["gamma"] = _real(p, "gamma", default=0.5)
-        if out["c"] <= 0 or out["d"] <= 1:
-            raise ParameterError("exponent requires c > 0 and d > 1")
-        if not (0.0 < out["gamma"] <= 0.5):
-            raise ParameterError(f"gamma must lie in (0, 1/2], got {out['gamma']}")
+    a misspelt or misplaced parameter is never silently dropped. A null value
+    leaves only an optional parameter unset."""
+    out: dict[str, Any] = {}
+    for param in command_params(command):
+        if param.name in raw:
+            value = raw[param.name]
+        else:
+            value = param.default(out) if callable(param.default) else param.default
+        if value is REQUIRED:
+            raise ParameterError(f"missing required parameter {param.name!r}")
+        if value is not None or param.default is not None:
+            value = _coerce(param.name, value, param.kind)
+            if param.check:
+                param.check(param.name, value, out)
+        out[param.name] = value
     unknown = [key for key in raw if key not in out]
     if unknown:
         raise ParameterError(f"{command} does not take the parameters {unknown}")
@@ -299,7 +350,9 @@ def _resolve_workers(params: dict) -> int:
     if params.get("workers"):
         return int(params["workers"])
     if os.environ.get("BIPBIS_WORKERS"):
-        return _positive_int(os.environ, "BIPBIS_WORKERS")
+        workers = _coerce("BIPBIS_WORKERS", os.environ["BIPBIS_WORKERS"], int)
+        _at_least(1)("BIPBIS_WORKERS", workers, params)
+        return workers
     return os.cpu_count() or 1
 
 
@@ -356,44 +409,51 @@ def _scalar_outputs(command: str, params: dict) -> dict[str, Any]:
     raise ParameterError(f"unknown scalar command {command!r}")
 
 
+def _execute(command: str, params: dict) -> tuple[list[tuple], dict[str, Any]]:
+    """The rows (in trial order) and outputs of one run on resolved parameters."""
+    if command not in TRIAL_COMMANDS:
+        return [], _scalar_outputs(command, params)
+    outputs: dict[str, Any] = {}
+    if command == "ogp":
+        # one shared norm estimate on reserved streams, echoed into the record
+        norm_seed = RandomSeed(params["seed"], params["stream"] + AUX_STREAM_OFFSET)
+        mean, _ = norm_second_moment(
+            lambda s: linear_blocking_polynomial(params["n"], params["k_l"], s),
+            params["n"], params["d"], trials=30, seed=norm_seed)
+        params["_norm_estimate"] = mean
+        outputs["norm_estimate"] = mean
+    return _run_trials(command, params), outputs
+
+
+def _save(record: ExperimentRecord, params: dict) -> ExperimentRecord:
+    """Write the CSV (atomically) and the JSON record that ``params`` name."""
+    if record.headers and params["csv"]:
+        write_csv_atomic(params["csv"], record.headers, record.rows)
+    if params["record"]:
+        with open(params["record"], "w", encoding="utf-8") as fh:
+            fh.write(record.to_json())
+    return record
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Validate, dispatch, gather rows in trial order, write CSV atomically."""
     t0 = time.perf_counter()
     params = resolve_params(config.command, config.params)
-    headers = SCHEMAS.get(config.command)
-    rows: list[tuple] = []
-    outputs: dict[str, Any] = {}
-    if config.command in TRIAL_COMMANDS:
-        if config.command == "ogp":
-            # one shared norm estimate on reserved streams, echoed into the record
-            norm_seed = RandomSeed(params["seed"], params["stream"] + AUX_STREAM_OFFSET)
-            mean, _ = norm_second_moment(
-                lambda s: linear_blocking_polynomial(params["n"], params["k_l"], s),
-                params["n"], params["d"], trials=30, seed=norm_seed)
-            params["_norm_estimate"] = mean
-            outputs["norm_estimate"] = mean
-        rows = _run_trials(config.command, params)
-        if params.get("csv"):
-            write_csv_atomic(params["csv"], headers, rows)
-    else:
-        outputs = _scalar_outputs(config.command, params)
+    rows, outputs = _execute(config.command, params)
     record = ExperimentRecord(
         command=config.command,
         params={k: v for k, v in params.items() if not k.startswith("_")},
-        headers=headers,
+        headers=SCHEMAS.get(config.command),
         rows=rows,
         outputs=outputs,
         seed_ledger={
-            "seed": params.get("seed"),
-            "stream_base": params.get("stream"),
-            "streams": [params.get("stream", 0) + t for t in range(params.get("trials", 0))],
+            "seed": params["seed"],
+            "stream_base": params["stream"],
+            "streams": [params["stream"] + t for t in range(params.get("trials", 0))],
         },
         wall_clock_s=time.perf_counter() - t0,
     )
-    if params.get("record"):
-        with open(params["record"], "w", encoding="utf-8") as fh:
-            fh.write(record.to_json())
-    return record
+    return _save(record, params)
 
 
 # ---------------------------------------------------------------------------
@@ -401,65 +461,44 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
 # ---------------------------------------------------------------------------
 
 
-_SWEEPABLE = {
-    "local": {"n", "d", "p", "gamma"},
-    "lowdeg": {"n", "d", "epsilon", "eta"},
-    "ogp": {"n", "d", "epsilon", "K", "gamma_steps", "c"},
-}
-
-
 def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
     """Cartesian product over at most two swept parameters; cell i runs on
-    streams [stream + i*trials, stream + (i+1)*trials)."""
-    if config.command not in TRIAL_COMMANDS:
-        raise ParameterError(f"sweep supports trial commands {TRIAL_COMMANDS}, got {config.command!r}")
+    streams [stream + i*trials, stream + (i+1)*trials). Every cell is
+    resolved before the first one runs."""
+    command = config.command
+    if command not in TRIAL_COMMANDS:
+        raise ParameterError(f"sweep supports trial commands {TRIAL_COMMANDS}, got {command!r}")
     if not grid:
         raise ParameterError("sweep requires a non-empty parameter grid")
     if len(grid) > 2:
         raise ParameterError(f"sweep supports at most 2 swept parameters, got {len(grid)}")
-    names = list(grid)
+    sweepable = sorted(p.name for p in PARAMS[command] if p.kind is not str)
     for name, values in grid.items():
-        if name not in _SWEEPABLE[config.command]:
+        if name not in sweepable:
             raise ParameterError(
-                f"{name!r} is not sweepable for {config.command}; "
-                f"choose from {sorted(_SWEEPABLE[config.command])}")
+                f"{name!r} is not sweepable for {command}; choose from {sweepable}")
         if not values:
             raise ParameterError(f"grid for {name!r} is empty")
-    cells = [()]
-    for name in names:
-        cells = [prev + (v,) for prev in cells for v in grid[name]]
     t0 = time.perf_counter()
-    seed = _coerce("seed", config.params.get("seed", 1), int)
-    stream_base = _coerce("stream", config.params.get("stream", 0), int)
-    trials = _coerce("trials", config.params.get("trials", 20), int)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    csv_path = _path(config.params, "csv")
-    record_path = _path(config.params, "record")
-    all_rows: list[tuple] = []
-    sub_records = []
-    for idx, cell in enumerate(cells):
-        cell_params = dict(config.params)
-        cell_params.update(dict(zip(names, cell)))
-        cell_params["stream"] = stream_base + idx * trials
-        cell_params["csv"] = None
-        cell_params["record"] = None
-        rec = run_experiment(ExperimentConfig(config.command, cell_params))
-        all_rows.extend(rec.rows)
-        sub_records.append({"cell": dict(zip(names, cell)), "stream": cell_params["stream"]})
-    headers = SCHEMAS[config.command]
-    if csv_path:
-        write_csv_atomic(csv_path, headers, all_rows)
+    # seed, stream, trials, csv and record are never swept, so the first cell
+    # gives them, and the stream count is checked before the cells are built
+    base = resolve_params(command, {**config.params, **{k: v[0] for k, v in grid.items()}})
+    stream, trials = base["stream"], base["trials"]
+    check_trial_streams(math.prod(map(len, grid.values())) * trials, "cells * trials")
+    cells = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
+    resolved = [resolve_params(command, {**config.params, **cell}) for cell in cells]
+    rows: list[tuple] = []
+    for idx, params in enumerate(resolved):
+        params["stream"] = stream + idx * trials
+        rows += _execute(command, params)[0]
     record = ExperimentRecord(
-        command=config.command,
+        command=command,
         params={**config.params, "grid": grid},
-        headers=headers,
-        rows=all_rows,
-        outputs={"cells": sub_records},
-        seed_ledger={"seed": seed, "stream_base": stream_base, "cell_stride": trials},
+        headers=SCHEMAS[command],
+        rows=rows,
+        outputs={"cells": [{"cell": cell, "stream": params["stream"]}
+                           for cell, params in zip(cells, resolved)]},
+        seed_ledger={"seed": base["seed"], "stream_base": stream, "cell_stride": trials},
         wall_clock_s=time.perf_counter() - t0,
     )
-    if record_path:
-        with open(record_path, "w", encoding="utf-8") as fh:
-            fh.write(record.to_json())
-    return record
+    return _save(record, base)

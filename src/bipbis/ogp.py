@@ -12,6 +12,7 @@ the chain checker and as the reference the walk is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -26,7 +27,7 @@ from .exact import DEFAULT_ENUMERATION_LIMIT, pareto_profile
 from .graph import BipartiteGraph, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
 from .lowdeg import _as_factory, check_polynomial_output, rounding_fails
-from .rng import AUX_STREAM_OFFSET, RESAMPLE_DRAW, RandomSeed
+from .rng import AUX_STREAM_OFFSET, RESAMPLE_DRAW, RandomSeed, check_trial_streams
 from .stats import wilson_interval
 
 # Counting comparisons against real thresholds get this slack; it keeps the
@@ -44,7 +45,9 @@ def coordinate_at_step(n: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class InterpolationPath:
-    """Base graph plus T (coordinate, resampled bit) deltas."""
+    """Base graph plus T (coordinate, resampled bit) deltas. The coordinates
+    follow the cyclic schedule of ``coordinate_at_step``, which ``flips``
+    relies on."""
 
     base: BipartiteGraph
     d: float
@@ -86,24 +89,31 @@ class InterpolationPath:
         return int(self.edge_coordinates_at(t).size)
 
     def flips(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The steps whose resample changes the graph, as arrays (t, l, r, added).
+        """The steps whose resample changes the graph, as read-only arrays
+        (t, l, r, added), computed once per path.
 
         A step's old bit is the bit its coordinate was last resampled to, or
         its base bit on the first visit; a step that redraws the current bit
         changes nothing and is left out.
         """
-        order = np.argsort(self.sigmas, kind="stable")
-        coords = self.sigmas[order] - 1
-        old = np.empty(self.length, dtype=np.uint8)
-        old[1:] = self.bits[order][:-1]
-        first = np.ones(self.length, dtype=bool)
-        first[1:] = coords[1:] != coords[:-1]
-        old[first] = np.isin(coords[first], self.base.coords)
-        changed = np.zeros(self.length, dtype=bool)
-        changed[order] = old != self.bits[order]
-        steps = np.flatnonzero(changed)
+        return self._flips
+
+    @functools.cached_property
+    def _flips(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # step t visits coordinate (t - 1) mod m, so the old bit of step t is
+        # bits[t - 1 - m] after the first sweep and a base bit within it
+        T, m = self.length, self.n * self.n
+        first = min(T, m)
+        old = np.zeros(T, dtype=np.uint8)
+        coords = self.base.coords
+        old[coords[coords < first]] = 1
+        old[first:] = self.bits[:T - first]
+        steps = np.flatnonzero(old != self.bits)
         l, r = np.divmod(self.sigmas[steps] - 1, self.n)
-        return steps + 1, l, r, self.bits[steps] == 1
+        out = (steps + 1, l, r, self.bits[steps] == 1)
+        for a in out:
+            a.setflags(write=False)
+        return out
 
 
 def build_interpolation_path(
@@ -317,8 +327,7 @@ def stability_trial(
     if norm_estimate is None:
         from .lowdeg import norm_second_moment
 
-        if trials >= AUX_STREAM_OFFSET:
-            raise ParameterError(f"trials must be below {AUX_STREAM_OFFSET}")
+        check_trial_streams(trials)
         norm_estimate, _ = norm_second_moment(
             make_f, n, d, trials=norm_trials, seed=seed.shifted(AUX_STREAM_OFFSET))
     config = StabilityConfig(c=c, gamma_steps=gamma_steps, degree=degree,

@@ -27,6 +27,13 @@ TREE_DRAW = 4
 AUX_STREAM_OFFSET = 1 << 20
 
 
+def check_trial_streams(count: int, what: str = "trials") -> None:
+    """Refuse ``count`` trial streams from one base (base + 0, ..., base +
+    count - 1) when they would reach the auxiliary streams of that base."""
+    if count >= AUX_STREAM_OFFSET:
+        raise ParameterError(f"{what} must be below {AUX_STREAM_OFFSET}, got {count}")
+
+
 @dataclass(frozen=True)
 class RandomSeed:
     """A (seed, stream) pair that fully determines every random draw downstream.

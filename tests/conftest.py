@@ -238,6 +238,24 @@ def edge_list_graphs(draw, max_n: int = 3000):
     return graph
 
 
+def flips_argsort(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """InterpolationPath.flips for any coordinate order: a stable argsort
+    groups each coordinate's visits in step order, and each visit's old bit
+    is the visit before it, or the base bit on the first."""
+    order = np.argsort(path.sigmas, kind="stable")
+    coords = path.sigmas[order] - 1
+    old = np.empty(path.length, dtype=np.uint8)
+    old[1:] = path.bits[order][:-1]
+    first = np.ones(path.length, dtype=bool)
+    first[1:] = coords[1:] != coords[:-1]
+    old[first] = np.isin(coords[first], path.base.coords)
+    changed = np.zeros(path.length, dtype=bool)
+    changed[order] = old != path.bits[order]
+    steps = np.flatnonzero(changed)
+    l, r = np.divmod(path.sigmas[steps] - 1, path.n)
+    return steps + 1, l, r, path.bits[steps] == 1
+
+
 def bernoulli_coordinates_unclipped(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """The geometric-gap sampler summing the raw gaps, which wraps int64 (and
     never ends) once p is small enough for gaps near the int64 maximum."""

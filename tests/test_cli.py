@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import experiments
+from bipbis import experiments, linear_blocking_polynomial, stability_trial
 from bipbis.cli import main
-from bipbis.experiments import SCHEMAS
+from bipbis.errors import ParameterError
+from bipbis.experiments import (PARAMS, SCHEMAS, TRIAL_COMMANDS, ExperimentConfig,
+                                command_params, sweep)
+from bipbis.rng import AUX_STREAM_OFFSET, RandomSeed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -251,6 +254,82 @@ def test_side_targets_are_range_checked_before_work(capsys, tmp_path, monkeypatc
         assert "k_l must lie in [0, n]" in assert_one_error_line(err)
 
 
+RUN = {"seed": 1, "stream": 0, "workers": None, "csv": None, "record": None}
+# (command, raw parameters, the full resolved dict), recorded from the code that
+# resolved each command in its own branch; the first lowdeg and ogp cases are
+# the calls of bench/tracing.py
+RESOLVED = [
+    ("sample", {"n": 6, "d": 1.5, "out": "g.txt"},
+     {**RUN, "n": 6, "d": 1.5, "out": "g.txt"}),
+    ("sample", {"n": 10, "d": 2, "out": "x.txt", "seed": 3, "stream": 4, "record": "r.json"},
+     {**RUN, "seed": 3, "stream": 4, "record": "r.json", "n": 10, "d": 2.0, "out": "x.txt"}),
+    ("exact", {"graph": "g.txt"},
+     {**RUN, "graph": "g.txt", "gamma": 0.5, "limit": 32}),
+    ("exact", {"graph": "g.txt", "gamma": 0.25, "limit": 8.0, "seed": 2},
+     {**RUN, "seed": 2, "graph": "g.txt", "gamma": 0.25, "limit": 8}),
+    ("local", {"n": 100, "d": 3, "p": 0.2},
+     {**RUN, "trials": 20, "n": 100, "d": 3.0, "p": 0.2, "gamma": 0.5}),
+    ("local", {"n": 200.0, "d": 4.5, "p": 0, "gamma": 0.3, "trials": 3, "workers": 2,
+               "seed": 9, "stream": 5, "csv": "a.csv", "record": "r.json"},
+     {"seed": 9, "stream": 5, "workers": 2, "csv": "a.csv", "record": "r.json", "trials": 3,
+      "n": 200, "d": 4.5, "p": 0.0, "gamma": 0.3}),
+    ("lowdeg", {"n": 100000, "d": 10.0, "epsilon": 0.5, "eta": 0.0},
+     {**RUN, "trials": 20, "n": 100000, "d": 10.0, "epsilon": 0.5, "k_l": 11512, "k_r": 15811,
+      "eta": 0.0}),
+    ("lowdeg", {"n": 300, "d": 8, "epsilon": 0.25, "trials": 3},
+     {**RUN, "trials": 3, "n": 300, "d": 8.0, "epsilon": 0.25, "k_l": 58, "k_r": 47,
+      "eta": 0.0}),
+    ("lowdeg", {"n": 50, "d": 3, "epsilon": 0.5, "k_l": 3, "k_r": 2.0, "eta": 0.1, "workers": 1},
+     {**RUN, "workers": 1, "trials": 20, "n": 50, "d": 3.0, "epsilon": 0.5, "k_l": 3, "k_r": 2,
+      "eta": 0.1}),
+    ("ogp", {"n": 60, "d": 4.0, "epsilon": 0.6, "K": 2, "gamma_steps": 1, "c": 0.5},
+     {**RUN, "trials": 20, "n": 60, "d": 4.0, "epsilon": 0.6, "K": 2, "gamma_steps": 1,
+      "c": 0.5, "k_l": 8, "eta": 0.012996509635498974}),
+    ("ogp", {"n": 20, "d": 4, "epsilon": 1.5, "trials": 4, "seed": 7},
+     {**RUN, "seed": 7, "trials": 4, "n": 20, "d": 4.0, "epsilon": 1.5, "K": 2,
+      "gamma_steps": 1, "c": 0.5, "k_l": 1, "eta": 0.032491274088747434}),
+    ("ogp", {"n": 40, "d": 2.5, "epsilon": 0.3, "K": 5, "gamma_steps": 2, "c": 0.02,
+             "k_l": 3, "eta": 0.01},
+     {**RUN, "trials": 20, "n": 40, "d": 2.5, "epsilon": 0.3, "K": 5, "gamma_steps": 2,
+      "c": 0.02, "k_l": 3, "eta": 0.01}),
+    ("phase", {"x": 1.5, "y": 0.5}, {**RUN, "x": 1.5, "y": 0.5}),
+    ("phase", {"x": 0, "y": 2, "seed": 4}, {**RUN, "seed": 4, "x": 0.0, "y": 2.0}),
+    ("thresholds", {"gamma": 0.5}, {**RUN, "gamma": 0.5}),
+    ("thresholds", {"gamma": 0.2, "stream": 1}, {**RUN, "stream": 1, "gamma": 0.2}),
+    ("exponent", {"c": 2, "d": 100}, {**RUN, "c": 2.0, "d": 100.0, "gamma": 0.5}),
+    ("exponent", {"c": 0.5, "d": 3, "gamma": 0.25}, {**RUN, "c": 0.5, "d": 3.0, "gamma": 0.25}),
+]
+
+
+@pytest.mark.parametrize("command, raw, resolved", RESOLVED)
+def test_resolved_parameters_are_pinned(command, raw, resolved):
+    def typed(params):  # 3 == 3.0, so compare the types too
+        return {key: (type(value), value) for key, value in params.items()}
+
+    assert typed(experiments.resolve_params(command, raw)) == typed(resolved)
+
+
+def test_every_parameter_is_a_flag(capsys, tmp_path):
+    out_csv = tmp_path / "lowdeg.csv"
+    code, _, _ = run_cli(capsys, "lowdeg", "--n", "50", "--d", "3", "--epsilon", "0.5",
+                         "--k-l", "3", "--k-r", "2", "--trials", "1", "--csv", str(out_csv))
+    assert code == 0
+    assert read_rows(out_csv)[1][3:5] == ["3", "2"]
+    rec = tmp_path / "ogp.json"
+    code, _, _ = run_cli(capsys, "ogp", "--n", "8", "--d", "2", "--epsilon", "0.6", "--eta", "0.01",
+                         "--trials", "1", "--record", str(rec))
+    assert code == 0
+    assert json.loads(rec.read_text())["params"]["eta"] == 0.01
+    code, out, _ = run_cli(capsys, "sweep", "ogp", "--grid", "eta=0,0.01", "--n", "8", "--d", "2",
+                           "--epsilon", "0.6", "--trials", "1")
+    assert code == 0 and "cells=2" in out
+    # a sweep offers only its trial command's flags
+    code, out, err = run_cli(capsys, "sweep", "local", "--grid", "p=0.1", "--n", "4", "--d", "2",
+                             "--trials", "1", "--K", "3")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --K 3" in assert_one_error_line(err)
+
+
 def test_flag_errors_fail_with_one_json_line(capsys):
     code, out, err = run_cli(capsys, "local", "--n", "abc", "--d", "4", "--p", "0.1",
                              "--trials", "1")
@@ -455,6 +534,35 @@ def test_sweep_rejects_repeated_grid_names(capsys):
     assert "more than once" in assert_one_error_line(err)
 
 
+def test_sweep_checks_every_cell_before_it_runs_one(monkeypatch):
+    def no_trial(params, trial):
+        raise AssertionError("a trial ran before every cell was checked")
+
+    monkeypatch.setitem(experiments._TRIAL_BODIES, "local", no_trial)
+    config = ExperimentConfig("local", {"n": 100000, "p": 0.1, "trials": 3, "workers": 1})
+    with pytest.raises(ParameterError, match="d must satisfy 0 < d < n"):
+        sweep(config, {"d": [10.0, 2e5]})
+
+
+def test_trial_streams_stay_below_the_auxiliary_streams(monkeypatch):
+    # one rule for a run, a stability probe and all the cells of a sweep
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the stream count was checked")
+
+    monkeypatch.setitem(experiments._TRIAL_BODIES, "ogp", no_work)
+    monkeypatch.setattr(experiments, "norm_second_moment", no_work)
+    raw = {"n": 4, "d": 2, "epsilon": 0.6, "workers": 1}
+    with pytest.raises(ParameterError, match="trials must be below"):
+        experiments.run_experiment(ExperimentConfig("ogp", {**raw, "trials": AUX_STREAM_OFFSET}))
+    with pytest.raises(ParameterError, match="trials must be below"):
+        stability_trial(lambda s: linear_blocking_polynomial(4, 1, s), 4, 2.0, 1, 0.5, 1,
+                        trials=AUX_STREAM_OFFSET, seed=RandomSeed(1))
+    # each cell alone is fine, but the last cell's trials would reach the first
+    # cell's norm-estimate streams
+    with pytest.raises(ParameterError, match="cells \\* trials must be below"):
+        sweep(ExperimentConfig("ogp", {**raw, "trials": AUX_STREAM_OFFSET // 2}), {"c": [0.5, 1.0]})
+
+
 def test_sweep_peak_sits_at_grid_point_nearest_optimal_threshold(capsys, tmp_path):
     # at d = 10 the balanced value min(p, e^{-10p}) peaks at p* ~ 0.1746, so
     # over the 0.05-step grid the measured trimmed density peaks at p = 0.15
@@ -490,26 +598,24 @@ FLAG_VALUES = {
     "--epsilon": ["0.2", "0.6"], "--eta": ["0", "0.2"], "--K": ["2", "3"],
     "--gamma-steps": ["1", "2"], "--c": ["0.5", "2"], "--x": ["0", "1.5"],
     "--y": ["0", "1.5"], "--seed": ["0", "7", str(2**64 - 1), str(2**64)],
-    "--stream": ["0", "5"], "--limit": ["1", "8"],
+    "--stream": ["0", "5"], "--limit": ["1", "8"], "--k-l": ["0", "1", "6"], "--k-r": ["0", "2", "6"],
     "--out": PATHS, "--csv": PATHS, "--record": PATHS, "--graph": PATHS, "--config": PATHS,
     "--grid": ["n=2,3", "p=0:1:0.5", "d=1.5", "K=2,3", "gamma_steps=1:2:1", "eta=0,nan",
                "n=2.5", "d=abc", "bogus=1", "p", "p=1:2", "p=0:1:0", "p=0:inf:1",
-               "p=0:1:1e-300", "epsilon=0.1:0.2:nan", "n=1e999"],
+               "p=0:1:1e-300", "epsilon=0.1:0.2:nan", "n=1e999", "k_l=0,1"],
 }
-COMMON_FLAGS = ["--config", "--seed", "--stream", "--record"]
-TRIAL_FLAGS = ["--n", "--d", "--trials", "--workers", "--csv"]
-COMMAND_FLAGS = {
-    "sample": ["--n", "--d", "--out"],
-    "exact": ["--graph", "--gamma", "--limit"],
-    "local": TRIAL_FLAGS + ["--p", "--gamma"],
-    "lowdeg": TRIAL_FLAGS + ["--epsilon", "--eta"],
-    "ogp": TRIAL_FLAGS + ["--epsilon", "--K", "--gamma-steps", "--c"],
-    "phase": ["--x", "--y"],
-    "thresholds": ["--gamma"],
-    "exponent": ["--c", "--d", "--gamma"],
-    "sweep": TRIAL_FLAGS + ["--grid", "--p", "--gamma", "--epsilon", "--eta", "--K",
-                            "--gamma-steps", "--c"],
-}
+
+
+def flag_of(name):
+    return "--" + name.replace("_", "-")
+
+
+# every flag of each command, from the parameter table; a sweep is fuzzed with
+# the flags of all trial commands, so that it meets flags its command lacks
+COMMAND_FLAGS = {command: ["--config"] + [flag_of(p.name) for p in command_params(command)]
+                 for command in PARAMS}
+COMMAND_FLAGS["sweep"] = ["--grid"] + sorted({f for command in TRIAL_COMMANDS
+                                              for f in COMMAND_FLAGS[command]})
 # A valid run of each subcommand; the strategies add or override from here, so
 # that junk meets code past the first check.
 VALID_FLAGS = {
@@ -534,7 +640,7 @@ def flag_argvs(draw):
     argv = [command] + VALID_FLAGS.get(command, [])
     if draw(st.integers(0, 3)) == 0:
         argv = argv[:draw(st.integers(0, len(argv)))]
-    flags = COMMAND_FLAGS.get(command, ["--n"]) + COMMON_FLAGS
+    flags = COMMAND_FLAGS.get(command, ["--n", "--seed"])
     for flag in draw(st.lists(st.sampled_from(flags) | st.just("--bogus"), max_size=3)):
         argv.append(flag)
         argv.append(draw(st.sampled_from(FLAG_VALUES.get(flag, ["1"])) | st.sampled_from(JUNK)))
@@ -547,19 +653,28 @@ CONFIG_VALUES = {
     "n": [1, 3, 5.0], "d": [0.5, 1.5, 2], "trials": [1, 2], "p": [0, 0.3], "gamma": [0.5],
     "epsilon": [0.2, 0.6], "eta": [0, 0.1], "K": [2, 3], "gamma_steps": [1, 2], "c": [0.5],
     "k_l": [0, 1, 6], "k_r": [0, 2, 6], "x": [0, 1.5], "y": [1.5], "seed": [0, 3, 2**64],
-    "stream": [0, 2], "limit": [2, 8], "csv": PATHS, "record": PATHS, "out": PATHS,
-    "graph": PATHS, "bogus": [1],
+    "stream": [0, 2], "limit": [2, 8], "workers": [1], "csv": PATHS, "record": PATHS,
+    "out": PATHS, "graph": PATHS, "bogus": [1],
 }
-VALID_CONFIGS = {
-    "sample": {"n": 3, "d": 1.5, "out": "{tmp}/out.txt"},
-    "exact": {"graph": "{tmp}/graph.txt"},
-    "local": {"n": 3, "d": 1.5, "p": 0.3, "trials": 1},
-    "lowdeg": {"n": 3, "d": 1.5, "epsilon": 0.5, "trials": 1},
-    "ogp": {"n": 3, "d": 1.5, "epsilon": 0.5, "trials": 1},
-    "phase": {"x": 1, "y": 1},
-    "thresholds": {"gamma": 0.5},
-    "exponent": {"c": 2, "d": 3},
-}
+# every key of every command, from the parameter table, and one no command takes
+CONFIG_KEYS = sorted({p.name for command in PARAMS for p in command_params(command)}) + ["bogus"]
+
+
+def config_of(command, argv):
+    """The --config body of a run given as flags, typed by the table."""
+    params = {flag_of(p.name): p for p in command_params(command)}
+    return {params[f].name: params[f].kind(v) for f, v in zip(argv[::2], argv[1::2])}
+
+
+VALID_CONFIGS = {command: config_of(command, VALID_FLAGS[command]) for command in PARAMS}
+
+
+def test_every_parameter_has_fuzz_pools():
+    for command in PARAMS:
+        for param in command_params(command):
+            assert flag_of(param.name) in FLAG_VALUES, f"no FLAG_VALUES pool for {param.name}"
+            assert param.name in CONFIG_VALUES, f"no CONFIG_VALUES pool for {param.name}"
+    assert set(VALID_FLAGS) == set(PARAMS) | {"sweep"}
 
 
 def valid_config(argv: list[str]) -> bytes:
@@ -575,8 +690,7 @@ def valid_config(argv: list[str]) -> bytes:
 def config_argvs(draw):
     """A subcommand whose --config file holds bytes that are not JSON, JSON
     that is not an object, or an object with wrongly typed values."""
-    command = draw(st.sampled_from(["sample", "exact", "local", "lowdeg", "ogp", "phase",
-                                    "thresholds", "exponent"]))
+    command = draw(st.sampled_from(sorted(PARAMS)))
     kind = draw(st.sampled_from(["bytes", "json", "object", "object", "object"]))
     if kind == "bytes":
         body = draw(st.binary(max_size=40))
@@ -584,11 +698,11 @@ def config_argvs(draw):
         body = json.dumps(draw(st.sampled_from(JSON_JUNK))).encode()
     else:
         payload = dict(VALID_CONFIGS[command])
-        for key in draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=3)):
+        for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3)):
             payload[key] = draw(st.sampled_from(CONFIG_VALUES[key]) | st.sampled_from(JSON_JUNK))
         body = json.dumps(payload).encode()
     argv = [command, "--config", "{tmp}/fuzz.json"]
-    if command in ("local", "lowdeg", "ogp"):
+    if command in TRIAL_COMMANDS:
         argv += ["--workers", "1"]
     return argv, {"fuzz.json": body}
 

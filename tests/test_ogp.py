@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
@@ -14,7 +14,7 @@ from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
                     profile_violates_balance_inequality, random_threshold_pair,
                     round_polynomial, sample_bipartite_graph, stability_trial,
                     validate_graph, walk_rounded_subsets)
-from conftest import graph_from_edges, subset_of
+from conftest import flips_argsort, graph_from_edges, subset_of
 
 
 def small_path(n=6, d=2.0, T=None, seed=7):
@@ -83,6 +83,26 @@ def test_flips_are_the_steps_that_change_the_graph():
             expected.append((t, coord // 5, coord % 5, coord in after))
     got = list(zip(steps.tolist(), ls.tolist(), rs.tolist(), added.tolist()))
     assert got == expected and len(got) > 0
+
+
+@given(n=st.integers(min_value=2, max_value=40), sweeps=st.integers(min_value=0, max_value=5),
+       extra=st.sampled_from([0, 1, -1, 0.5]), density=st.sampled_from([0.05, 0.5, 0.9]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=2000, sweeps=1, extra=0, density=2.0 / 2000, seed=3)
+@example(n=2000, sweeps=1, extra=12345, density=4.0 / 2000, seed=4)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_flips_match_the_argsort_oracle(n, sweeps, extra, density, seed):
+    # T = 0, T below n^2, T off a multiple of n^2, and up to five sweeps; the
+    # edge density d/n runs from sparse to nearly full
+    m, d = n * n, density * n
+    T = max(0, sweeps * m + (int(extra * m) if isinstance(extra, float) else extra))
+    base = sample_bipartite_graph(n, d, RandomSeed(seed))
+    path = build_interpolation_path(base, T, d, RandomSeed(seed, 1))
+    got = path.flips()
+    assert path.flips() is got  # computed once per path
+    for a, b in zip(got, flips_argsort(path)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable
 
 
 def test_full_cycle_refreshes_every_coordinate():
