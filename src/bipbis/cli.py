@@ -81,7 +81,7 @@ def _parse_grid_values(spec: str) -> tuple[str, list[float]]:
             raise ParameterError(f"grid value for {name!r} is not a number: {text!r}") from None
 
     if "," in body:
-        values = [number(v) for v in body.split(",") if v.strip()]
+        values = [number(v) for v in body.split(",")]
     elif ":" in body:
         parts = body.split(":")
         if len(parts) != 3:

@@ -174,18 +174,21 @@ def _exponent_point(name, v, p):
 _RUN_PARAMS = (
     Param("seed", int, 1, None, "base seed (default 1)"),
     Param("stream", int, 0, _non_negative, "base stream offset (default 0)"),
+    Param("record", str, None, None, "write the full experiment record as JSON here"),
+)
+# the run parameters that only a trial command takes
+_TRIAL_RUN_PARAMS = (
     Param("workers", int, None, _at_least(1),
           "parallel workers (default: BIPBIS_WORKERS or cpu count)"),
     Param("csv", str, None, None, "output CSV path"),
-    Param("record", str, None, None, "write the full experiment record as JSON here"),
+    Param("trials", int, 20, _trial_count, "number of trials (default 20)"),
 )
-_TRIALS = Param("trials", int, 20, _trial_count, "number of trials (default 20)")
 _N = Param("n", int, REQUIRED, _vertex_count, "vertices per side")
 _D = Param("d", float, REQUIRED, _degree, "average degree")
 _GAMMA = Param("gamma", float, 0.5, _balance, "balance parameter (default 0.5)")
 
-# The rows after the run parameters (and, for a trial command, trials), in the
-# order they are checked. A sweep may grid any numeric one of them.
+# The rows after the run parameters (and, for a trial command, workers, csv and
+# trials), in the order they are checked. A sweep may grid any numeric one of them.
 PARAMS: dict[str, tuple[Param, ...]] = {
     "sample": (_N, _D, Param("out", str, REQUIRED, None, "output path for the graph text file")),
     "exact": (
@@ -235,7 +238,7 @@ ALL_COMMANDS = tuple(PARAMS)
 
 def command_params(command: str) -> tuple[Param, ...]:
     """Every parameter ``command`` takes, in the order they are resolved."""
-    return _RUN_PARAMS + ((_TRIALS,) if command in TRIAL_COMMANDS else ()) + PARAMS[command]
+    return _RUN_PARAMS + (_TRIAL_RUN_PARAMS if command in TRIAL_COMMANDS else ()) + PARAMS[command]
 
 
 def _coerce(name: str, value, kind: type):
@@ -409,20 +412,32 @@ def _scalar_outputs(command: str, params: dict) -> dict[str, Any]:
     raise ParameterError(f"unknown scalar command {command!r}")
 
 
-def _execute(command: str, params: dict) -> tuple[list[tuple], dict[str, Any]]:
-    """The rows (in trial order) and outputs of one run on resolved parameters."""
+# an ogp run estimates E||f||^2 once, over this many graphs
+_NORM_TRIALS = 30
+
+
+def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], dict[str, Any]]:
+    """The rows (in trial order) and outputs of one run on resolved
+    parameters, or of cell ``cell`` of a sweep; a plain run is cell 0.
+
+    With base stream b, cell i runs its trials on streams b + i*trials on. An
+    ogp cell shares one norm estimate among its trials, echoed into the
+    outputs, drawn from the reserved streams b + AUX_STREAM_OFFSET + 30*i on,
+    so no two cells share one.
+    """
     if command not in TRIAL_COMMANDS:
         return [], _scalar_outputs(command, params)
     outputs: dict[str, Any] = {}
+    trial_params = {**params, "stream": params["stream"] + cell * params["trials"]}
     if command == "ogp":
-        # one shared norm estimate on reserved streams, echoed into the record
-        norm_seed = RandomSeed(params["seed"], params["stream"] + AUX_STREAM_OFFSET)
+        norm_stream = params["stream"] + AUX_STREAM_OFFSET + _NORM_TRIALS * cell
         mean, _ = norm_second_moment(
             lambda s: linear_blocking_polynomial(params["n"], params["k_l"], s),
-            params["n"], params["d"], trials=30, seed=norm_seed)
-        params["_norm_estimate"] = mean
+            params["n"], params["d"], trials=_NORM_TRIALS,
+            seed=RandomSeed(params["seed"], norm_stream))
+        trial_params["_norm_estimate"] = mean
         outputs["norm_estimate"] = mean
-    return _run_trials(command, params), outputs
+    return _run_trials(command, trial_params), outputs
 
 
 def _save(record: ExperimentRecord, params: dict) -> ExperimentRecord:
@@ -442,7 +457,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     rows, outputs = _execute(config.command, params)
     record = ExperimentRecord(
         command=config.command,
-        params={k: v for k, v in params.items() if not k.startswith("_")},
+        params=params,
         headers=SCHEMAS.get(config.command),
         rows=rows,
         outputs=outputs,
@@ -463,8 +478,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
 
 def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
     """Cartesian product over at most two swept parameters; cell i runs on
-    streams [stream + i*trials, stream + (i+1)*trials). Every cell is
-    resolved before the first one runs."""
+    streams [stream + i*trials, stream + (i+1)*trials), and an ogp cell
+    estimates its norm on a block of reserved streams of its own. Every cell
+    is resolved before the first one runs."""
     command = config.command
     if command not in TRIAL_COMMANDS:
         raise ParameterError(f"sweep supports trial commands {TRIAL_COMMANDS}, got {command!r}")
@@ -488,16 +504,17 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
     cells = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
     resolved = [resolve_params(command, {**config.params, **cell}) for cell in cells]
     rows: list[tuple] = []
-    for idx, params in enumerate(resolved):
-        params["stream"] = stream + idx * trials
-        rows += _execute(command, params)[0]
+    outputs = []
+    for idx, (cell, params) in enumerate(zip(cells, resolved)):
+        cell_rows, cell_outputs = _execute(command, params, idx)
+        rows += cell_rows
+        outputs.append({"cell": cell, "stream": stream + idx * trials, **cell_outputs})
     record = ExperimentRecord(
         command=command,
         params={**config.params, "grid": grid},
         headers=SCHEMAS[command],
         rows=rows,
-        outputs={"cells": [{"cell": cell, "stream": params["stream"]}
-                           for cell, params in zip(cells, resolved)]},
+        outputs={"cells": outputs},
         seed_ledger={"seed": base["seed"], "stream_base": stream, "cell_stride": trials},
         wall_clock_s=time.perf_counter() - t0,
     )

@@ -6,7 +6,8 @@ resamples edges -- notably the interpolation path -- relies on this order
 being stable across runs, so it is fixed here once.
 
 Graphs are logically immutable after construction and safe to share
-read-only across parallel workers; the R-side CSR is built once, on first use.
+read-only across parallel workers; the CSR adjacency of both sides is built
+once, on first use.
 """
 
 from __future__ import annotations
@@ -78,14 +79,14 @@ class BipartiteGraph:
     ``coords`` must be a strictly increasing array of 0-based row-major edge
     coordinates in [0, n^2), with n^2 within int64; unsorted or repeated
     coordinates raise ParameterError. ``from_coordinates`` accepts any order
-    and drops repeats. Internally the edge set is that array and its endpoint
-    arrays ``el`` and ``er``, with CSR index arrays for both sides. The graph
-    is logically immutable and its arrays are read-only. The R-side CSR is
-    built once, on first use by ``csr_r``, ``neighbors_r``, ``degrees_r``,
-    ``validate_graph`` or the ball engine; edge-list kernels never build it.
+    and drops repeats. The edge set is that array and its endpoint arrays
+    ``el`` and ``er``; the graph is logically immutable and its arrays are
+    read-only. Both sides' CSR index arrays and the R-side neighbour order
+    are built together, once, on the first adjacency read; edge-list kernels
+    never build them.
     """
 
-    __slots__ = ("n", "edge_count", "coords", "el", "er", "_indptr_l", "_csr_r")
+    __slots__ = ("n", "edge_count", "coords", "el", "er", "_csr")
 
     def __init__(self, n: int, coords: np.ndarray):
         _check_vertex_count(n)
@@ -100,28 +101,9 @@ class BipartiteGraph:
         self.coords = coords
         self.edge_count = int(coords.size)
         self.el, self.er = np.divmod(coords, n)
-        counts_l = np.bincount(self.el, minlength=n)
-        self._indptr_l = np.concatenate(([0], np.cumsum(counts_l)))
-        self._csr_r = None
-        for arr in (self.coords, self.el, self.er, self._indptr_l):
+        self._csr = None
+        for arr in (self.coords, self.el, self.er):
             arr.setflags(write=False)
-
-    # The R-side arrays by name; assigning one builds the other first.
-    @property
-    def _indptr_r(self) -> np.ndarray:
-        return self.csr_r()[0]
-
-    @_indptr_r.setter
-    def _indptr_r(self, value: np.ndarray) -> None:
-        self._csr_r = (value, self.csr_r()[1])
-
-    @property
-    def _flat_r_to_l(self) -> np.ndarray:
-        return self.csr_r()[1]
-
-    @_flat_r_to_l.setter
-    def _flat_r_to_l(self, value: np.ndarray) -> None:
-        self._csr_r = (self.csr_r()[0], value)
 
     @staticmethod
     def from_coordinates(n: int, coords: np.ndarray) -> "BipartiteGraph":
@@ -136,9 +118,29 @@ class BipartiteGraph:
 
     # -- adjacency access ---------------------------------------------------
 
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(L indptr, R indptr, flat L-neighbour indices over R), built on first use."""
+        if self._csr is None:
+            n = self.n
+            # Row-major order makes el non-decreasing and er increasing within
+            # a row, so sorting the unique transposed keys r*n + l orders the
+            # edges by (r, l), as a stable argsort of er would; each key is
+            # below n^2.
+            keys = self.er * n
+            keys += self.el
+            keys.sort()
+            keys %= n
+            indptr_l, indptr_r = (np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+                                  for ends in (self.el, self.er))
+            for arr in (indptr_l, indptr_r, keys):
+                arr.setflags(write=False)
+            self._csr = (indptr_l, indptr_r, keys)
+        return self._csr
+
     def neighbors_l(self, i: int) -> np.ndarray:
         """Sorted R-neighbors of L-vertex i."""
-        return self.er[self._indptr_l[i]:self._indptr_l[i + 1]]
+        indptr = self._adjacency()[0]
+        return self.er[indptr[i]:indptr[i + 1]]
 
     def neighbors_r(self, j: int) -> np.ndarray:
         """Sorted L-neighbors of R-vertex j."""
@@ -151,32 +153,19 @@ class BipartiteGraph:
         return self.neighbors_l(v.index) if v.side is Side.L else self.neighbors_r(v.index)
 
     def degrees_l(self) -> np.ndarray:
-        return np.diff(self._indptr_l)
+        return np.diff(self._adjacency()[0])
 
     def degrees_r(self) -> np.ndarray:
-        return np.diff(self.csr_r()[0])
+        return np.diff(self._adjacency()[1])
 
     def csr_l(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, flat R-neighbor indices) over L vertices, for bulk kernels."""
-        return self._indptr_l, self.er
+        return self._adjacency()[0], self.er
 
     def csr_r(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, flat L-neighbor indices) over R vertices, built on first use."""
-        if self._csr_r is None:
-            n = self.n
-            # Row-major order makes el non-decreasing and er increasing within
-            # a row, so sorting the unique transposed keys r*n + l orders the
-            # edges by (r, l), as a stable argsort of er would; each key is
-            # below n^2.
-            keys = self.er * n
-            keys += self.el
-            keys.sort()
-            keys %= n
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(self.er, minlength=n))))
-            indptr.setflags(write=False)
-            keys.setflags(write=False)
-            self._csr_r = (indptr, keys)
-        return self._csr_r
+        """(indptr, flat L-neighbor indices) over R vertices."""
+        _, indptr, flat = self._adjacency()
+        return indptr, flat
 
     def has_edge(self, l: int, r: int) -> bool:
         row = self.neighbors_l(l)

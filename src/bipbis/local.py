@@ -1,25 +1,25 @@
 """The s-local algorithm engine: iid labels, per-side decision functions,
 gamma-balanced trimming, and offspring-tree expectation estimates.
 
-A pair of local functions is applied by handing each decision function only
+A pair of local functions carries two deciders per side: one that sees only
 the radius-s ball around its vertex (structure plus the labels restricted to
-it), so locality is structural rather than trusted. Pairs may additionally
-carry vectorised whole-graph deciders; the engine uses those when present and
-tests pin them to the ball-at-a-time semantics.
+it), which is what locality and the offspring-tree estimates are defined by,
+and a vectorised one over the whole graph, which the engine runs. Tests pin
+the vectorised deciders to the ball-at-a-time semantics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .balance import (VertexSubset, check_gamma, independence_violation, lowest_bits,
                       max_balanced_pair, pack_bits)
 from .errors import CapacityError, CompatibilityViolation, ParameterError
-from .graph import BipartiteGraph, Neighborhood, Side, VertexId, neighborhood
+from .graph import BipartiteGraph, Neighborhood, Side, VertexId
 from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed
 
 DecideFn = Callable[[Neighborhood, np.ndarray], int]
@@ -59,7 +59,8 @@ def draw_labels(n: int, seed: RandomSeed) -> VertexLabels:
 
 @dataclass(frozen=True)
 class LocalFunctionPair:
-    """Radius plus one decision function per side.
+    """Radius plus, per side, a ball decider and the vectorised decider that
+    computes it for every vertex at once.
 
     Compatibility (the outputs always form an independent set) is a semantic
     property; ``apply_local_pair`` re-verifies it on every application.
@@ -68,8 +69,8 @@ class LocalFunctionPair:
     radius: int
     decide_l: DecideFn
     decide_r: DecideFn
-    bulk_decide_l: Optional[BulkDecideFn] = None
-    bulk_decide_r: Optional[BulkDecideFn] = None
+    bulk_decide_l: BulkDecideFn
+    bulk_decide_r: BulkDecideFn
 
     def __post_init__(self):
         if self.radius < 0:
@@ -80,20 +81,10 @@ def pair_decisions(
     graph: BipartiteGraph,
     pair: LocalFunctionPair,
     labels: VertexLabels,
-    use_bulk: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boolean decision vectors (L side, R side), without verification."""
-    if use_bulk and pair.bulk_decide_l is not None and pair.bulk_decide_r is not None:
-        sel_l = np.asarray(pair.bulk_decide_l(graph, labels), dtype=bool)
-        sel_r = np.asarray(pair.bulk_decide_r(graph, labels), dtype=bool)
-        return sel_l, sel_r
-    n = graph.n
-    sel_l = np.zeros(n, dtype=bool)
-    sel_r = np.zeros(n, dtype=bool)
-    for side, sel, decide in ((Side.L, sel_l, pair.decide_l), (Side.R, sel_r, pair.decide_r)):
-        for i in range(n):
-            ball = neighborhood(graph, VertexId(side, i), pair.radius)
-            sel[i] = bool(decide(ball, labels.restrict(ball)))
+    sel_l = np.asarray(pair.bulk_decide_l(graph, labels), dtype=bool)
+    sel_r = np.asarray(pair.bulk_decide_r(graph, labels), dtype=bool)
     return sel_l, sel_r
 
 
@@ -102,12 +93,11 @@ def apply_local_pair(
     pair: LocalFunctionPair,
     seed: RandomSeed,
     labels: VertexLabels | None = None,
-    use_bulk: bool = True,
 ) -> VertexSubset:
-    """Draw labels, decide every vertex from its ball, verify independence."""
+    """Draw labels, decide every vertex, verify independence."""
     if labels is None:
         labels = draw_labels(graph.n, seed)
-    sel_l, sel_r = pair_decisions(graph, pair, labels, use_bulk=use_bulk)
+    sel_l, sel_r = pair_decisions(graph, pair, labels)
     subset = VertexSubset(pack_bits(sel_l), pack_bits(sel_r))
     edge = independence_violation(graph, subset)
     if edge is not None:

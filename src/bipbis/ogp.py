@@ -7,7 +7,7 @@ original random graph and any m consecutive steps refresh every coordinate.
 Paths are stored as (coordinate, resampled bit) deltas. Probes walk a path
 forward once, applying each flip to a mutable adjacency and updating the
 polynomial and its rounding locally; whole graphs are materialized only for
-the chain checker and as the reference the walk is tested against.
+the chain checker and, at flip steps, for a function without a flip rule.
 """
 
 from __future__ import annotations
@@ -171,27 +171,24 @@ class StabilityConfig:
         return (d / n) ** (4.0 * self.gamma_steps * self.degree / self.c)
 
 
-def detect_bad_steps(
-    f, path: InterpolationPath, config: StabilityConfig, force_full: bool = False,
-) -> list[int]:
+def detect_bad_steps(f, path: InterpolationPath, config: StabilityConfig) -> list[int]:
     """Steps t whose single-coordinate flip moves f by at least
     c * norm_estimate in squared norm. Exact, no sampling within a step.
 
-    Uses the polynomial's flip rule over the path's flips when it has one;
-    ``force_full`` re-evaluates from materialized graphs instead (the two must
-    agree). A step that changes no edge moves nothing and is never bad, as
-    the threshold is positive.
+    One pass over the path's flips: a step that changes no edge moves nothing
+    and is never bad, as the threshold is positive. A flip's move comes from
+    the polynomial's flip rule when it has one; otherwise f is evaluated on
+    the materialized graph of each flip step.
     """
     threshold = config.badness_threshold
-    n = path.n
-    if hasattr(f, "flip_rule") and not force_full:
-        steps, ls, rs, added = (a.tolist() for a in path.flips())
+    steps, ls, rs, added = (a.tolist() for a in path.flips())
+    if hasattr(f, "flip_rule"):
         return [t for t, l, r, a in zip(steps, ls, rs, added)
                 if sum(dv * dv for _, dv in f.flip_rule(l, r, a)) >= threshold]
     bad: list[int] = []
-    prev = check_polynomial_output(f.evaluate(path.base), n)
-    for t in range(1, path.length + 1):
-        cur = check_polynomial_output(f.evaluate(path.materialize(t)), n)
+    prev = check_polynomial_output(f.evaluate(path.base), path.n)
+    for t in steps:
+        cur = check_polynomial_output(f.evaluate(path.materialize(t)), path.n)
         diff = cur - prev
         if float(diff @ diff) >= threshold:
             bad.append(t)

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bipbis import (BipartiteGraph, ParameterError, RandomSeed, VertexSubset,
-                    max_balanced_pair, sample_bipartite_graph)
+from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId, VertexSubset,
+                    max_balanced_pair, neighborhood, sample_bipartite_graph)
+from bipbis.lowdeg import check_polynomial_output
 
 
 def graph_from_edges(n, edges):
@@ -179,9 +180,17 @@ def validate_graph_sets(graph: BipartiteGraph) -> None:
         raise ParameterError("adjacency is not symmetric across sides")
 
 
+def graph_arrays(graph: BipartiteGraph) -> dict[str, np.ndarray]:
+    """Every array of a graph by name, the CSRs read through csr_l and csr_r."""
+    (indptr_l, flat_l_to_r), (indptr_r, flat_r_to_l) = graph.csr_l(), graph.csr_r()
+    return {"coords": graph.coords, "el": graph.el, "er": graph.er,
+            "indptr_l": indptr_l, "flat_l_to_r": flat_l_to_r,
+            "indptr_r": indptr_r, "flat_r_to_l": flat_r_to_l}
+
+
 def csr_argsort(n: int, coords: np.ndarray) -> dict[str, np.ndarray]:
-    """Every array of BipartiteGraph(n, coords), the R side built by a stable
-    argsort of the R endpoints."""
+    """Every array of BipartiteGraph(n, coords), named as in graph_arrays,
+    the R side built by a stable argsort of the R endpoints."""
     coords = np.asarray(coords, dtype=np.int64)
     el, er = coords // n, coords % n
     order = np.argsort(er, kind="stable")
@@ -189,9 +198,10 @@ def csr_argsort(n: int, coords: np.ndarray) -> dict[str, np.ndarray]:
         "coords": coords,
         "el": el,
         "er": er,
-        "_indptr_l": np.concatenate(([0], np.cumsum(np.bincount(el, minlength=n)))),
-        "_indptr_r": np.concatenate(([0], np.cumsum(np.bincount(er, minlength=n)))),
-        "_flat_r_to_l": el[order],
+        "indptr_l": np.concatenate(([0], np.cumsum(np.bincount(el, minlength=n)))),
+        "flat_l_to_r": er,
+        "indptr_r": np.concatenate(([0], np.cumsum(np.bincount(er, minlength=n)))),
+        "flat_r_to_l": el[order],
     }
 
 
@@ -254,6 +264,35 @@ def flips_argsort(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     steps = np.flatnonzero(changed)
     l, r = np.divmod(path.sigmas[steps] - 1, path.n)
     return steps + 1, l, r, path.bits[steps] == 1
+
+
+def ball_decisions(graph: BipartiteGraph, pair, labels) -> tuple[np.ndarray, np.ndarray]:
+    """pair_decisions computed ball at a time: each vertex's ball decider sees
+    only its radius-s neighborhood and the labels restricted to it."""
+    n = graph.n
+    sel_l = np.zeros(n, dtype=bool)
+    sel_r = np.zeros(n, dtype=bool)
+    for side, sel, decide in ((Side.L, sel_l, pair.decide_l), (Side.R, sel_r, pair.decide_r)):
+        for i in range(n):
+            ball = neighborhood(graph, VertexId(side, i), pair.radius)
+            sel[i] = bool(decide(ball, labels.restrict(ball)))
+    return sel_l, sel_r
+
+
+def bad_steps_materialized(f, path, config) -> list[int]:
+    """detect_bad_steps with f evaluated on the materialized graph of every
+    path step."""
+    threshold = config.badness_threshold
+    n = path.n
+    bad: list[int] = []
+    prev = check_polynomial_output(f.evaluate(path.base), n)
+    for t in range(1, path.length + 1):
+        cur = check_polynomial_output(f.evaluate(path.materialize(t)), n)
+        diff = cur - prev
+        if float(diff @ diff) >= threshold:
+            bad.append(t)
+        prev = cur
+    return bad
 
 
 def bernoulli_coordinates_unclipped(m: int, p: float, rng: np.random.Generator) -> np.ndarray:

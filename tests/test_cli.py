@@ -254,19 +254,20 @@ def test_side_targets_are_range_checked_before_work(capsys, tmp_path, monkeypatc
         assert "k_l must lie in [0, n]" in assert_one_error_line(err)
 
 
-RUN = {"seed": 1, "stream": 0, "workers": None, "csv": None, "record": None}
+SCALAR = {"seed": 1, "stream": 0, "record": None}
+RUN = {**SCALAR, "workers": None, "csv": None}
 # (command, raw parameters, the full resolved dict), recorded from the code that
 # resolved each command in its own branch; the first lowdeg and ogp cases are
-# the calls of bench/tracing.py
+# the calls of bench/tracing.py. Scalar commands take no workers or csv.
 RESOLVED = [
     ("sample", {"n": 6, "d": 1.5, "out": "g.txt"},
-     {**RUN, "n": 6, "d": 1.5, "out": "g.txt"}),
+     {**SCALAR, "n": 6, "d": 1.5, "out": "g.txt"}),
     ("sample", {"n": 10, "d": 2, "out": "x.txt", "seed": 3, "stream": 4, "record": "r.json"},
-     {**RUN, "seed": 3, "stream": 4, "record": "r.json", "n": 10, "d": 2.0, "out": "x.txt"}),
+     {**SCALAR, "seed": 3, "stream": 4, "record": "r.json", "n": 10, "d": 2.0, "out": "x.txt"}),
     ("exact", {"graph": "g.txt"},
-     {**RUN, "graph": "g.txt", "gamma": 0.5, "limit": 32}),
+     {**SCALAR, "graph": "g.txt", "gamma": 0.5, "limit": 32}),
     ("exact", {"graph": "g.txt", "gamma": 0.25, "limit": 8.0, "seed": 2},
-     {**RUN, "seed": 2, "graph": "g.txt", "gamma": 0.25, "limit": 8}),
+     {**SCALAR, "seed": 2, "graph": "g.txt", "gamma": 0.25, "limit": 8}),
     ("local", {"n": 100, "d": 3, "p": 0.2},
      {**RUN, "trials": 20, "n": 100, "d": 3.0, "p": 0.2, "gamma": 0.5}),
     ("local", {"n": 200.0, "d": 4.5, "p": 0, "gamma": 0.3, "trials": 3, "workers": 2,
@@ -292,12 +293,12 @@ RESOLVED = [
              "k_l": 3, "eta": 0.01},
      {**RUN, "trials": 20, "n": 40, "d": 2.5, "epsilon": 0.3, "K": 5, "gamma_steps": 2,
       "c": 0.02, "k_l": 3, "eta": 0.01}),
-    ("phase", {"x": 1.5, "y": 0.5}, {**RUN, "x": 1.5, "y": 0.5}),
-    ("phase", {"x": 0, "y": 2, "seed": 4}, {**RUN, "seed": 4, "x": 0.0, "y": 2.0}),
-    ("thresholds", {"gamma": 0.5}, {**RUN, "gamma": 0.5}),
-    ("thresholds", {"gamma": 0.2, "stream": 1}, {**RUN, "stream": 1, "gamma": 0.2}),
-    ("exponent", {"c": 2, "d": 100}, {**RUN, "c": 2.0, "d": 100.0, "gamma": 0.5}),
-    ("exponent", {"c": 0.5, "d": 3, "gamma": 0.25}, {**RUN, "c": 0.5, "d": 3.0, "gamma": 0.25}),
+    ("phase", {"x": 1.5, "y": 0.5}, {**SCALAR, "x": 1.5, "y": 0.5}),
+    ("phase", {"x": 0, "y": 2, "seed": 4}, {**SCALAR, "seed": 4, "x": 0.0, "y": 2.0}),
+    ("thresholds", {"gamma": 0.5}, {**SCALAR, "gamma": 0.5}),
+    ("thresholds", {"gamma": 0.2, "stream": 1}, {**SCALAR, "stream": 1, "gamma": 0.2}),
+    ("exponent", {"c": 2, "d": 100}, {**SCALAR, "c": 2.0, "d": 100.0, "gamma": 0.5}),
+    ("exponent", {"c": 0.5, "d": 3, "gamma": 0.25}, {**SCALAR, "c": 0.5, "d": 3.0, "gamma": 0.25}),
 ]
 
 
@@ -386,6 +387,21 @@ def test_parameters_a_command_does_not_take_are_refused(capsys, tmp_path):
                              "--n", "4", "--d", "2", "--trials", "1", "--csv", str(out_csv))
     assert code == 1 and out == "" and not out_csv.exists()
     assert "local does not take the parameters ['K']" in assert_one_error_line(err)
+
+
+def test_scalar_commands_refuse_workers_and_csv(capsys, tmp_path):
+    out_csv = tmp_path / "x.csv"
+    for flags in (["--csv", str(out_csv)], ["--workers", "3"]):
+        code, out, err = run_cli(capsys, "phase", "--x", "1", "--y", "1", *flags)
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {flags[0]}" in assert_one_error_line(err)
+    cfg = tmp_path / "c.json"
+    for key, value in (("csv", str(out_csv)), ("workers", 3)):
+        cfg.write_text(json.dumps({"gamma": 0.5, key: value}))
+        code, out, err = run_cli(capsys, "thresholds", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"thresholds does not take the parameters ['{key}']" in assert_one_error_line(err)
+    assert not out_csv.exists()
 
 
 def test_oversized_boolean_and_non_finite_parameters_are_refused(capsys, tmp_path):
@@ -493,6 +509,19 @@ def test_sweep_grid_expansion_and_streams(capsys, tmp_path):
     assert "cells=6" in out
 
 
+def test_ogp_sweep_cells_estimate_the_norm_on_streams_of_their_own():
+    raw = {"n": 8, "d": 2, "epsilon": 0.6, "trials": 2, "seed": 3, "stream": 5, "workers": 1}
+    single = experiments.run_experiment(ExperimentConfig("ogp", raw))
+    cells = sweep(ExperimentConfig("ogp", raw), {"c": [0.5, 1.0]}).outputs["cells"]
+    assert [cell["stream"] for cell in cells] == [5, 7]
+    assert cells[0]["norm_estimate"] == single.outputs["norm_estimate"]
+    k_l = experiments.resolve_params("ogp", raw)["k_l"]
+    block = RandomSeed(3, 5 + AUX_STREAM_OFFSET + 30)
+    mean, _ = experiments.norm_second_moment(
+        lambda s: linear_blocking_polynomial(8, k_l, s), 8, 2.0, trials=30, seed=block)
+    assert cells[1]["norm_estimate"] == mean != cells[0]["norm_estimate"]
+
+
 def test_sweep_empty_grid_fails(capsys):
     code, _, err = run_cli(capsys, "sweep", "local", "--n", "100", "--d", "2",
                            "--p", "0.1", "--trials", "2")
@@ -510,7 +539,7 @@ def test_sweep_rejects_three_grids(capsys):
 
 
 def test_sweep_rejects_non_numeric_grid_values(capsys):
-    for spec in ("p=abc", "p=0.1,abc", "p=0.1:abc:0.1"):
+    for spec in ("p=abc", "p=0.1,abc", "p=0.1:abc:0.1", "p=0.1,,0.2", "p=0.1,"):
         code, _, err = run_cli(capsys, "sweep", "local", "--grid", spec,
                                "--n", "100", "--d", "2", "--trials", "1")
         assert code == 1
@@ -602,7 +631,8 @@ FLAG_VALUES = {
     "--out": PATHS, "--csv": PATHS, "--record": PATHS, "--graph": PATHS, "--config": PATHS,
     "--grid": ["n=2,3", "p=0:1:0.5", "d=1.5", "K=2,3", "gamma_steps=1:2:1", "eta=0,nan",
                "n=2.5", "d=abc", "bogus=1", "p", "p=1:2", "p=0:1:0", "p=0:inf:1",
-               "p=0:1:1e-300", "epsilon=0.1:0.2:nan", "n=1e999", "k_l=0,1"],
+               "p=0:1:1e-300", "epsilon=0.1:0.2:nan", "n=1e999", "k_l=0,1", "p=0.1,,0.2",
+               "p=0.1,"],
 }
 
 

@@ -10,8 +10,9 @@ from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId,
                     round_polynomial, sample_bipartite_graph, validate_graph,
                     write_graph_text)
 from bipbis.graph import _bernoulli_coordinates
-from conftest import (bernoulli_coordinates_unclipped, bfs_ball, csr_argsort, graph_from_edges,
-                      graph_from_text_loop, graph_to_text_loop, validate_graph_sets)
+from conftest import (bernoulli_coordinates_unclipped, bfs_ball, csr_argsort, graph_arrays,
+                      graph_from_edges, graph_from_text_loop, graph_to_text_loop,
+                      validate_graph_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -97,43 +98,52 @@ def test_csr_matches_argsort_oracle(case):
     given_coords = coords.copy()
     g = BipartiteGraph(n, coords)
     assert np.array_equal(coords, given_coords)
+    arrays = graph_arrays(g)
     for name, want in csr_argsort(n, given_coords).items():
-        got = getattr(g, name)
+        got = arrays[name]
         assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert not got.flags.writeable
 
 
 def test_easy_algorithms_leave_the_r_side_unbuilt():
-    # the calls of one local and one lowdeg trial scan the edge list only
+    # the calls of one local and one lowdeg trial scan the edge list only and
+    # build no CSR
     s = RandomSeed(5)
     g = sample_bipartite_graph(2000, 10, s)
     subset = apply_local_pair(g, random_threshold_pair(0.1746), s)
     gamma_trim(subset, 0.5)
     values = linear_blocking_polynomial(2000, 700, s).evaluate(g)
     round_polynomial(values, g, 0.0)
-    assert g._csr_r is None
+    assert g._csr is None
 
 
-R_SIDE_USES = {
+ADJACENCY_USES = {
+    "csr_l": lambda g: g.csr_l(),
     "csr_r": lambda g: g.csr_r(),
+    "neighbors_l": lambda g: g.neighbors_l(0),
     "neighbors_r": lambda g: g.neighbors_r(0),
+    "degrees_l": lambda g: g.degrees_l(),
     "degrees_r": lambda g: g.degrees_r(),
+    "has_edge": lambda g: g.has_edge(0, 1),
     "validate_graph": validate_graph,
     "neighborhood": lambda g: neighborhood(g, VertexId(Side.R, 1), 1),
 }
 
 
-@pytest.mark.parametrize("use", sorted(R_SIDE_USES))
+# every adjacency read builds both sides' CSR, the R side included
+@pytest.mark.parametrize("use", sorted(ADJACENCY_USES))
 def test_r_side_is_built_on_first_use(use):
     g = sample_bipartite_graph(300, 4, RandomSeed(6))
-    assert g._csr_r is None
-    R_SIDE_USES[use](g)
+    assert g._csr is None
+    ADJACENCY_USES[use](g)
+    built = g._csr
     want = csr_argsort(g.n, g.coords)
-    for name in ("_indptr_r", "_flat_r_to_l"):
-        got = getattr(g, name)
+    for name, got in zip(("indptr_l", "indptr_r", "flat_r_to_l"), built):
         assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
         assert not got.flags.writeable
-    assert g.csr_r()[0] is g._indptr_r and g.csr_r()[1] is g._flat_r_to_l
+    assert g.csr_l()[0] is built[0] and g.csr_l()[1] is g.er
+    assert g.csr_r()[0] is built[1] and g.csr_r()[1] is built[2]
+    assert g._csr is built
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +414,11 @@ def test_text_writer_and_validator_match_loop_oracles(n, seed, data):
     if g.edge_count == 0:
         return
     # moving one R-side adjacency entry to another L vertex breaks symmetry
-    flat = g._flat_r_to_l.copy()
+    indptr_l, indptr_r, flat = g._csr
+    flat = flat.copy()
     k = data.draw(st.integers(min_value=0, max_value=flat.size - 1))
     flat[k] = (flat[k] + data.draw(st.integers(min_value=1, max_value=n - 1))) % n
-    g._flat_r_to_l = flat
+    g._csr = (indptr_l, indptr_r, flat)
     for check in (validate_graph, validate_graph_sets):
         with pytest.raises(ParameterError, match="not symmetric"):
             check(g)
@@ -415,6 +426,7 @@ def test_text_writer_and_validator_match_loop_oracles(n, seed, data):
 
 def test_validator_rejects_a_broken_csr_index():
     g = graph_from_edges(3, [(0, 0), (1, 1), (2, 2)])
-    g._indptr_r = np.array([0, 4, 2, 3])  # degrees 4, -2, 1 still sum to 3
+    indptr_l, _, flat = g.csr_l()[0], *g.csr_r()
+    g._csr = (indptr_l, np.array([0, 4, 2, 3]), flat)  # degrees 4, -2, 1 still sum to 3
     with pytest.raises(ParameterError, match="partition"):
         validate_graph(g)

@@ -12,8 +12,8 @@ from bipbis import (CompatibilityViolation, ParameterError,
                     pair_decisions, random_threshold_pair,
                     sample_bipartite_graph)
 from bipbis.local import GaltonWatsonTree, VertexLabels
-from conftest import (brute_trim_best, csr_argsort, edge_list_graphs, graph_from_edges,
-                      segment_min_exceeds, subset_of)
+from conftest import (ball_decisions, brute_trim_best, csr_argsort, edge_list_graphs,
+                      graph_from_edges, segment_min_exceeds, subset_of)
 
 
 def bisect_fixed_point(d, lo=0.0, hi=1.0, iters=200):
@@ -97,8 +97,8 @@ def test_bulk_and_generic_paths_agree():
         g = sample_bipartite_graph(n, float(rng.uniform(0.3, min(n - 0.01, 3.0))), s)
         labels = draw_labels(n, s)
         pair = random_threshold_pair(float(rng.random()))
-        fast = pair_decisions(g, pair, labels, use_bulk=True)
-        slow = pair_decisions(g, pair, labels, use_bulk=False)
+        fast = pair_decisions(g, pair, labels)
+        slow = ball_decisions(g, pair, labels)
         assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
 
 
@@ -117,7 +117,7 @@ def test_threshold_pair_matches_the_segment_minimum_oracle(graph, p, ties, entro
     sel_l, sel_r = pair_decisions(graph, random_threshold_pair(p), labels)
     assert np.array_equal(sel_l, labels.l <= p)
     assert np.array_equal(
-        sel_r, segment_min_exceeds(labels.l[oracle["_flat_r_to_l"]], oracle["_indptr_r"], p))
+        sel_r, segment_min_exceeds(labels.l[oracle["flat_r_to_l"]], oracle["indptr_r"], p))
 
 
 def _distances_from(graph, v, cap):
@@ -163,8 +163,8 @@ def test_locality_is_structural():
         toggles = [safe[i] for i in rng.choice(len(safe), size=min(6, len(safe)), replace=False)]
         g2 = graph_from_edges(n, sorted(present.symmetric_difference(toggles)))
         changed += int(g2 != g)
-        before = pair_decisions(g, pair, labels, use_bulk=False)
-        after = pair_decisions(g2, pair, labels, use_bulk=False)
+        before = pair_decisions(g, pair, labels)
+        after = pair_decisions(g2, pair, labels)
         for v in marked:
             arr_b = before[0] if v.side is Side.L else before[1]
             arr_a = after[0] if v.side is Side.L else after[1]

@@ -14,7 +14,7 @@ from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
                     profile_violates_balance_inequality, random_threshold_pair,
                     round_polynomial, sample_bipartite_graph, stability_trial,
                     validate_graph, walk_rounded_subsets)
-from conftest import flips_argsort, graph_from_edges, subset_of
+from conftest import bad_steps_materialized, flips_argsort, graph_from_edges, subset_of
 
 
 def small_path(n=6, d=2.0, T=None, seed=7):
@@ -175,8 +175,37 @@ def test_incremental_and_full_detection_agree():
         f = linear_blocking_polynomial(n, max(1, n // 2), seed)
         config = StabilityConfig(c=0.01, gamma_steps=3, degree=1, norm_estimate=2.0)
         fast = detect_bad_steps(f, path, config)
-        slow = detect_bad_steps(f, path, config, force_full=True)
+        slow = bad_steps_materialized(f, path, config)
         assert fast == slow
+
+
+class WithoutFlipRule:
+    """A polynomial seen through n, degree and evaluate only, so that
+    detect_bad_steps evaluates it on the graphs of the flip steps."""
+
+    def __init__(self, f):
+        self.n, self.degree, self.evaluate = f.n, f.degree, f.evaluate
+
+
+def test_evaluating_at_flips_matches_the_flip_rule_and_every_step():
+    # weights of 1/4 move a flip by 1/8 and weights of 1/2 by 1/2, so a
+    # threshold of 1/5 makes some flips bad and others not
+    rng = np.random.default_rng(9)
+    config = StabilityConfig(c=0.1, gamma_steps=2, degree=1, norm_estimate=2.0)
+    found = flips = 0
+    for _ in range(10):
+        n = int(rng.integers(3, 8))
+        seed = RandomSeed(int(rng.integers(0, 2**31)))
+        path = build_interpolation_path(sample_bipartite_graph(n, 1.5, seed), 2 * n * n, 1.5, seed)
+        f = DyadicLinearPolynomial(n, int(rng.integers(0, 2**31)))
+        wrapped = WithoutFlipRule(f)
+        assert not hasattr(wrapped, "flip_rule")
+        by_rule = detect_bad_steps(f, path, config)
+        assert detect_bad_steps(wrapped, path, config) == by_rule
+        assert bad_steps_materialized(f, path, config) == by_rule
+        found += len(by_rule)
+        flips += path.flips()[0].size
+    assert 0 < found < flips
 
 
 def test_linear_polynomial_single_flip_bound():
@@ -274,8 +303,7 @@ def test_walk_matches_materialized_rounding_at_every_step(
          DyadicLinearPolynomial(n, entropy))[kind]
     assert list(walk_rounded_subsets(f, path, eta)) == rounded_by_materializing(f, path, eta)
     config = StabilityConfig(c=0.05, gamma_steps=gamma_steps, degree=1, norm_estimate=2.0)
-    assert detect_bad_steps(f, path, config) == \
-        detect_bad_steps(f, path, config, force_full=True)
+    assert detect_bad_steps(f, path, config) == bad_steps_materialized(f, path, config)
 
 
 def test_walk_reaches_failures_and_recoveries():
