@@ -171,16 +171,25 @@ def _exponent_point(name, v, p):
     _must(p["c"] > 0 and v > 1, "exponent requires c > 0 and d > 1")
 
 
+def _output_file(name, v, p):
+    # a destination that cannot be written fails here, before the run's work
+    directory = os.path.dirname(os.path.abspath(v))
+    _must(os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)
+          and not os.path.isdir(v),
+          f"{name} {v!r} cannot be written: its directory is missing or not writable, "
+          f"or it is a directory")
+
+
 _RUN_PARAMS = (
     Param("seed", int, 1, None, "base seed (default 1)"),
     Param("stream", int, 0, _non_negative, "base stream offset (default 0)"),
-    Param("record", str, None, None, "write the full experiment record as JSON here"),
+    Param("record", str, None, _output_file, "write the full experiment record as JSON here"),
 )
 # the run parameters that only a trial command takes
 _TRIAL_RUN_PARAMS = (
     Param("workers", int, None, _at_least(1),
           "parallel workers (default: BIPBIS_WORKERS or cpu count)"),
-    Param("csv", str, None, None, "output CSV path"),
+    Param("csv", str, None, _output_file, "output CSV path"),
     Param("trials", int, 20, _trial_count, "number of trials (default 20)"),
 )
 _N = Param("n", int, REQUIRED, _vertex_count, "vertices per side")
@@ -190,7 +199,7 @@ _GAMMA = Param("gamma", float, 0.5, _balance, "balance parameter (default 0.5)")
 # The rows after the run parameters (and, for a trial command, workers, csv and
 # trials), in the order they are checked. A sweep may grid any numeric one of them.
 PARAMS: dict[str, tuple[Param, ...]] = {
-    "sample": (_N, _D, Param("out", str, REQUIRED, None, "output path for the graph text file")),
+    "sample": (_N, _D, Param("out", str, REQUIRED, _output_file, "output path for the graph text file")),
     "exact": (
         Param("graph", str, REQUIRED, None, "graph text file (header 'n m', then 'l r' lines)"),
         _GAMMA,
@@ -369,14 +378,14 @@ def _run_trials(command: str, params: dict) -> list[tuple]:
         return pool.map(_trial_star, jobs)  # map preserves trial order
 
 
-def write_csv_atomic(path: str, headers: tuple[str, ...], rows: list[tuple]) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".bipbis-", suffix=".csv", dir=directory)
+def _write_atomic(path: str, write: Callable[[Any], None]) -> None:
+    """``write(fh)`` to a temporary file beside ``path``, then move it into
+    place, so a failed write leaves no partial file at ``path``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=".bipbis-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(headers)
-            writer.writerows(rows)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -441,12 +450,17 @@ def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], di
 
 
 def _save(record: ExperimentRecord, params: dict) -> ExperimentRecord:
-    """Write the CSV (atomically) and the JSON record that ``params`` name."""
+    """Write the CSV and the JSON record that ``params`` name, each atomically."""
+
+    def write_csv(fh):
+        writer = csv.writer(fh)
+        writer.writerow(record.headers)
+        writer.writerows(record.rows)
+
     if record.headers and params["csv"]:
-        write_csv_atomic(params["csv"], record.headers, record.rows)
+        _write_atomic(params["csv"], write_csv)
     if params["record"]:
-        with open(params["record"], "w", encoding="utf-8") as fh:
-            fh.write(record.to_json())
+        _write_atomic(params["record"], lambda fh: fh.write(record.to_json()))
     return record
 
 

@@ -26,7 +26,7 @@ DecideFn = Callable[[Neighborhood, np.ndarray], int]
 BulkDecideFn = Callable[[BipartiteGraph, "VertexLabels"], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexLabels:
     """One Uniform[0,1] label per vertex, L block first then R block."""
 

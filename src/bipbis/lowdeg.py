@@ -37,7 +37,7 @@ def check_polynomial_output(values: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearBlockingPolynomial:
     """Degree-1 construction: value 1 on a fixed k_l-subset of L, 0 on the
     rest of L, and 1 minus the count of selected-L neighbors on each R vertex.

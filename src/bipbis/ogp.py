@@ -4,15 +4,16 @@ construction and checker.
 The path resamples one edge coordinate per step from Ber(d/n), sweeping the
 fixed coordinate order cyclically, so the marginal law of every step is the
 original random graph and any m consecutive steps refresh every coordinate.
-Paths are stored as (coordinate, resampled bit) deltas. Probes walk a path
-forward once, applying each flip to a mutable adjacency and updating the
-polynomial and its rounding locally; whole graphs are materialized only for
-the chain checker and, at flip steps, for a function without a flip rule.
+Paths are stored as their flips, the steps that change the graph; a step's
+graph is materialized by replaying the flips up to it over the base. Probes
+walk a path forward once, applying each flip to a mutable adjacency and
+updating the polynomial and its rounding locally; whole graphs are
+materialized only for the chain checker and, at flip steps, for a function
+without a flip rule.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -43,77 +44,38 @@ def coordinate_at_step(n: int, t: int) -> int:
     return (t - 1) % m + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterpolationPath:
-    """Base graph plus T (coordinate, resampled bit) deltas. The coordinates
-    follow the cyclic schedule of ``coordinate_at_step``, which ``flips``
-    relies on."""
+    """Base graph, path length T and the steps whose resample changes the
+    graph, as read-only arrays ``flips = (t, l, r, added)``. Step t resamples
+    the coordinate of ``coordinate_at_step``; a step that redraws the current
+    bit changes nothing and is left out."""
 
     base: BipartiteGraph
     d: float
-    sigmas: np.ndarray  # 1-based coordinates, shape (T,)
-    bits: np.ndarray    # resampled values, shape (T,)
-
-    @property
-    def length(self) -> int:
-        return int(self.sigmas.size)
+    length: int
+    flips: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    def _final_coordinate_states(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """(touched coordinates 0-based, their last resampled bit) within steps 1..t."""
-        touched = self.sigmas[:t][::-1]
-        vals = self.bits[:t][::-1]
-        uniq, first = np.unique(touched, return_index=True)
-        return uniq - 1, vals[first]
-
     def edge_coordinates_at(self, t: int) -> np.ndarray:
-        """Sorted 0-based edge coordinates of the step-t graph."""
+        """Sorted 0-based edge coordinates of the step-t graph: the base with
+        each flip up to t toggling its coordinate, so a coordinate is an edge
+        when it occurs an odd number of times among the base and the flips."""
         if not (0 <= t <= self.length):
             raise ParameterError(f"t must lie in [0, {self.length}], got {t}")
-        if t == 0:
-            return self.base.coords
-        touched, last_bits = self._final_coordinate_states(t)
-        keep_base = self.base.coords[~np.isin(self.base.coords, touched)]
-        added = touched[last_bits == 1]
-        return np.union1d(keep_base, added)
+        steps, l, r, _ = self.flips
+        k = np.searchsorted(steps, t, side="right")
+        coords, counts = np.unique(np.concatenate((self.base.coords, l[:k] * self.n + r[:k])),
+                                   return_counts=True)
+        return coords[counts % 2 == 1]
 
     def materialize(self, t: int) -> BipartiteGraph:
         if t == 0:
             return self.base
         return BipartiteGraph(self.n, self.edge_coordinates_at(t))
-
-    def edge_count_at(self, t: int) -> int:
-        return int(self.edge_coordinates_at(t).size)
-
-    def flips(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The steps whose resample changes the graph, as read-only arrays
-        (t, l, r, added), computed once per path.
-
-        A step's old bit is the bit its coordinate was last resampled to, or
-        its base bit on the first visit; a step that redraws the current bit
-        changes nothing and is left out.
-        """
-        return self._flips
-
-    @functools.cached_property
-    def _flips(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # step t visits coordinate (t - 1) mod m, so the old bit of step t is
-        # bits[t - 1 - m] after the first sweep and a base bit within it
-        T, m = self.length, self.n * self.n
-        first = min(T, m)
-        old = np.zeros(T, dtype=np.uint8)
-        coords = self.base.coords
-        old[coords[coords < first]] = 1
-        old[first:] = self.bits[:T - first]
-        steps = np.flatnonzero(old != self.bits)
-        l, r = np.divmod(self.sigmas[steps] - 1, self.n)
-        out = (steps + 1, l, r, self.bits[steps] == 1)
-        for a in out:
-            a.setflags(write=False)
-        return out
 
 
 def build_interpolation_path(
@@ -121,18 +83,26 @@ def build_interpolation_path(
 ) -> InterpolationPath:
     """Draw all T resample bits up front (a bit is drawn even when it repeats
     the current value, matching the resampling law and keeping seed
-    accounting trivial)."""
+    accounting trivial) and keep only the steps that flip an edge."""
     if T < 0:
         raise ParameterError(f"path length must be non-negative, got {T}")
     n = base.n
     if not (0.0 < d < n):
         raise ParameterError(f"d must satisfy 0 < d < n, got d={d}, n={n}")
+    bits = seed.generator(RESAMPLE_DRAW).random(T) < d / n
+    # step t + 1 visits coordinate t mod m: its old bit is bits[t - m] after
+    # the first sweep and a base bit within it
     m = n * n
-    sigmas = (np.arange(1, T + 1, dtype=np.int64) - 1) % m + 1
-    bits = (seed.generator(RESAMPLE_DRAW).random(T) < d / n).astype(np.uint8)
-    sigmas.setflags(write=False)
-    bits.setflags(write=False)
-    return InterpolationPath(base=base, d=d, sigmas=sigmas, bits=bits)
+    first = min(T, m)
+    changed = bits.copy()
+    changed[first:] ^= bits[:T - first]
+    coords = base.coords
+    changed[coords[coords < first]] ^= True
+    steps = np.flatnonzero(changed)
+    flips = (steps + 1, *np.divmod(steps % m, n), bits[steps])
+    for a in flips:
+        a.setflags(write=False)
+    return InterpolationPath(base=base, d=d, length=T, flips=flips)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +151,7 @@ def detect_bad_steps(f, path: InterpolationPath, config: StabilityConfig) -> lis
     the materialized graph of each flip step.
     """
     threshold = config.badness_threshold
-    steps, ls, rs, added = (a.tolist() for a in path.flips())
+    steps, ls, rs, added = (a.tolist() for a in path.flips)
     if hasattr(f, "flip_rule"):
         return [t for t, l, r, a in zip(steps, ls, rs, added)
                 if sum(dv * dv for _, dv in f.flip_rule(l, r, a)) >= threshold]
@@ -247,7 +217,7 @@ def _walk(f, path: InterpolationPath, values: list, eta: float) -> Iterator[Vert
         place(v)
     current = rounded()
     t = 0
-    for step, l, r, added in zip(*(a.tolist() for a in path.flips())):
+    for step, l, r, added in zip(*(a.tolist() for a in path.flips)):
         yield from itertools.repeat(current, step - t)
         t = step
         w = n + r
@@ -352,7 +322,7 @@ def stability_trial(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalPairVectorFunction:
     """A compatible pair with frozen labels, viewed as a 0/1-valued vector
     function of the graph (for stability probes)."""

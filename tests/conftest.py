@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId, VertexSubset,
                     max_balanced_pair, neighborhood, sample_bipartite_graph)
 from bipbis.lowdeg import check_polynomial_output
+from bipbis.rng import RESAMPLE_DRAW
 
 
 def graph_from_edges(n, edges):
@@ -248,22 +249,33 @@ def edge_list_graphs(draw, max_n: int = 3000):
     return graph
 
 
-def flips_argsort(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def resample_draws(path, seed: RandomSeed) -> tuple[np.ndarray, np.ndarray]:
+    """The per-step draws of a path built with ``seed``, drawn again: the
+    1-based coordinate each step resamples, on the cyclic schedule, and the
+    bit it draws from Ber(d/n)."""
+    T, m = path.length, path.n * path.n
+    sigmas = np.arange(T, dtype=np.int64) % m + 1
+    bits = (seed.generator(RESAMPLE_DRAW).random(T) < path.d / path.n).astype(np.uint8)
+    return sigmas, bits
+
+
+def flips_argsort(path, seed: RandomSeed) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """InterpolationPath.flips for any coordinate order: a stable argsort
     groups each coordinate's visits in step order, and each visit's old bit
     is the visit before it, or the base bit on the first."""
-    order = np.argsort(path.sigmas, kind="stable")
-    coords = path.sigmas[order] - 1
+    sigmas, bits = resample_draws(path, seed)
+    order = np.argsort(sigmas, kind="stable")
+    coords = sigmas[order] - 1
     old = np.empty(path.length, dtype=np.uint8)
-    old[1:] = path.bits[order][:-1]
+    old[1:] = bits[order][:-1]
     first = np.ones(path.length, dtype=bool)
     first[1:] = coords[1:] != coords[:-1]
     old[first] = np.isin(coords[first], path.base.coords)
     changed = np.zeros(path.length, dtype=bool)
-    changed[order] = old != path.bits[order]
+    changed[order] = old != bits[order]
     steps = np.flatnonzero(changed)
-    l, r = np.divmod(path.sigmas[steps] - 1, path.n)
-    return steps + 1, l, r, path.bits[steps] == 1
+    l, r = np.divmod(sigmas[steps] - 1, path.n)
+    return steps + 1, l, r, bits[steps] == 1
 
 
 def ball_decisions(graph: BipartiteGraph, pair, labels) -> tuple[np.ndarray, np.ndarray]:

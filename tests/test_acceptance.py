@@ -183,7 +183,7 @@ def test_criterion_07_path_marginals_and_decorrelation():
         base = sample_bipartite_graph(n, d, s)
         path = build_interpolation_path(base, m, d, s)
         for t in t_values:
-            counts[t][k] = path.edge_count_at(t)
+            counts[t][k] = path.edge_coordinates_at(t).size
         row0 = np.zeros(m, dtype=np.int8)
         row0[path.edge_coordinates_at(0)] = 1
         rowm = np.zeros(m, dtype=np.int8)

@@ -185,6 +185,29 @@ def test_record_json(capsys, tmp_path):
     assert record["seed_ledger"]["seed"] == 9
     assert record["seed_ledger"]["streams"] == [0, 1, 2, 3]
     assert len(record["rows"]) == 4
+    assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]  # no temporary file left
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("local", "--n", "100000", "--d", "10", "--p", "0.17", "--trials", "4", "--workers", "1"),
+     "--csv"),
+    (("local", "--n", "100000", "--d", "10", "--p", "0.17", "--trials", "4", "--workers", "1"),
+     "--record"),
+    (("sample", "--n", "6", "--d", "1.5"), "--out"),
+    (("sweep", "local", "--grid", "p=0.1,0.2", "--n", "200", "--d", "4", "--trials", "2"),
+     "--csv"),
+])
+@pytest.mark.parametrize("where", ["missing/x.out", "."])
+def test_unwritable_outputs_fail_before_any_work(capsys, tmp_path, monkeypatch, argv, flag, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were checked")
+
+    monkeypatch.setattr(experiments, "_execute", no_work)
+    destination = str(tmp_path / where)
+    code, out, err = run_cli(capsys, *argv, flag, destination)
+    assert code == 1 and out == ""
+    assert repr(destination) in assert_one_error_line(err)
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
                     profile_violates_balance_inequality, random_threshold_pair,
                     round_polynomial, sample_bipartite_graph, stability_trial,
                     validate_graph, walk_rounded_subsets)
-from conftest import bad_steps_materialized, flips_argsort, graph_from_edges, subset_of
+from conftest import (bad_steps_materialized, flips_argsort, graph_from_edges, resample_draws,
+                      subset_of)
 
 
 def small_path(n=6, d=2.0, T=None, seed=7):
@@ -59,22 +60,41 @@ def test_materialization_is_stable_and_valid():
         validate_graph(g1)
 
 
-def test_delta_reconstruction_matches_step_by_step_replay():
-    # applying deltas one at a time must land on the same graphs as the
-    # closed-form materializer
-    path = small_path(n=5, d=1.8, T=60, seed=21)
-    n = path.n
+# T = 0, T below n^2, T off a multiple of n^2, and up to five sweeps; the
+# edge density d/n runs from sparse to nearly full
+path_shapes = dict(
+    n=st.integers(min_value=2, max_value=40), sweeps=st.integers(min_value=0, max_value=5),
+    extra=st.sampled_from([0, 1, -1, 0.5]), density=st.sampled_from([0.05, 0.5, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1))
+
+
+def path_of_shape(n, sweeps, extra, density, seed):
+    """A path and the seed it was built with, for the strategies above."""
+    m, d = n * n, density * n
+    T = max(0, sweeps * m + (int(extra * m) if isinstance(extra, float) else extra))
+    base = sample_bipartite_graph(n, d, RandomSeed(seed))
+    return build_interpolation_path(base, T, d, RandomSeed(seed, 1)), RandomSeed(seed, 1)
+
+
+@given(**path_shapes)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+def test_delta_reconstruction_matches_step_by_step_replay(n, sweeps, extra, density, seed):
+    # resampling one coordinate per step must land on the same graphs as
+    # replaying the stored flips
+    path, path_seed = path_of_shape(n, sweeps, extra, density, seed)
+    sigmas, bits = resample_draws(path, path_seed)
     state = np.zeros(n * n, dtype=np.uint8)
     state[path.base.coords] = 1
-    for t in range(1, path.length + 1):
-        state[path.sigmas[t - 1] - 1] = path.bits[t - 1]
-        expected = np.flatnonzero(state)
-        assert np.array_equal(path.edge_coordinates_at(t), expected)
+    for t in range(path.length + 1):
+        if t:
+            state[sigmas[t - 1] - 1] = bits[t - 1]
+        assert np.array_equal(path.edge_coordinates_at(t), np.flatnonzero(state))
+        validate_graph(path.materialize(t))
 
 
 def test_flips_are_the_steps_that_change_the_graph():
     path = small_path(n=5, d=1.8, T=60, seed=21)
-    steps, ls, rs, added = path.flips()
+    steps, ls, rs, added = path.flips
     expected = []
     for t in range(1, path.length + 1):
         before = set(path.edge_coordinates_at(t - 1).tolist())
@@ -85,31 +105,35 @@ def test_flips_are_the_steps_that_change_the_graph():
     assert got == expected and len(got) > 0
 
 
-@given(n=st.integers(min_value=2, max_value=40), sweeps=st.integers(min_value=0, max_value=5),
-       extra=st.sampled_from([0, 1, -1, 0.5]), density=st.sampled_from([0.05, 0.5, 0.9]),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@given(**path_shapes)
 @example(n=2000, sweeps=1, extra=0, density=2.0 / 2000, seed=3)
 @example(n=2000, sweeps=1, extra=12345, density=4.0 / 2000, seed=4)
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 def test_flips_match_the_argsort_oracle(n, sweeps, extra, density, seed):
-    # T = 0, T below n^2, T off a multiple of n^2, and up to five sweeps; the
-    # edge density d/n runs from sparse to nearly full
-    m, d = n * n, density * n
-    T = max(0, sweeps * m + (int(extra * m) if isinstance(extra, float) else extra))
-    base = sample_bipartite_graph(n, d, RandomSeed(seed))
-    path = build_interpolation_path(base, T, d, RandomSeed(seed, 1))
-    got = path.flips()
-    assert path.flips() is got  # computed once per path
-    for a, b in zip(got, flips_argsort(path)):
+    path, path_seed = path_of_shape(n, sweeps, extra, density, seed)
+    got = path.flips
+    for a, b in zip(got, flips_argsort(path, path_seed)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    small_path,
+    lambda: linear_blocking_polynomial(6, 2, RandomSeed(1)),
+    lambda: draw_labels(6, RandomSeed(1)),
+    lambda: LocalPairVectorFunction(random_threshold_pair(0.2), draw_labels(6, RandomSeed(1))),
+], ids=["path", "polynomial", "labels", "local_pair"])
+def test_objects_holding_arrays_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
 
 
 def test_full_cycle_refreshes_every_coordinate():
     # after m steps the graph is exactly the resampled bits, independent of base
     path = small_path(n=4, d=1.0, T=16, seed=9)
     m = 16
-    resampled = np.flatnonzero(path.bits[:m])
+    resampled = np.flatnonzero(resample_draws(path, RandomSeed(9))[1][:m])
     assert np.array_equal(path.edge_coordinates_at(m), resampled)
 
 
@@ -152,12 +176,13 @@ def test_spike_polynomial_triggers_exactly_on_flips_of_coordinate_one():
     config = StabilityConfig(c=0.5, gamma_steps=1, degree=1, norm_estimate=6.0)
     bad = detect_bad_steps(f, path, config)
     # recompute expected flips of coordinate 1 by replay
+    sigmas, bits = resample_draws(path, RandomSeed(33))
     state = np.zeros(36, dtype=np.uint8)
     state[path.base.coords] = 1
     expected = []
     for t in range(1, path.length + 1):
-        coord = int(path.sigmas[t - 1]) - 1
-        new = int(path.bits[t - 1])
+        coord = int(sigmas[t - 1]) - 1
+        new = int(bits[t - 1])
         if coord == 0 and new != int(state[0]):
             expected.append(t)
         state[coord] = new
@@ -204,7 +229,7 @@ def test_evaluating_at_flips_matches_the_flip_rule_and_every_step():
         assert detect_bad_steps(wrapped, path, config) == by_rule
         assert bad_steps_materialized(f, path, config) == by_rule
         found += len(by_rule)
-        flips += path.flips()[0].size
+        flips += path.flips[0].size
     assert 0 < found < flips
 
 
