@@ -6,6 +6,21 @@ unblocked R-vertices as balance allows. Branch-and-bound explores L-traces
 with an optimistic balanced-total bound; a plain ascending-mask enumeration
 over the same traces serves as the in-library oracle.
 
+A node has a decided L-vertices, k - a undecided ones and u free R-vertices,
+and takes the smaller of two bounds. The rectangle bound is the best balanced
+total inside [0, k] x [0, u]. The matching bound comes from the bipartite
+graph H between the undecided L-vertices and the free R-vertices. A trace
+below the node takes some undecided L-vertices; they and the R-vertices they
+leave free form an independent set of H. By König alpha(H) = |V(H)| - nu(H),
+and nu(H) >= |M| for any matching M of H, so every total below is at most
+a + alpha(H) <= k + u - |M|. Since any matching gives a valid bound, the
+search keeps one M and repairs it on each branch rather than matching afresh
+at each node. The root takes one maximum (Kuhn) matching. Taking v drops the
+edges of v and of the R-vertices it newly blocks; each orphaned L-vertex
+rematches to its lowest free unmatched R neighbour. Leaving v out drops v's
+edge; its R partner rematches to the lowest later unmatched L neighbour.
+Backtracking undoes both.
+
 Witnesses are tie-broken so every caller sees one deterministic answer: the
 L-side is the smallest optimal L-mask (vertex i is bit i, masks compared as
 integers) and the R-side takes the lowest-index unblocked R-vertices. One
@@ -13,7 +28,10 @@ depth-first search finds the optimum and this witness together. It replaces
 its incumbent on a larger total, or on an equal total with a smaller mask,
 and prunes a node whose bound is below the incumbent's total, or equal to it
 while the node's mask is not below the incumbent's: every trace under a node
-only adds bits to the node's mask.
+only adds bits to the node's mask. Any valid upper bound keeps this rule
+exact: a pruned subtree holds no larger total, and an equal total there
+comes with a mask no smaller than the incumbent's, so the witness is the
+same whichever bound pruned it.
 """
 
 from __future__ import annotations
@@ -21,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balance import (VertexSubset, best_b_for_a, check_gamma, check_subset_range,
-                      lowest_bits, max_balanced_total)
+                      lowest_bits)
 from .errors import CapacityError
 from .graph import BipartiteGraph
 
@@ -82,6 +100,44 @@ def enumerate_max_gamma_balanced(
     return best, _witness_from_trace(*best_trace, n)
 
 
+def _balanced_tables(n: int, gamma: float) -> tuple[list[list[int]], list[list[int]]]:
+    """total[a][u]: best balanced total of a trace with a L-vertices and u free
+    R-vertices (-1 if none). bound[a][u]: best total inside [0, a] x [0, u],
+    which is max_balanced_total(a, u, gamma); total only grows with u, so
+    bound is the running max of total over a."""
+    total = [[-1 if b is None else a + b
+              for b in (best_b_for_a(a, u, gamma) for u in range(n + 1))]
+             for a in range(n + 1)]
+    bound = [total[0]]
+    for row in total[1:]:
+        bound.append(list(map(max, bound[-1], row)))
+    return total, bound
+
+
+def _max_matching(rows: list[int], order: list[int]) -> list[int]:
+    """match_r[r]: the L partner of R vertex r in one maximum matching of the
+    graph, or -1 (Kuhn's augmenting paths from the L vertices in order, over
+    the bitmask rows)."""
+    match_r = [-1] * len(order)
+    seen = 0
+
+    def augment(v: int) -> bool:
+        nonlocal seen
+        while candidates := rows[v] & ~seen:
+            low = candidates & -candidates
+            seen |= low
+            r = low.bit_length() - 1
+            if match_r[r] < 0 or augment(match_r[r]):
+                match_r[r] = v
+                return True
+        return False
+
+    for v in order:
+        seen = 0
+        augment(v)
+    return match_r
+
+
 def max_gamma_balanced_is(
     graph: BipartiteGraph, gamma: float, limit: int = DEFAULT_BB_LIMIT,
 ) -> tuple[int, VertexSubset]:
@@ -91,19 +147,34 @@ def max_gamma_balanced_is(
     n = graph.n
     _check_capacity(n, limit, "branch-and-bound")
     rows = _bitset_rows(graph)
-    # total[a][u]: best balanced total of a trace with a L-vertices and u free
-    # R-vertices (-1 if none); bound[a][u]: best total inside [0, a] x [0, u]
-    total = [[-1 if b is None else a + b
-              for b in (best_b_for_a(a, u, gamma) for u in range(n + 1))]
-             for a in range(n + 1)]
-    bound = [[max_balanced_total(a, u, gamma) for u in range(n + 1)] for a in range(n + 1)]
+    total, bound = _balanced_tables(n, gamma)
 
     # high-degree vertices first: including them blocks the most, so both
     # branches diverge quickly and the bound bites early
     order = sorted(range(n), key=lambda i: (-rows[i].bit_count(), i))
+    position = [0] * n
+    for j, v in enumerate(order):
+        position[v] = j
+    # the matching M behind the matching bound: match_l and match_r hold the
+    # partners of matched vertices, and the search passes which ones are
+    # matched as two bitmasks, of matched R vertices and of unmatched L
+    # positions in order. Entries of unmatched vertices are stale and the
+    # subtree may overwrite them, so each branch restores on backtrack the
+    # partners its node still reads. cols[r]: the positions of r's L neighbours
+    match_r = _max_matching(rows, order)
+    match_l = [-1] * n
+    for r, v in enumerate(match_r):
+        if v >= 0:
+            match_l[v] = r
+    cols = [0] * n
+    for j, v in enumerate(order):
+        for r in range(n):
+            if rows[v] >> r & 1:
+                cols[r] |= 1 << j
     best_total, best_mask, best_blocked = -1, 0, 0
 
-    def search(i: int, a: int, mask: int, blocked: int) -> None:
+    def search(i: int, a: int, mask: int, blocked: int,
+               matched_r: int, unmatched: int, size: int) -> None:
         nonlocal best_total, best_mask, best_blocked
         u = n - blocked.bit_count()
         t = total[a][u]  # this node's own trace: every remaining vertex out
@@ -111,15 +182,65 @@ def max_gamma_balanced_is(
             best_total, best_mask, best_blocked = t, mask, blocked
         if i == n:
             return
-        cap = bound[a + n - i][u]
+        k = a + n - i
+        cap = min(bound[k][u], k + u - size)
         # every trace below extends mask, so none is smaller than mask itself
         if cap < best_total or (cap == best_total and mask >= best_mask):
             return
         v = order[i]
-        search(i + 1, a + 1, mask | 1 << v, blocked | rows[v])
-        search(i + 1, a, mask, blocked)
 
-    search(0, 0, 0, 0)
+        # take v: v and the R vertices it newly blocks leave H with their
+        # edges in M; each orphaned L vertex takes its lowest free unmatched
+        # R neighbour, if any
+        dropped = matched_r & rows[v] & ~blocked
+        taken_blocked = blocked | rows[v]
+        taken_matched = matched_r ^ dropped
+        taken_unmatched = unmatched
+        taken_size = size - dropped.bit_count()
+        orphans = []
+        while dropped:
+            low = dropped & -dropped
+            dropped ^= low
+            r = low.bit_length() - 1
+            w = match_r[r]
+            if w == v:
+                continue
+            orphans.append((w, r))
+            candidates = rows[w] & ~(taken_blocked | taken_matched)
+            if candidates:
+                low = candidates & -candidates
+                taken_matched |= low
+                taken_size += 1
+                r2 = low.bit_length() - 1
+                match_l[w] = r2
+                match_r[r2] = w
+            else:
+                taken_unmatched |= 1 << position[w]
+        search(i + 1, a + 1, mask | 1 << v, taken_blocked,
+               taken_matched, taken_unmatched, taken_size)
+        for w, r in orphans:
+            match_l[w] = r
+
+        # leave v out: v leaves H; its R partner takes the lowest later
+        # unmatched L neighbour, if any
+        if unmatched >> i & 1:
+            search(i + 1, a, mask, blocked, matched_r, unmatched, size)
+            return
+        r = match_l[v]
+        candidates = cols[r] & unmatched >> i + 1 << i + 1  # positions after i
+        if candidates:
+            low = candidates & -candidates
+            w = order[low.bit_length() - 1]
+            match_l[w] = r
+            match_r[r] = w
+            search(i + 1, a, mask, blocked, matched_r, unmatched ^ low, size)
+        else:
+            search(i + 1, a, mask, blocked, matched_r ^ 1 << r, unmatched, size - 1)
+        match_r[r] = v
+
+    matched_r = sum(1 << r for r in range(n) if match_r[r] >= 0)
+    unmatched = sum(1 << j for j, v in enumerate(order) if match_l[v] < 0)
+    search(0, 0, 0, 0, matched_r, unmatched, matched_r.bit_count())
     b = best_total - best_mask.bit_count()
     return best_total, _witness_from_trace(best_mask, best_blocked, b, n)
 

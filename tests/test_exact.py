@@ -8,6 +8,8 @@ from bipbis import (CapacityError, ParameterError, RandomSeed,
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     max_joint_intersection, pareto_profile,
                     sample_bipartite_graph)
+from bipbis.balance import max_balanced_total
+from bipbis.exact import _balanced_tables
 from conftest import (brute_max_balanced, brute_profile, graph_from_edges, milp_optimum,
                       subset_of)
 
@@ -59,7 +61,8 @@ def test_agrees_with_literal_subset_enumeration():
 
 
 @given(n=st.integers(9, 14), dense=st.booleans(), fraction=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.1, 1 / 3, 0.5]))
+       seed=st.integers(0, 2**32 - 1),
+       gamma=st.sampled_from([0.05, 0.1, 0.25, 1 / 3, 0.45, 0.5]))
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 def test_agrees_with_enumeration_past_the_brute_force(n, dense, fraction, seed, gamma):
     # sparse d in [0.5, 3], dense d in [n/2, n - 1]
@@ -68,18 +71,27 @@ def test_agrees_with_enumeration_past_the_brute_force(n, dense, fraction, seed, 
     assert max_gamma_balanced_is(g, gamma) == enumerate_max_gamma_balanced(g, gamma)
 
 
-@pytest.mark.parametrize("n, d", [(17, 6.0), (20, 3.0), (23, 6.0), (28, 3.0)])
+@pytest.mark.parametrize("n, d", [(17, 6.0), (20, 3.0), (23, 6.0), (28, 3.0), (40, 4.0)])
 def test_optimum_matches_milp(n, d):
     g = sample_bipartite_graph(n, d, RandomSeed(31, n))
     for gamma in (0.5, 1 / 3):
-        size, witness = max_gamma_balanced_is(g, gamma)
+        size, witness = max_gamma_balanced_is(g, gamma, limit=40)
         assert size == milp_optimum(g, gamma)
         assert witness.size == size
         assert is_independent(g, witness) and is_gamma_balanced(witness, gamma)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 32, 40])
+def test_bound_table_matches_max_balanced_total(n):
+    for gamma in (0.05, 0.1, 0.25, 0.3, 1 / 3, 0.45, 0.5):
+        _, bound = _balanced_tables(n, gamma)
+        assert bound == [[max_balanced_total(a, u, gamma) for u in range(n + 1)]
+                         for a in range(n + 1)], gamma
+
+
 # (n, d, stream of RandomSeed(1, .), gamma) -> (size, witness_l, witness_r), as
-# `bipbis exact` printed them before the solver became one search pass
+# `bipbis exact` printed them before the solver became one search pass, and
+# for n = 32, d = 3 before it gained the matching bound
 PINNED_WITNESSES = {
     (24, 3.0, 0, 0.5): (27, "1,2,4,5,6,7,8,9,14,16,19,20,22",
                         "0,1,3,5,6,9,10,11,13,14,17,18,19,20"),
@@ -93,6 +105,14 @@ PINNED_WITNESSES = {
                         "4,6,7,8,9,10,13,14,17,20,22,23"),
     (24, 3.0, 3, 1 / 3): (24, "3,4,5,6,17,18,19,20",
                           "0,2,3,4,5,6,7,8,9,11,12,13,14,16,20,23"),
+    (32, 3.0, 0, 0.5): (32, "1,2,5,6,7,8,10,14,16,17,22,23,24,25,26,28",
+                        "0,1,3,6,7,9,12,13,14,16,21,22,23,24,25,27"),
+    (32, 3.0, 0, 1 / 3): (33, "1,2,5,6,8,10,14,16,22,23,28",
+                          "0,1,2,3,5,6,7,9,10,12,13,14,16,17,18,21,22,23,24,25,26,27"),
+    (32, 3.0, 1, 0.5): (35, "0,1,4,6,8,9,10,11,12,16,21,22,24,27,28,29,30",
+                        "0,1,6,7,8,9,10,14,16,17,18,19,21,22,23,24,26,29"),
+    (32, 3.0, 1, 1 / 3): (34, "4,6,9,10,11,12,16,22,27,28,29",
+                          "0,1,4,6,7,8,9,10,11,12,14,16,17,18,19,21,22,23,24,26,27,29,30"),
     (32, 6.0, 2, 0.5): (25, "0,3,8,10,12,16,23,24,26,27,28,29",
                         "1,2,5,8,9,10,12,14,19,22,23,26,30"),
     (32, 6.0, 2, 1 / 3): (26, "0,8,10,16,23,24,26,29",
