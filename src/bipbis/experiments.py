@@ -25,8 +25,8 @@ from .analysis import (algorithmic_threshold, classify_phase, existence_threshol
                        first_moment_exponent, PhasePoint)
 from .errors import ParameterError
 from .exact import max_gamma_balanced_is
-from .graph import (_INT64_MAX, _check_vertex_count, read_graph_text,
-                    sample_bipartite_graph, write_graph_text)
+from .graph import (_INT64_MAX, _check_vertex_count, _text_blocks, read_graph_text,
+                    sample_bipartite_graph)
 from .local import apply_local_pair, gamma_trim, random_threshold_pair
 from .lowdeg import (linear_blocking_polynomial, norm_second_moment,
                      round_polynomial)
@@ -380,10 +380,14 @@ def _run_trials(command: str, params: dict) -> list[tuple]:
 
 def _write_atomic(path: str, write: Callable[[Any], None]) -> None:
     """``write(fh)`` to a temporary file beside ``path``, then move it into
-    place, so a failed write leaves no partial file at ``path``."""
+    place, so a failed write leaves no partial file at ``path``. The file
+    gets the mode a plain ``open`` would give it, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".bipbis-", dir=directory)
     try:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             write(fh)
         os.replace(tmp, path)
@@ -408,7 +412,7 @@ def _scalar_outputs(command: str, params: dict) -> dict[str, Any]:
     if command == "sample":
         graph = sample_bipartite_graph(params["n"], params["d"],
                                        RandomSeed(params["seed"], params["stream"]))
-        write_graph_text(graph, params["out"])
+        _write_atomic(params["out"], lambda fh: fh.writelines(_text_blocks(graph)))
         return {"n": graph.n, "m": graph.edge_count, "out": params["out"]}
     if command == "exact":
         graph = read_graph_text(params["graph"])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -206,7 +206,10 @@ def validate_graph(graph: BipartiteGraph) -> None:
     # symmetry: the sorted edge coordinates rebuilt from each side's CSR agree
     l_rows, l_nbrs = _csr_pairs(*graph.csr_l())
     r_rows, r_nbrs = _csr_pairs(*graph.csr_r())
-    if not np.array_equal(np.sort(l_rows * n + l_nbrs), np.sort(r_nbrs * n + r_rows)):
+    l_keys, r_keys = l_rows * n + l_nbrs, r_nbrs * n + r_rows
+    l_keys.sort()
+    r_keys.sort()
+    if not np.array_equal(l_keys, r_keys):
         raise ParameterError("adjacency is not symmetric across sides")
 
 
@@ -275,13 +278,16 @@ def _bernoulli_coordinates(m: int, p: float, rng: np.random.Generator) -> np.nda
     ``test_bernoulli_coordinates_match_the_unclipped_sums`` checks this on the
     installed numpy.
 
-    The running sum never wraps. From position pos a gap of m - pos or more
-    lands at or past m, and so does every position after it, so gaps are
-    capped at the smallest double at least m - pos (below m - pos + 1024),
-    and each draw takes at most as many gaps as pos plus their sum can hold
-    within int64. Drawing the gaps in shorter runs leaves their sequence, and
-    so the coordinates, unchanged. The walk stops at the first position at
-    or past m. The offset and the running sum write into the gap array.
+    The walk stops at the first position at or past m, and no position
+    before it wraps. From position pos a gap of m - pos or more lands at or
+    past m, so a batch's gaps are capped at the smallest double at least
+    m - pos (below m - pos + 1024). Up to the first position at or past m
+    the running sum is then below 2m + 1025, within uint64. A sum
+    past int64 wraps to a negative int64, which read as uint64 is at or past
+    m too, so that first position is the first uint64 value at least m;
+    whatever the batch holds after it is dropped. Drawing the gaps in
+    batches leaves their sequence, and so the coordinates, unchanged. The
+    offset and the running sum write into the gap array.
     """
     if p <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -289,15 +295,17 @@ def _bernoulli_coordinates(m: int, p: float, rng: np.random.Generator) -> np.nda
     batch = max(int(expected + 6.0 * np.sqrt(expected + 1.0)) + 16, 16)
     pos = -1
     chunks = []
-    while pos < m:
-        cap = _double_at_least(m - pos)
-        steps = _geometric_gaps(p, min(batch, (_INT64_MAX - pos) // int(cap)), cap, rng)
+    while True:
+        steps = _geometric_gaps(p, batch, _double_at_least(m - pos), rng)
         steps[0] += pos
         steps.cumsum(out=steps)
+        past = steps.view(np.uint64) >= m
+        end = int(past.argmax())
+        if past[end]:
+            chunks.append(steps[:end])
+            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         pos = int(steps[-1])
         chunks.append(steps)
-    coords = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return coords[:np.searchsorted(coords, m)]
 
 
 def sample_bipartite_graph(n: int, d: float, seed: RandomSeed) -> BipartiteGraph:
@@ -385,14 +393,50 @@ def neighborhood(graph: BipartiteGraph, v: VertexId, radius: int) -> Neighborhoo
 # ---------------------------------------------------------------------------
 
 
+# The writer formats at most this many edge lines at a time. The reader parses
+# blocks of about this many bytes, each ending just after a line break byte, so
+# no line spans two blocks and a file this small is one block.
+_WRITE_EDGES = 1 << 16
+_READ_BYTES = 1 << 20
+
+
 def graph_to_text(graph: BipartiteGraph) -> str:
-    endpoints = np.column_stack((graph.el, graph.er)).ravel().tolist()
-    return f"{graph.n} {graph.edge_count}\n" + ("%d %d\n" * graph.edge_count) % tuple(endpoints)
+    return "".join(_text_blocks(graph))
 
 
 def write_graph_text(graph: BipartiteGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(graph))
+        fh.writelines(_text_blocks(graph))
+
+
+def _text_blocks(graph: BipartiteGraph) -> Iterator[str]:
+    """The text format in pieces: the header line, then the edge lines in
+    blocks of at most _WRITE_EDGES."""
+    yield f"{graph.n} {graph.edge_count}\n"
+    for lo in range(0, graph.edge_count, _WRITE_EDGES):
+        yield _edge_lines(graph.el[lo:lo + _WRITE_EDGES], graph.er[lo:lo + _WRITE_EDGES])
+
+
+def _edge_lines(el: np.ndarray, er: np.ndarray) -> str:
+    """One line "l r" for each endpoint pair, in order; there is at least one."""
+    values = np.column_stack((el, er)).ravel()
+    widths = np.ones(values.size, dtype=np.int64)
+    ten, top = 10, int(values.max())
+    while ten <= top:
+        widths += values >= ten
+        ten *= 10
+    ends = np.cumsum(widths + 1)  # token k and the byte after it end at ends[k]
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    buf[ends[0::2] - 1] = ord(" ")
+    buf[ends[1::2] - 1] = ord("\n")
+    at = ends - 2
+    # digit j from the right of every token at least j + 1 digits wide
+    for j in range(int(widths.max())):
+        live = widths > j
+        buf[at[live]] = values[live] % 10 + ord("0")
+        values //= 10
+        at -= 1
+    return buf.tobytes().decode("ascii")
 
 
 # The reader works on the raw bytes. Line breaks and blanks are the ASCII
@@ -403,6 +447,58 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e"
 # A longer token with a nonzero digit before them is at least 10**18, out of
 # range for any n whose n^2 edge coordinates fit in int64.
 _MAX_DIGITS = 18
+# A block cut is searched for this many bytes at a time.
+_CUT_WINDOW = 256
+
+
+def _breaks(data: np.ndarray) -> np.ndarray:
+    """Where the bytes are line breaks: \\n \\v \\f \\r and \\x1c-\\x1e."""
+    # uint8 differences wrap around, so each "x - a < k" tests a <= x < a + k
+    return (data - ord("\n") < 4) | (data - ord("\x1c") < 3)
+
+
+def _line_blocks(data: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive (lo, hi) spans covering data, each the shortest of at least
+    _READ_BYTES bytes that ends just after a line break, or at the end."""
+    lo = 0
+    while lo < data.size:
+        hi = lo + _READ_BYTES
+        while hi < data.size:
+            cut = np.flatnonzero(_breaks(data[hi - 1:hi - 1 + _CUT_WINDOW]))
+            if cut.size:
+                hi += int(cut[0])
+                break
+            hi += _CUT_WINDOW
+        hi = min(hi, data.size)
+        yield lo, hi
+        lo = hi
+
+
+def _token_flips(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digit mask, flips) of a block: its tokens are the maximal runs of
+    digits, block[flips[2k]:flips[2k + 1]]."""
+    digit = block - ord("0") < 10
+    return digit, np.flatnonzero(np.diff(digit, prepend=False, append=False))
+
+
+def _token_values(block: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The int64 values of the tokens block[starts[k]:ends[k]], any value of
+    10**18 or more read as the int64 maximum."""
+    widths = ends - starts
+    values = np.zeros(starts.size, dtype=np.int64)
+    width = min(int(widths.max(initial=0)), _MAX_DIGITS)
+    at = ends - width  # a negative index wraps inside the block; such digits are masked
+    for back in range(width, 0, -1):
+        digits = block[at] - ord("0")
+        digits[widths < back] = 0
+        values *= 10
+        values += digits
+        at += 1
+    long = np.flatnonzero(widths > _MAX_DIGITS)
+    if long.size:
+        heads = np.stack([starts[long], ends[long] - _MAX_DIGITS], axis=1).ravel()
+        values[long[np.logical_or.reduceat(block != ord("0"), heads)[0::2]]] = _INT64_MAX
+    return values
 
 
 def graph_from_text(text: str | bytes) -> BipartiteGraph:
@@ -412,62 +508,91 @@ def graph_from_text(text: str | bytes) -> BipartiteGraph:
     line must hold exactly two. Endpoints must lie in [0, n) and no edge may
     appear twice. Blank lines and CRLF line endings are allowed. Any violation
     raises ParameterError naming the offending line.
+
+    The bytes are parsed in blocks of whole lines (``_line_blocks``). Beyond
+    the bytes and the graph returned, the working memory is one block's
+    arrays and 8 bytes an edge, 16 while the coordinates are sorted. The
+    first fault in this order is reported: a byte that is not a digit, blank
+    or line break; a line without exactly two tokens; the header's edge
+    count; n; an endpoint out of range; a repeated edge.
     """
     raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     data = np.frombuffer(raw, dtype=np.uint8)
-    # uint8 differences wrap around, so each "x - a < k" tests a <= x < a + k
-    digit = data - ord("0") < 10
-    brk = (data - ord("\n") < 4) | (data - ord("\x1c") < 3)  # \n \v \f \r, \x1c-\x1e
-    blank = (data == ord("\t")) | (data - ord("\x1f") < 2)    # \t, \x1f and space
-    valid = digit | brk | blank
-    if not valid.all():
-        raise _bad_line(raw, int(valid.argmin()), "not an unsigned decimal integer")
-    # tokens are the maximal runs of digits, raw[starts[k]:ends[k]]
-    flips = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, ends = flips[0::2], flips[1::2]
-    if starts.size == 0:
+    header = None        # the header's token offsets: start, end, start, end
+    n_ok = False         # the header's n is a valid vertex count
+    malformed = None     # _bad_line's offset and reason for the first malformed line
+    out_of_range = None  # offset of the first pair with an endpoint out of range
+    pairs = 0            # token pairs, the header's included
+    chunks = []          # per block, its edge coordinates in file order
+    for lo, hi in _line_blocks(data):
+        block = data[lo:hi]
+        digit, flips = _token_flips(block)
+        brk = _breaks(block)
+        valid = digit | brk | (block == ord("\t")) | (block - ord("\x1f") < 2)  # \t \x1f space
+        if not valid.all():
+            raise _bad_line(raw, lo + int(valid.argmin()), "not an unsigned decimal integer")
+        if malformed is not None or flips.size == 0:
+            continue
+        starts, ends = flips[0::2], flips[1::2]
+        # opens[k]: token k is the first on its line, as a block's first token
+        # is. Tokens 2j and 2j+1 must share a line of their own; the sentinel
+        # makes an odd last token open a pair.
+        opens = np.ones(starts.size + 1, dtype=bool)
+        opens[1:-1] = np.logical_or.reduceat(brk, flips[:-1])[1::2]
+        bad = np.flatnonzero(~opens[0:-1:2] | opens[1::2])
+        if bad.size:
+            at = int(starts[2 * bad[0]])
+            what = "edge" if header is not None or brk[starts[0]:at].any() else "header"
+            malformed = (lo + at, f"malformed {what} line")
+            continue
+        pairs += starts.size // 2
+        if header is None:
+            header = (lo + flips[:4]).tolist()
+            # n exactly, or the int64 maximum if it is too large either way
+            head = raw[header[0]:header[1]].lstrip(b"0")
+            n = int(head or b"0") if len(head) <= _MAX_DIGITS else _INT64_MAX
+            n_ok = 0 < n and n * n <= _INT64_MAX
+            starts, ends = starts[2:], ends[2:]
+        if not n_ok or out_of_range is not None:
+            continue
+        values = _token_values(block, starts, ends)
+        el, er = values[0::2], values[1::2]
+        bad = np.flatnonzero((el >= n) | (er >= n))
+        if bad.size:
+            out_of_range = lo + int(starts[2 * bad[0]])
+            continue
+        coords = el * n
+        coords += er
+        chunks.append(coords)
+    if header is None and malformed is None:
         raise ParameterError("empty graph file")
-    # opens[k]: token k is the first on its line. Tokens 2j and 2j+1 must share
-    # a line of their own; the sentinel makes an odd last token open a pair.
-    opens = np.ones(starts.size + 1, dtype=bool)
-    opens[1:-1] = np.logical_or.reduceat(brk, flips[:-1])[1::2]
-    bad = np.flatnonzero(~opens[0:-1:2] | opens[1::2])
-    if bad.size:
-        at = int(starts[2 * bad[0]])
-        what = "edge" if brk[starts[0]:at].any() else "header"
-        raise _bad_line(raw, at, f"malformed {what} line")
-    n, m = int(raw[starts[0]:ends[0]]), int(raw[starts[1]:ends[1]])
-    if starts.size // 2 - 1 != m:
-        raise ParameterError(f"header promises {m} edges, file has {starts.size // 2 - 1}")
+    if malformed is not None:
+        raise _bad_line(raw, *malformed)
+    n, m = int(raw[header[0]:header[1]]), int(raw[header[2]:header[3]])
+    if pairs - 1 != m:
+        raise ParameterError(f"header promises {m} edges, file has {pairs - 1}")
     _check_vertex_count(n)
-
-    starts, ends = starts[2:], ends[2:]
-    widths = ends - starts
-    values = np.zeros(starts.size, dtype=np.int64)
-    width = min(int(widths.max(initial=0)), _MAX_DIGITS)
-    at = ends - width  # a negative index wraps inside data; such digits are masked
-    for back in range(width, 0, -1):
-        digits = data[at] - ord("0")
-        digits[widths < back] = 0
-        values *= 10
-        values += digits
-        at += 1
-    long = np.flatnonzero(widths > _MAX_DIGITS)
-    if long.size:
-        heads = np.stack([starts[long], ends[long] - _MAX_DIGITS], axis=1).ravel()
-        values[long[np.logical_or.reduceat(data != ord("0"), heads)[0::2]]] = _INT64_MAX
-
-    el, er = values[0::2], values[1::2]
-    bad = np.flatnonzero((el >= n) | (er >= n))
-    if bad.size:
-        raise _bad_line(raw, int(starts[2 * bad[0]]), f"vertex pair out of range for n={n}")
-    unsorted = el * n + er
+    if out_of_range is not None:
+        raise _bad_line(raw, out_of_range, f"vertex pair out of range for n={n}")
+    unsorted = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    del chunks
     coords = np.sort(unsorted)
     dup = np.flatnonzero(coords[1:] == coords[:-1])
     if dup.size:
-        again = np.flatnonzero(unsorted == coords[dup[0]])[1]
-        raise _bad_line(raw, int(starts[2 * again]), "duplicate edge")
+        again = int(np.flatnonzero(unsorted == coords[dup[0]])[1])
+        raise _bad_line(raw, _edge_line_offset(data, again), "duplicate edge")
+    del unsorted
     return BipartiteGraph(n, coords)
+
+
+def _edge_line_offset(data: np.ndarray, k: int) -> int:
+    """The offset of edge k's first token in a file that parsed cleanly."""
+    first = 2 * (k + 1)  # the header is token pair 0
+    for lo, hi in _line_blocks(data):
+        flips = _token_flips(data[lo:hi])[1]
+        if 2 * first < flips.size:
+            return lo + int(flips[2 * first])
+        first -= flips.size // 2
 
 
 def _bad_line(raw: bytes, offset: int, reason: str) -> ParameterError:

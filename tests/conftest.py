@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId, VertexSubset,
                     max_balanced_pair, neighborhood, sample_bipartite_graph)
+from bipbis.graph import _INT64_MAX, _MAX_DIGITS, _bad_line, _check_vertex_count
 from bipbis.lowdeg import check_polynomial_output
 from bipbis.rng import RESAMPLE_DRAW
 
@@ -160,6 +161,66 @@ def graph_from_text_loop(text: str) -> BipartiteGraph:
     if len(set(pairs)) != len(pairs):
         raise ParameterError("duplicate edge")
     return BipartiteGraph.from_edges(n, pairs)
+
+
+def graph_from_text_whole(text: str | bytes) -> BipartiteGraph:
+    """The vectorised reader run over the whole file at once, with an int64
+    array per token: the same graph or the same error as graph_from_text."""
+    raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # uint8 differences wrap around, so each "x - a < k" tests a <= x < a + k
+    digit = data - ord("0") < 10
+    brk = (data - ord("\n") < 4) | (data - ord("\x1c") < 3)  # \n \v \f \r, \x1c-\x1e
+    blank = (data == ord("\t")) | (data - ord("\x1f") < 2)    # \t, \x1f and space
+    valid = digit | brk | blank
+    if not valid.all():
+        raise _bad_line(raw, int(valid.argmin()), "not an unsigned decimal integer")
+    # tokens are the maximal runs of digits, raw[starts[k]:ends[k]]
+    flips = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = flips[0::2], flips[1::2]
+    if starts.size == 0:
+        raise ParameterError("empty graph file")
+    # opens[k]: token k is the first on its line. Tokens 2j and 2j+1 must share
+    # a line of their own; the sentinel makes an odd last token open a pair.
+    opens = np.ones(starts.size + 1, dtype=bool)
+    opens[1:-1] = np.logical_or.reduceat(brk, flips[:-1])[1::2]
+    bad = np.flatnonzero(~opens[0:-1:2] | opens[1::2])
+    if bad.size:
+        at = int(starts[2 * bad[0]])
+        what = "edge" if brk[starts[0]:at].any() else "header"
+        raise _bad_line(raw, at, f"malformed {what} line")
+    n, m = int(raw[starts[0]:ends[0]]), int(raw[starts[1]:ends[1]])
+    if starts.size // 2 - 1 != m:
+        raise ParameterError(f"header promises {m} edges, file has {starts.size // 2 - 1}")
+    _check_vertex_count(n)
+
+    starts, ends = starts[2:], ends[2:]
+    widths = ends - starts
+    values = np.zeros(starts.size, dtype=np.int64)
+    width = min(int(widths.max(initial=0)), _MAX_DIGITS)
+    at = ends - width  # a negative index wraps inside data; such digits are masked
+    for back in range(width, 0, -1):
+        digits = data[at] - ord("0")
+        digits[widths < back] = 0
+        values *= 10
+        values += digits
+        at += 1
+    long = np.flatnonzero(widths > _MAX_DIGITS)
+    if long.size:
+        heads = np.stack([starts[long], ends[long] - _MAX_DIGITS], axis=1).ravel()
+        values[long[np.logical_or.reduceat(data != ord("0"), heads)[0::2]]] = _INT64_MAX
+
+    el, er = values[0::2], values[1::2]
+    bad = np.flatnonzero((el >= n) | (er >= n))
+    if bad.size:
+        raise _bad_line(raw, int(starts[2 * bad[0]]), f"vertex pair out of range for n={n}")
+    unsorted = el * n + er
+    coords = np.sort(unsorted)
+    dup = np.flatnonzero(coords[1:] == coords[:-1])
+    if dup.size:
+        again = np.flatnonzero(unsorted == coords[dup[0]])[1]
+        raise _bad_line(raw, int(starts[2 * again]), "duplicate edge")
+    return BipartiteGraph(n, coords)
 
 
 def validate_graph_sets(graph: BipartiteGraph) -> None:

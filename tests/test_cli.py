@@ -77,6 +77,45 @@ def test_sample_then_exact_roundtrip(capsys, tmp_path):
     assert out.startswith("size=")
 
 
+def test_sample_writes_its_graph_file_atomically(capsys, tmp_path, monkeypatch):
+    # the writer fails on its second block of edge lines, after the header
+    # and the first block went out
+    from bipbis import graph
+    blocks = []
+    edge_lines = graph._edge_lines
+
+    def fail_on_second_block(el, er):
+        blocks.append(el.size)
+        if len(blocks) == 2:
+            raise OSError(28, "No space left on device")
+        return edge_lines(el, er)
+
+    monkeypatch.setattr(graph, "_WRITE_EDGES", 4)
+    monkeypatch.setattr(graph, "_edge_lines", fail_on_second_block)
+    out_path = tmp_path / "g.txt"
+    code, out, err = run_cli(capsys, "sample", "--n", "20", "--d", "3", "--seed", "11",
+                             "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert "No space left on device" in assert_one_error_line(err, "IOError")
+    assert blocks == [4, 4]
+    assert not out_path.exists()
+    assert os.listdir(tmp_path) == []  # no .bipbis-* temporary either
+
+
+def test_output_files_get_the_mode_a_plain_open_gives(capsys, tmp_path):
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(capsys, "sample", "--n", "6", "--d", "1.5", "--seed", "11",
+                             "--out", str(tmp_path / "g.txt"))
+        assert code == 0
+        code, _, _ = run_cli(capsys, *LOCAL_ARGS, "--csv", str(tmp_path / "r.csv"))
+        assert code == 0
+    finally:
+        os.umask(umask)
+    for name in ("g.txt", "r.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
+
+
 def test_exact_fixture_output(capsys):
     code, out, _ = run_cli(capsys, "exact", "--graph",
                            str(FIXTURES / "single_edge.txt"), "--gamma", "0.5")

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bipbis
@@ -17,11 +19,12 @@ from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId,
                     pair_to_edge_index, random_threshold_pair, read_graph_text,
                     round_polynomial, sample_bipartite_graph, validate_graph,
                     write_graph_text)
+from bipbis import graph as graph_module
 from bipbis.graph import _bernoulli_coordinates
 from bipbis.rng import GRAPH_DRAW
 from conftest import (bernoulli_coordinates_exact, bernoulli_coordinates_unclipped, bfs_ball,
                       csr_argsort, graph_arrays, graph_from_edges, graph_from_text_loop,
-                      graph_to_text_loop, validate_graph_sets)
+                      graph_from_text_whole, graph_to_text_loop, validate_graph_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,37 @@ def test_bernoulli_coordinates_never_wrap_at_large_n():
     assert got["tiny"] == []
     want = bernoulli_coordinates_exact(3037000499**2, 1e-17, np.random.default_rng(5))
     assert want.size > 1 and got["coords"] == want.tolist()
+
+
+def test_bernoulli_coordinates_take_whole_batches_at_large_n(monkeypatch):
+    # a batch used to hold one gap once m - pos passed half of INT64_MAX - pos
+    calls = []
+    draw = graph_module._geometric_gaps
+
+    def counted(*args):
+        calls.append(args[1])
+        return draw(*args)
+
+    monkeypatch.setattr(graph_module, "_geometric_gaps", counted)
+    m, p = 3037000499**2, 1e-14
+    got = _bernoulli_coordinates(m, p, np.random.default_rng(5))
+    want = bernoulli_coordinates_exact(m, p, np.random.default_rng(5))
+    assert got.size == 92606 and np.array_equal(got, want)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m, p", [(97, 0.5), (10**4, 0.01), (3037000499**2, 1e-17),
+                                  (3037000499**2, 1e-19)])
+def test_bernoulli_coordinates_are_unchanged_by_short_batches(monkeypatch, m, p):
+    # three gaps a batch: the walk crosses batches, and at p = 1e-19 a batch's
+    # capped gaps sum past int64 and past 2**64
+    draw = graph_module._geometric_gaps
+    monkeypatch.setattr(graph_module, "_geometric_gaps",
+                        lambda p, size, cap, rng: draw(p, min(size, 3), cap, rng))
+    for seed in range(4):
+        got = _bernoulli_coordinates(m, p, np.random.default_rng(seed))
+        want = bernoulli_coordinates_exact(m, p, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_bernoulli_coordinates_end_at_tiny_probabilities():
@@ -486,3 +520,74 @@ def test_validator_rejects_a_broken_csr_index():
     g._csr = (indptr_l, np.array([0, 4, 2, 3]), flat)  # degrees 4, -2, 1 still sum to 3
     with pytest.raises(ParameterError, match="partition"):
         validate_graph(g)
+
+
+# ---------------------------------------------------------------------------
+# text I/O in blocks
+# ---------------------------------------------------------------------------
+
+
+# Block sizes small enough that the files above cross many block cuts: a cut
+# after every line break, searched one byte at a time, and cuts a few bytes
+# apart, which split CRLF pairs and blank-line runs.
+TINY_BLOCKS = [{"_READ_BYTES": 1, "_WRITE_EDGES": 1, "_CUT_WINDOW": 1},
+               {"_READ_BYTES": 5, "_WRITE_EDGES": 2, "_CUT_WINDOW": 2},
+               {"_READ_BYTES": 13, "_WRITE_EDGES": 3, "_CUT_WINDOW": 256}]
+
+
+@pytest.mark.parametrize("sizes", TINY_BLOCKS)
+def test_text_tests_pass_across_block_cuts(sizes, tmp_path):
+    with mock.patch.multiple(graph_module, **sizes):
+        test_text_parser_matches_loop_oracle()
+        test_text_writer_and_validator_match_loop_oracles()
+        test_text_roundtrip_property()
+        test_text_roundtrip(tmp_path)
+        test_text_format_shape()
+        test_text_malformed()
+        test_text_rejects_duplicate_edges()
+        test_text_long_tokens()
+        for token in ["x", "-1", "+1", "1_0", "1.0", "0x1", "\u0661", "\uff11"]:
+            test_text_rejects_non_integer_tokens(token)
+
+
+@given(graph_texts(), st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=3))
+@settings(max_examples=400)
+@example("2 1\r\n0 1\r\n", 4, 1)        # a cut between \r and \n
+@example("\n\n\n\n2 1\n\n\n0 1\n", 1, 1)  # blank-line runs before and inside
+@example("2 1\n0\n1\n", 4, 1)            # a malformed line starts a block
+@example("2 2\n0 1\n1 9\n0 1 1\n", 3, 2)  # out of range, then malformed
+@example("3 2\n0 3\n4 0\n", 1, 1)          # out of range twice
+def test_block_reader_matches_the_whole_file_reader(text, read_bytes, window):
+    """The same graph, or the same first error word for word."""
+    try:
+        expected = graph_from_text_whole(text)
+    except ParameterError as error:
+        with mock.patch.multiple(graph_module, _READ_BYTES=read_bytes, _CUT_WINDOW=window):
+            with pytest.raises(ParameterError) as got:
+                graph_from_text(text)
+        assert str(got.value) == str(error)
+        return
+    with mock.patch.multiple(graph_module, _READ_BYTES=read_bytes, _CUT_WINDOW=window):
+        assert graph_from_text(text) == expected
+        assert graph_from_text(text.encode("ascii")) == expected
+
+
+def test_text_io_memory_is_bounded_by_the_edges_and_one_block(tmp_path):
+    g = sample_bipartite_graph(20_000, 10.0, RandomSeed(3))
+    raw = graph_to_text(g).encode("ascii")
+    tracemalloc.start()
+    try:
+        write_graph_text(g, tmp_path / "g.txt")
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        read_back = graph_from_text(raw)
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert read_back == g
+    # Measured with numpy 2.4 at m = 200 244 (2.2 MB of text): 7.2 MB to
+    # write and 15.1 MB to read, against 22.6 and 32.0 MB for whole-file
+    # arrays. At the end the reader holds 24 bytes an edge, the graph it returns.
+    assert write_peak < 128 * graph_module._WRITE_EDGES
+    assert read_peak < 24 * g.edge_count + 12 * graph_module._READ_BYTES
