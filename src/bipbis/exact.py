@@ -3,8 +3,9 @@
 The search space collapses from 4^n to 2^n by observing that once the L-side
 trace of an independent set is fixed, the best R-side is forced: take as many
 unblocked R-vertices as balance allows. Branch-and-bound explores L-traces
-with an optimistic balanced-total bound; a plain ascending-mask enumeration
-over the same traces serves as the in-library oracle.
+with an optimistic balanced-total bound. The enumerators (the full scan, the
+Pareto profile and the joint intersection) read one numpy table of all 2^n
+traces instead, built by doubling over the L vertices.
 
 A node has a decided L-vertices, k - a undecided ones and u free R-vertices,
 and takes the smaller of two bounds. The rectangle bound is the best balanced
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .balance import (VertexSubset, best_b_for_a, check_gamma, check_subset_range,
                       lowest_bits)
 from .errors import CapacityError
@@ -45,7 +48,7 @@ from .graph import BipartiteGraph
 
 DEFAULT_ENUMERATION_LIMIT = 16
 DEFAULT_BB_LIMIT = 32
-_ENUMERATION_HARD_CAP = 20  # 2^n blocked-mask table
+_ENUMERATION_HARD_CAP = 20  # 2^n trace table
 
 
 def _check_capacity(n: int, limit: int, what: str) -> None:
@@ -63,13 +66,24 @@ def _bitset_rows(graph: BipartiteGraph) -> list[int]:
     return rows
 
 
-def _blocked_table(rows: list[int], n: int) -> list[int]:
-    """blocked[mask] = union of R-neighborhoods over the L vertices in mask."""
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        lsb = mask & -mask
-        table[mask] = table[mask ^ lsb] | rows[lsb.bit_length() - 1]
-    return table
+# popcount of every byte; numpy 1.24 has no np.bitwise_count
+_BYTE_POPCOUNT = np.array([i.bit_count() for i in range(256)], dtype=np.int8)
+
+
+def _trace_table(rows: list[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(blocked, a, u) over every L-trace, indexed by its L-mask: the union of
+    its R-neighborhoods (uint32, so n <= 32), its L count and n minus the
+    popcount of blocked. Each L vertex doubles the table: the upper half adds
+    vertex i to every trace of the lower half."""
+    size = 1 << len(rows)
+    blocked = np.zeros(size, dtype=np.uint32)
+    a = np.zeros(size, dtype=np.int8)
+    for i, row in enumerate(rows):
+        half = 1 << i
+        np.bitwise_or(blocked[:half], np.uint32(row), out=blocked[half:2 * half])
+        np.add(a[:half], 1, out=a[half:2 * half])
+    u = n - _BYTE_POPCOUNT[blocked.view(np.uint8)].reshape(size, 4).sum(axis=1, dtype=np.int8)
+    return blocked, a, u
 
 
 def _witness_from_trace(l_mask: int, blocked: int, b: int, n: int) -> VertexSubset:
@@ -79,25 +93,17 @@ def _witness_from_trace(l_mask: int, blocked: int, b: int, n: int) -> VertexSubs
 def enumerate_max_gamma_balanced(
     graph: BipartiteGraph, gamma: float, limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> tuple[int, VertexSubset]:
-    """Ascending scan over all 2^n L-traces; the forced-R completion makes
-    this equivalent to enumerating every subset of the 2n vertices."""
+    """Full scan over all 2^n L-traces; the forced-R completion makes this
+    equivalent to enumerating every subset of the 2n vertices. The first
+    argmax is the smallest optimal L-mask, the branch-and-bound's witness."""
     check_gamma(gamma)
     n = graph.n
     _check_capacity(n, min(limit, _ENUMERATION_HARD_CAP), "enumeration")
-    rows = _bitset_rows(graph)
-    blocked = _blocked_table(rows, n)
-    best = -1
-    best_trace = (0, 0, 0)  # (l_mask, blocked, b)
-    for mask in range(1 << n):
-        a = mask.bit_count()
-        u = n - blocked[mask].bit_count()
-        b = best_b_for_a(a, u, gamma)
-        if b is None:
-            continue
-        if a + b > best:
-            best = a + b
-            best_trace = (mask, blocked[mask], b)
-    return best, _witness_from_trace(*best_trace, n)
+    blocked, a, u = _trace_table(_bitset_rows(graph), n)
+    totals = np.array(_balanced_tables(n, gamma)[0], dtype=np.int8)[a, u]
+    mask = int(np.argmax(totals))
+    best = int(totals[mask])
+    return best, _witness_from_trace(mask, int(blocked[mask]), best - int(a[mask]), n)
 
 
 def _balanced_tables(n: int, gamma: float) -> tuple[list[list[int]], list[list[int]]]:
@@ -258,27 +264,20 @@ class ParetoProfile:
 
 
 def pareto_profile(graph: BipartiteGraph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ParetoProfile:
+    """Each entry is witnessed by the smallest L-mask that reaches it."""
     n = graph.n
     _check_capacity(n, min(limit, _ENUMERATION_HARD_CAP), "pareto profile")
-    rows = _bitset_rows(graph)
-    blocked = _blocked_table(rows, n)
-    best_b = [-1] * (n + 1)
-    best_mask = [0] * (n + 1)
-    for mask in range(1 << n):
-        a = mask.bit_count()
-        u = n - blocked[mask].bit_count()
-        if u > best_b[a]:
-            best_b[a] = u
-            best_mask[a] = mask
+    blocked, a, u = _trace_table(_bitset_rows(graph), n)
     entries = []
     witnesses = []
-    for a in range(n + 1):
-        mask = best_mask[a]
-        b = best_b[a]
-        entries.append((a, b))
-        witnesses.append(_witness_from_trace(mask, blocked[mask], b, n))
-    for a in range(1, n + 1):  # sanity: dominance forces a monotone profile
-        assert entries[a][1] <= entries[a - 1][1]
+    for k in range(n + 1):
+        traces = np.flatnonzero(a == k)
+        mask = int(traces[np.argmax(u[traces])])
+        b = int(u[mask])
+        entries.append((k, b))
+        witnesses.append(_witness_from_trace(mask, int(blocked[mask]), b, n))
+    for k in range(1, n + 1):  # sanity: dominance forces a monotone profile
+        assert entries[k][1] <= entries[k - 1][1]
     return ParetoProfile(tuple(entries), tuple(witnesses))
 
 
@@ -295,13 +294,5 @@ def max_joint_intersection(
     check_subset_range(s, n)
     # rows keep their global R bits: only the count blocked inside s matters
     rows = [row & s.mask_r for l, row in enumerate(_bitset_rows(graph)) if s.mask_l >> l & 1]
-    nl, nr = len(rows), s.count_r
-    best = 0
-    blocked = _blocked_table(rows, nl)
-    for mask in range(1 << nl):
-        a = mask.bit_count()
-        u = nr - blocked[mask].bit_count()
-        v = min(a, u)
-        if v > best:
-            best = v
-    return best
+    _, a, u = _trace_table(rows, s.count_r)
+    return int(np.minimum(a, u).max())

@@ -196,8 +196,9 @@ def validate_graph(graph: BipartiteGraph) -> None:
         raise ParameterError("L endpoint out of range")
     if graph.er.size and (graph.er.min() < 0 or graph.er.max() >= n):
         raise ParameterError("R endpoint out of range")
-    coords = np.sort(graph.coords)
-    if np.any(coords[1:] == coords[:-1]):
+    # coords is read-only and built strictly increasing, so a repeat shows
+    # as a step that does not rise
+    if np.any(graph.coords[1:] <= graph.coords[:-1]):
         raise ParameterError("duplicate edges present")
     if int(graph.degrees_l().sum()) != graph.edge_count:
         raise ParameterError("L-degree sum disagrees with edge_count")

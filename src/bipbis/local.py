@@ -19,7 +19,7 @@ import numpy as np
 from .balance import (VertexSubset, check_gamma, independence_violation, lowest_bits,
                       max_balanced_pair, pack_bits)
 from .errors import CapacityError, CompatibilityViolation, ParameterError
-from .graph import BipartiteGraph, Neighborhood, Side, VertexId
+from .graph import BipartiteGraph, Neighborhood, Side, VertexId, sample_bipartite_graph
 from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed
 
 DecideFn = Callable[[Neighborhood, np.ndarray], int]
@@ -292,8 +292,6 @@ def concentration_probe(
     """Sample variances of the per-side selection counts, normalized by n."""
     if trials_per_n < 30:
         raise ParameterError("trials_per_n must be >= 30 for a usable variance estimate")
-    from .graph import sample_bipartite_graph  # local import avoids a cycle at module load
-
     rows = []
     for ni, n in enumerate(n_values):
         counts_l = np.empty(trials_per_n)

@@ -27,7 +27,7 @@ from .errors import ParameterError
 from .exact import DEFAULT_ENUMERATION_LIMIT, pareto_profile
 from .graph import BipartiteGraph, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
-from .lowdeg import _as_factory, check_polynomial_output, rounding_fails
+from .lowdeg import _as_factory, check_polynomial_output, norm_second_moment, rounding_fails
 from .rng import AUX_STREAM_OFFSET, RESAMPLE_DRAW, RandomSeed, check_trial_streams
 from .stats import wilson_interval
 
@@ -301,8 +301,6 @@ def stability_trial(
             f"stability_trial will evaluate {total_steps} path steps, above the "
             f"budget of {step_budget}; expect a long run", stacklevel=2)
     if norm_estimate is None:
-        from .lowdeg import norm_second_moment
-
         check_trial_streams(trials)
         norm_estimate, _ = norm_second_moment(
             make_f, n, d, trials=norm_trials, seed=seed.shifted(AUX_STREAM_OFFSET))

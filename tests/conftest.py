@@ -78,14 +78,15 @@ def milp_optimum(graph: BipartiteGraph, gamma: float) -> int:
     return int(round(-res.fun))
 
 
-def brute_profile(graph: BipartiteGraph) -> dict[int, int]:
-    """For each a, the max b over independent sets, by literal enumeration."""
+def brute_profile(graph: BipartiteGraph) -> dict[int, tuple[int, int]]:
+    """For each a, the max b over independent sets and the smallest L-mask
+    with a bits that reaches it, by literal enumeration."""
     n = graph.n
     assert n <= 8
     rows = [0] * n
     for l, r in zip(graph.el.tolist(), graph.er.tolist()):
         rows[l] |= 1 << r
-    best: dict[int, int] = {a: -1 for a in range(n + 1)}
+    best: dict[int, tuple[int, int]] = {a: (-1, 0) for a in range(n + 1)}
     for l_mask in range(1 << n):
         blocked = 0
         m = l_mask
@@ -95,8 +96,8 @@ def brute_profile(graph: BipartiteGraph) -> dict[int, int]:
             m ^= lsb
         a = l_mask.bit_count()
         u = n - blocked.bit_count()
-        if u > best[a]:
-            best[a] = u
+        if u > best[a][0]:
+            best[a] = (u, l_mask)
     return best
 
 

@@ -8,7 +8,7 @@ from bipbis import (CapacityError, ParameterError, RandomSeed,
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     max_joint_intersection, pareto_profile,
                     sample_bipartite_graph)
-from bipbis.balance import max_balanced_total
+from bipbis.balance import best_b_for_a, max_balanced_total
 from bipbis.exact import _balanced_tables
 from conftest import (brute_max_balanced, brute_profile, graph_from_edges, milp_optimum,
                       subset_of)
@@ -60,7 +60,7 @@ def test_agrees_with_literal_subset_enumeration():
             assert w_bb.size == size_bb
 
 
-@given(n=st.integers(9, 14), dense=st.booleans(), fraction=st.floats(0.0, 1.0),
+@given(n=st.integers(9, 20), dense=st.booleans(), fraction=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1),
        gamma=st.sampled_from([0.05, 0.1, 0.25, 1 / 3, 0.45, 0.5]))
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -68,7 +68,7 @@ def test_agrees_with_enumeration_past_the_brute_force(n, dense, fraction, seed, 
     # sparse d in [0.5, 3], dense d in [n/2, n - 1]
     d = n / 2 + fraction * (n / 2 - 1) if dense else 0.5 + 2.5 * fraction
     g = sample_bipartite_graph(n, d, RandomSeed(seed))
-    assert max_gamma_balanced_is(g, gamma) == enumerate_max_gamma_balanced(g, gamma)
+    assert max_gamma_balanced_is(g, gamma) == enumerate_max_gamma_balanced(g, gamma, limit=20)
 
 
 @pytest.mark.parametrize("n, d", [(17, 6.0), (20, 3.0), (23, 6.0), (28, 3.0), (40, 4.0)])
@@ -84,7 +84,11 @@ def test_optimum_matches_milp(n, d):
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 32, 40])
 def test_bound_table_matches_max_balanced_total(n):
     for gamma in (0.05, 0.1, 0.25, 0.3, 1 / 3, 0.45, 0.5):
-        _, bound = _balanced_tables(n, gamma)
+        total, bound = _balanced_tables(n, gamma)
+        # the full scan reads total at each trace's (a, u)
+        assert total == [[-1 if b is None else a + b
+                          for b in (best_b_for_a(a, u, gamma) for u in range(n + 1))]
+                         for a in range(n + 1)], gamma
         assert bound == [[max_balanced_total(a, u, gamma) for u in range(n + 1)]
                          for a in range(n + 1)], gamma
 
@@ -156,6 +160,24 @@ def test_capacity_error():
         enumerate_max_gamma_balanced(g, 0.5, limit=4)
     with pytest.raises(CapacityError):
         pareto_profile(g, limit=4)
+    with pytest.raises(CapacityError):
+        max_joint_intersection(g, subset_of(), limit=4)
+
+
+def test_enumerators_run_without_bitwise_count(monkeypatch):
+    # pyproject allows numpy 1.24, which has no np.bitwise_count
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    for n, d, stream in ((3, 1.0, 0), (5, 2.0, 1), (6, 3.0, 2)):
+        g = sample_bipartite_graph(n, d, RandomSeed(13, stream))
+        for gamma in (0.25, 0.5):
+            size, witness = enumerate_max_gamma_balanced(g, gamma)
+            assert size == brute_max_balanced(g, gamma)
+            assert (size, witness) == max_gamma_balanced_is(g, gamma)
+        oracle = brute_profile(g)
+        assert pareto_profile(g).entries == tuple((a, oracle[a][0]) for a in range(n + 1))
+        everything = subset_of(range(n), range(n))
+        assert max_joint_intersection(g, everything) == max(
+            min(a, oracle[a][0]) for a in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +209,8 @@ def test_profile_matches_oracle_and_witnesses():
         prof = pareto_profile(g)
         oracle = brute_profile(g) if g.n <= 8 else None
         for (a, b), witness in zip(prof.entries, prof.witnesses):
-            assert oracle[a] == b
+            # the witness is the smallest L-mask with a bits that reaches b
+            assert oracle[a] == (b, witness.mask_l)
             assert witness.count_l == a and witness.count_r == b
             assert is_independent(g, witness)
         bs = [b for _, b in prof.entries]
