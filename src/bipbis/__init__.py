@@ -18,13 +18,13 @@ from .exact import (ParetoProfile, enumerate_max_gamma_balanced,
                     max_gamma_balanced_is, max_joint_intersection,
                     pareto_profile)
 from .graph import (BipartiteGraph, Neighborhood, Side, VertexId,
-                    edge_index_to_pair, graph_from_text, graph_to_text,
-                    neighborhood, pair_to_edge_index, read_graph_text,
-                    sample_bipartite_graph, validate_graph, write_graph_text)
+                    graph_from_text, graph_to_text, neighborhood,
+                    read_graph_text, sample_bipartite_graph, validate_graph,
+                    write_graph_text)
 from .local import (GaltonWatsonTree, LocalFunctionPair, VertexLabels,
-                    apply_local_pair, concentration_probe, constant_pair,
-                    draw_labels, estimate_gw_expectation, gamma_balanced_value,
-                    gamma_trim, pair_decisions, random_threshold_pair)
+                    apply_local_pair, constant_pair, draw_labels,
+                    estimate_gw_expectation, gamma_balanced_value, gamma_trim,
+                    pair_decisions, random_threshold_pair)
 from .lowdeg import (LeftIndicatorPolynomial, LinearBlockingPolynomial,
                      OptimizationReport, RoundingOutcome, check_optimization,
                      left_indicator_polynomial, linear_blocking_polynomial,
@@ -33,7 +33,7 @@ from .ogp import (GreedyChainResult, InterpolationPath, LocalPairVectorFunction,
                   OverlapChainParams, OverlapChainReport, StabilityConfig,
                   StabilityReport, balance_inequality_probe,
                   build_interpolation_path, check_overlap_chain,
-                  coordinate_at_step, detect_bad_steps, greedy_overlap_chain,
+                  detect_bad_steps, greedy_overlap_chain,
                   profile_violates_balance_inequality, stability_trial,
                   walk_rounded_subsets)
 from .rng import RandomSeed

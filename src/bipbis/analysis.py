@@ -15,6 +15,7 @@ from .balance import check_gamma
 from .errors import ParameterError
 
 BOUNDARY_TOLERANCE = 1e-12
+_ONSET_D_MAX = 1e15  # negativity_onset_d gives up past this d
 
 
 def existence_threshold(gamma: float) -> float:
@@ -72,9 +73,6 @@ class ExponentReport:
     leading_coefficient: float  # of the (log^2 d)/d term: c*(1 - 2*gamma*(1-gamma)*c)
     sign: Sign
 
-    def full_exponent_at(self, d: float) -> float:
-        return _exponent_value(self.c, d, self.gamma)
-
 
 def first_moment_exponent(c: float, d: float, gamma: float) -> ExponentReport:
     check_gamma(gamma)
@@ -88,7 +86,7 @@ def first_moment_exponent(c: float, d: float, gamma: float) -> ExponentReport:
                           leading_coefficient=leading, sign=Sign.of(value))
 
 
-def negativity_onset_d(c: float, gamma: float, d_max: float = 1e15) -> float:
+def negativity_onset_d(c: float, gamma: float) -> float:
     """Smallest d (to 6 relative digits, by bisection) above which the full
     exponent at density c*(log d)/d is negative. Requires c above the
     existence threshold, where the leading coefficient is negative."""
@@ -110,8 +108,8 @@ def negativity_onset_d(c: float, gamma: float, d_max: float = 1e15) -> float:
         if v is not None and v < 0:
             break
         hi *= 2.0
-        if hi > d_max:
-            raise ParameterError(f"exponent did not turn negative below d = {d_max}")
+        if hi > _ONSET_D_MAX:
+            raise ParameterError(f"exponent did not turn negative below d = {_ONSET_D_MAX}")
     lo = hi / 2.0
     v_lo = value_or_none(lo)
     if v_lo is not None and v_lo < 0:
@@ -163,12 +161,12 @@ class PhasePoint:
             raise ParameterError("phase coordinates must be non-negative")
 
 
-def classify_phase(point: PhasePoint, tolerance: float = BOUNDARY_TOLERANCE) -> PhaseRegion:
+def classify_phase(point: PhasePoint) -> PhaseRegion:
     """EASY when either density is below 1; with both above 1, NONEXISTENT
     when x+y < xy and HARD when x+y > xy; BOUNDARY on any defining curve."""
     x, y = point.x, point.y
-    if (abs(x - 1.0) <= tolerance or abs(y - 1.0) <= tolerance
-            or abs(x + y - x * y) <= tolerance):
+    if (abs(x - 1.0) <= BOUNDARY_TOLERANCE or abs(y - 1.0) <= BOUNDARY_TOLERANCE
+            or abs(x + y - x * y) <= BOUNDARY_TOLERANCE):
         return PhaseRegion.BOUNDARY
     if min(x, y) < 1.0:
         return PhaseRegion.EASY

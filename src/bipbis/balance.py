@@ -101,12 +101,6 @@ class VertexSubset:
     def difference(self, other: "VertexSubset") -> "VertexSubset":
         return VertexSubset(self.mask_l & ~other.mask_l, self.mask_r & ~other.mask_r)
 
-    def intersection(self, other: "VertexSubset") -> "VertexSubset":
-        return VertexSubset(self.mask_l & other.mask_l, self.mask_r & other.mask_r)
-
-    def symmetric_difference_size(self, other: "VertexSubset") -> int:
-        return (self.mask_l ^ other.mask_l).bit_count() + (self.mask_r ^ other.mask_r).bit_count()
-
 
 EMPTY_SUBSET = VertexSubset(0, 0)
 

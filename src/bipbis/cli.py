@@ -113,13 +113,23 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
     return grid
 
 
+def _refuse_repeated_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a plain json.load keeps a repeated key's last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParameterError(f"the key {key!r} appears more than once")
+        obj[key] = value
+    return obj
+
+
 def _gather_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                loaded = json.load(fh)
-            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                loaded = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
+            except ValueError as exc:  # malformed JSON, text that is not UTF-8, a repeated key
                 raise ParameterError(
                     f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):

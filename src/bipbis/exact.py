@@ -259,9 +259,6 @@ class ParetoProfile:
     entries: tuple[tuple[int, int], ...]
     witnesses: tuple[VertexSubset, ...]
 
-    def max_b(self, a: int) -> int:
-        return self.entries[a][1]
-
 
 def pareto_profile(graph: BipartiteGraph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ParetoProfile:
     """Each entry is witnessed by the smallest L-mask that reaches it."""

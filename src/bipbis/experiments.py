@@ -33,7 +33,7 @@ from .lowdeg import (linear_blocking_polynomial, norm_second_moment,
 from .ogp import (OverlapChainParams, StabilityConfig, build_interpolation_path,
                   check_overlap_chain, detect_bad_steps, greedy_overlap_chain,
                   walk_rounded_subsets)
-from .rng import AUX_STREAM_OFFSET, RandomSeed, check_trial_streams
+from .rng import AUX_STREAM_OFFSET, NORM_TRIALS, RandomSeed, check_trial_streams
 
 CSV_SCHEMA_VERSION = 1
 
@@ -178,6 +178,9 @@ def _output_file(name, v, p):
           and not os.path.isdir(v),
           f"{name} {v!r} cannot be written: its directory is missing or not writable, "
           f"or it is a directory")
+    for other in ("record", "csv", "out"):
+        _must(p.get(other) is None or os.path.realpath(p[other]) != os.path.realpath(v),
+              f"{name} {v!r} names the same file as {other} {p.get(other)!r}")
 
 
 _RUN_PARAMS = (
@@ -425,17 +428,13 @@ def _scalar_outputs(command: str, params: dict) -> dict[str, Any]:
     raise ParameterError(f"unknown scalar command {command!r}")
 
 
-# an ogp run estimates E||f||^2 once, over this many graphs
-_NORM_TRIALS = 30
-
-
 def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], dict[str, Any]]:
     """The rows (in trial order) and outputs of one run on resolved
     parameters, or of cell ``cell`` of a sweep; a plain run is cell 0.
 
     With base stream b, cell i runs its trials on streams b + i*trials on. An
     ogp cell shares one norm estimate among its trials, echoed into the
-    outputs, drawn from the reserved streams b + AUX_STREAM_OFFSET + 30*i on,
+    outputs, on the reserved streams b + AUX_STREAM_OFFSET + NORM_TRIALS*i on,
     so no two cells share one.
     """
     if command not in TRIAL_COMMANDS:
@@ -443,10 +442,10 @@ def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], di
     outputs: dict[str, Any] = {}
     trial_params = {**params, "stream": params["stream"] + cell * params["trials"]}
     if command == "ogp":
-        norm_stream = params["stream"] + AUX_STREAM_OFFSET + _NORM_TRIALS * cell
+        norm_stream = params["stream"] + AUX_STREAM_OFFSET + NORM_TRIALS * cell
         mean, _ = norm_second_moment(
             lambda s: linear_blocking_polynomial(params["n"], params["k_l"], s),
-            params["n"], params["d"], trials=_NORM_TRIALS,
+            params["n"], params["d"], trials=NORM_TRIALS,
             seed=RandomSeed(params["seed"], norm_stream))
         trial_params["_norm_estimate"] = mean
         outputs["norm_estimate"] = mean

@@ -1,9 +1,9 @@
-"""Balanced bipartite graphs: sampling, edge-coordinate indexing, neighborhoods, text I/O.
+"""Balanced bipartite graphs: sampling, edge coordinates, neighborhoods, text I/O.
 
-Edge coordinates number the n-by-n biadjacency cells 1..n^2 in row-major order
-(L-vertex major, R-vertex minor). Everything downstream that replays or
-resamples edges -- notably the interpolation path -- relies on this order
-being stable across runs, so it is fixed here once.
+Edge coordinates number the n-by-n biadjacency cells 0..n^2 - 1 in row-major
+order (L-vertex major, R-vertex minor), so the edge (l, r) is l*n + r. Code
+that replays or resamples edges -- notably the interpolation path -- relies
+on this order being stable across runs, so it is fixed here once.
 
 Graphs are logically immutable after construction and safe to share
 read-only across parallel workers; the CSR adjacency of both sides is built
@@ -39,24 +39,6 @@ class VertexId:
     def global_index(self, n: int) -> int:
         """Position in the length-2n vertex order: L 0..n-1, then R 0..n-1."""
         return self.index if self.side is Side.L else n + self.index
-
-
-# ---------------------------------------------------------------------------
-# Edge-coordinate bijection (1-based, row-major with the L index outer)
-# ---------------------------------------------------------------------------
-
-
-def pair_to_edge_index(n: int, l: int, r: int) -> int:
-    if not (0 <= l < n and 0 <= r < n):
-        raise ParameterError(f"vertex pair ({l}, {r}) out of range for n={n}")
-    return l * n + r + 1
-
-
-def edge_index_to_pair(n: int, index: int) -> tuple[int, int]:
-    if not (1 <= index <= n * n):
-        raise ParameterError(f"edge index {index} outside [1, {n * n}]")
-    l, r = divmod(index - 1, n)
-    return l, r
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +100,11 @@ class BipartiteGraph:
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        coords = [pair_to_edge_index(n, l, r) - 1 for l, r in pairs]
+        coords = []
+        for l, r in pairs:
+            if not (0 <= l < n and 0 <= r < n):
+                raise ParameterError(f"vertex pair ({l}, {r}) out of range for n={n}")
+            coords.append(l * n + r)
         return BipartiteGraph.from_coordinates(n, np.array(coords, dtype=np.int64))
 
     # -- adjacency access ---------------------------------------------------
@@ -151,11 +137,6 @@ class BipartiteGraph:
         """Sorted L-neighbors of R-vertex j."""
         indptr, flat = self.csr_r()
         return flat[indptr[j]:indptr[j + 1]]
-
-    def neighbors(self, v: VertexId) -> np.ndarray:
-        if not (0 <= v.index < self.n):
-            raise ParameterError(f"vertex {v} out of range for n={self.n}")
-        return self.neighbors_l(v.index) if v.side is Side.L else self.neighbors_r(v.index)
 
     def degrees_l(self) -> np.ndarray:
         return np.diff(self._adjacency()[0])

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .balance import (VertexSubset, check_gamma, independence_violation, lowest_bits,
                       max_balanced_pair, pack_bits)
 from .errors import CapacityError, CompatibilityViolation, ParameterError
-from .graph import BipartiteGraph, Neighborhood, Side, VertexId, sample_bipartite_graph
+from .graph import BipartiteGraph, Neighborhood, Side, VertexId
 from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed
 
 DecideFn = Callable[[Neighborhood, np.ndarray], int]
 BulkDecideFn = Callable[[BipartiteGraph, "VertexLabels"], np.ndarray]
+_MAX_TREE_VERTICES = 200_000  # GaltonWatsonTree.sample refuses a larger tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +195,7 @@ class GaltonWatsonTree:
         return len(self.adj)
 
     @staticmethod
-    def sample(d: float, depth: int, rng: np.random.Generator,
-               max_vertices: int = 200_000) -> "GaltonWatsonTree":
+    def sample(d: float, depth: int, rng: np.random.Generator) -> "GaltonWatsonTree":
         if d < 0:
             raise ParameterError("offspring mean must be non-negative")
         if depth < 0:
@@ -211,9 +211,9 @@ class GaltonWatsonTree:
                     children.append([])
                     children[node].append(child)
                     nxt.append(child)
-                if len(children) > max_vertices:
+                if len(children) > _MAX_TREE_VERTICES:
                     raise CapacityError(
-                        f"offspring tree exceeded {max_vertices} vertices at d={d}, depth={depth}")
+                        f"offspring tree exceeded {_MAX_TREE_VERTICES} vertices at d={d}, depth={depth}")
             frontier = nxt
         adj: list[list[int]] = [[] for _ in children]
         for parent, kids in enumerate(children):
@@ -266,48 +266,3 @@ def estimate_gw_expectation(
     mean = float(hits.mean())
     stderr = 0.0 if trials == 1 else float(hits.std(ddof=1) / math.sqrt(trials))
     return mean, stderr
-
-
-# ---------------------------------------------------------------------------
-# Concentration probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConcentrationRow:
-    n: int
-    var_l_over_n: float
-    var_r_over_n: float
-    mean_l: float
-    mean_r: float
-
-
-def concentration_probe(
-    pair: LocalFunctionPair,
-    n_values: Sequence[int],
-    d: float,
-    trials_per_n: int,
-    seed: RandomSeed,
-) -> list[ConcentrationRow]:
-    """Sample variances of the per-side selection counts, normalized by n."""
-    if trials_per_n < 30:
-        raise ParameterError("trials_per_n must be >= 30 for a usable variance estimate")
-    rows = []
-    for ni, n in enumerate(n_values):
-        counts_l = np.empty(trials_per_n)
-        counts_r = np.empty(trials_per_n)
-        for t in range(trials_per_n):
-            trial_seed = seed.shifted(ni * trials_per_n + t)
-            graph = sample_bipartite_graph(n, d, trial_seed)
-            labels = draw_labels(n, trial_seed)
-            sel_l, sel_r = pair_decisions(graph, pair, labels)
-            counts_l[t] = sel_l.sum()
-            counts_r[t] = sel_r.sum()
-        rows.append(ConcentrationRow(
-            n=n,
-            var_l_over_n=float(counts_l.var(ddof=1) / n),
-            var_r_over_n=float(counts_r.var(ddof=1) / n),
-            mean_l=float(counts_l.mean()),
-            mean_r=float(counts_r.mean()),
-        ))
-    return rows

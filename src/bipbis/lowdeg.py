@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class LinearBlockingPolynomial:
     def __post_init__(self):
         # the flip rule's membership test, kept out of the dataclass fields
         object.__setattr__(self, "_chosen", frozenset(self.chosen_l.tolist()))
-
-    @property
-    def k_l(self) -> int:
-        return int(self.chosen_l.size)
 
     def evaluate(self, graph: BipartiteGraph) -> np.ndarray:
         if graph.n != self.n:
@@ -167,6 +163,19 @@ def _as_factory(polynomial) -> PolynomialFactory:
     return lambda _seed: polynomial
 
 
+def _evaluations(polynomial, n: int, d: float, trials: int,
+                 seed: RandomSeed) -> Iterator[tuple[BipartiteGraph, np.ndarray, float]]:
+    """For t = 0, ..., trials - 1, the graph sampled on ``seed.shifted(t)``,
+    the polynomial's checked output on it and that output's squared norm."""
+    factory = _as_factory(polynomial)
+    for t in range(trials):
+        trial_seed = seed.shifted(t)
+        f = factory(trial_seed)
+        graph = sample_bipartite_graph(n, d, trial_seed)
+        values = check_polynomial_output(f.evaluate(graph), n)
+        yield graph, values, float(values @ values)
+
+
 @dataclass(frozen=True)
 class OptimizationReport:
     trials: int
@@ -202,16 +211,11 @@ def check_optimization(
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    factory = _as_factory(polynomial)
     norms = np.empty(trials)
     successes = 0
     failures = 0
-    for t in range(trials):
-        trial_seed = seed.shifted(t)
-        f = factory(trial_seed)
-        graph = sample_bipartite_graph(n, d, trial_seed)
-        values = check_polynomial_output(f.evaluate(graph), n)
-        norms[t] = float(values @ values)
+    for t, (graph, values, norm) in enumerate(_evaluations(polynomial, n, d, trials, seed)):
+        norms[t] = norm
         outcome = round_polynomial(values, graph, eta)
         if outcome.failed:
             failures += 1
@@ -242,14 +246,7 @@ def norm_second_moment(
     """Empirical E||f(A)||^2 with a normal-approximation 95% half-width."""
     if trials < 30:
         raise ParameterError("trials must be >= 30 for the normal approximation")
-    factory = _as_factory(polynomial)
-    norms = np.empty(trials)
-    for t in range(trials):
-        trial_seed = seed.shifted(t)
-        f = factory(trial_seed)
-        graph = sample_bipartite_graph(n, d, trial_seed)
-        values = check_polynomial_output(f.evaluate(graph), n)
-        norms[t] = float(values @ values)
+    norms = np.array([norm for _, _, norm in _evaluations(polynomial, n, d, trials, seed)])
     mean = float(norms.mean())
     ci = float(1.96 * norms.std(ddof=1) / math.sqrt(trials))
     return mean, ci

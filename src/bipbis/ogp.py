@@ -24,32 +24,25 @@ import numpy as np
 
 from .balance import EMPTY_SUBSET, VertexSubset, independence_violation
 from .errors import ParameterError
-from .exact import DEFAULT_ENUMERATION_LIMIT, pareto_profile
+from .exact import pareto_profile
 from .graph import BipartiteGraph, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
 from .lowdeg import _as_factory, check_polynomial_output, norm_second_moment, rounding_fails
-from .rng import AUX_STREAM_OFFSET, RESAMPLE_DRAW, RandomSeed, check_trial_streams
+from .rng import AUX_STREAM_OFFSET, NORM_TRIALS, RESAMPLE_DRAW, RandomSeed, check_trial_streams
 from .stats import wilson_interval
 
 # Counting comparisons against real thresholds get this slack; it keeps the
 # greedy selector and the chain checker consistent at exact-boundary values.
 COUNT_TOLERANCE = 1e-9
-
-
-def coordinate_at_step(n: int, t: int) -> int:
-    """Cyclic coordinate schedule over [1, n^2]: step t resamples t - k*m."""
-    if t < 1:
-        raise ParameterError(f"steps are numbered from 1, got {t}")
-    m = n * n
-    return (t - 1) % m + 1
+_STEP_BUDGET = 20_000_000  # stability_trial warns before a run of more path steps
 
 
 @dataclass(frozen=True, eq=False)
 class InterpolationPath:
     """Base graph, path length T and the steps whose resample changes the
-    graph, as read-only arrays ``flips = (t, l, r, added)``. Step t resamples
-    the coordinate of ``coordinate_at_step``; a step that redraws the current
-    bit changes nothing and is left out."""
+    graph, as read-only arrays ``flips = (t, l, r, added)``. Step t >= 1
+    resamples the edge coordinate (t - 1) mod n^2; a step that redraws the
+    current bit changes nothing and is left out."""
 
     base: BipartiteGraph
     d: float
@@ -281,29 +274,25 @@ def stability_trial(
     degree: int,
     trials: int,
     seed: RandomSeed,
-    norm_estimate: Optional[float] = None,
-    norm_trials: int = 30,
-    step_budget: int = 20_000_000,
 ) -> StabilityReport:
     """Empirical probability that a length gamma_steps*n^2 path has no bad
     step, against the floor (d/n)^(4*gamma_steps*degree/c).
 
     ``make_f`` is a factory called with the per-trial seed (coefficient
-    randomness, labels of a wrapped local pair, ...). When ``norm_estimate``
-    is omitted it is measured first, on the streams reserved for auxiliary
-    estimates (``seed.shifted(AUX_STREAM_OFFSET)`` on).
+    randomness, labels of a wrapped local pair, ...). The norm estimate is
+    measured first, over NORM_TRIALS graphs on the streams reserved for
+    auxiliary estimates (``seed.shifted(AUX_STREAM_OFFSET)`` on).
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     total_steps = gamma_steps * n * n * trials
-    if total_steps > step_budget:
+    if total_steps > _STEP_BUDGET:
         warnings.warn(
             f"stability_trial will evaluate {total_steps} path steps, above the "
-            f"budget of {step_budget}; expect a long run", stacklevel=2)
-    if norm_estimate is None:
-        check_trial_streams(trials)
-        norm_estimate, _ = norm_second_moment(
-            make_f, n, d, trials=norm_trials, seed=seed.shifted(AUX_STREAM_OFFSET))
+            f"budget of {_STEP_BUDGET}; expect a long run", stacklevel=2)
+    check_trial_streams(trials)
+    norm_estimate, _ = norm_second_moment(
+        make_f, n, d, trials=NORM_TRIALS, seed=seed.shifted(AUX_STREAM_OFFSET))
     config = StabilityConfig(c=c, gamma_steps=gamma_steps, degree=degree,
                              norm_estimate=norm_estimate)
     T = gamma_steps * n * n
@@ -466,10 +455,6 @@ class OverlapChainReport:
     def condition3(self) -> bool:
         return all(self.new_mass_ok)
 
-    @property
-    def present(self) -> bool:
-        return self.condition1 and self.condition2 and self.condition3
-
     def conditions_bitmask(self) -> int:
         return (1 if self.condition1 else 0) | (2 if self.condition2 else 0) | (4 if self.condition3 else 0)
 
@@ -526,14 +511,13 @@ class BalanceProbeReport:
     wilson_high: float
 
 
-def profile_violates_balance_inequality(graph: BipartiteGraph, d: float,
-                                        limit: int = DEFAULT_ENUMERATION_LIMIT) -> bool:
+def profile_violates_balance_inequality(graph: BipartiteGraph, d: float) -> bool:
     """Does any Pareto-profile point of the graph, in units of (log d / d)*n,
     have sum of side densities strictly below their product?"""
     if d <= 1:
         raise ParameterError("d must exceed 1 for a positive density scale")
     scale = math.log(d) / d * graph.n
-    profile = pareto_profile(graph, limit=limit)
+    profile = pareto_profile(graph)
     for a, b in profile.entries:
         al = a / scale
         ar = b / scale
@@ -544,7 +528,6 @@ def profile_violates_balance_inequality(graph: BipartiteGraph, d: float,
 
 def balance_inequality_probe(
     n: int, d: float, trials: int, seed: RandomSeed,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> BalanceProbeReport:
     """Fraction of sampled graphs whose Pareto profile (which dominates every
     independent set) contains a sum-below-product point. Reported with a
@@ -554,7 +537,7 @@ def balance_inequality_probe(
     violations = 0
     for t in range(trials):
         graph = sample_bipartite_graph(n, d, seed.shifted(t))
-        if profile_violates_balance_inequality(graph, d, limit=limit):
+        if profile_violates_balance_inequality(graph, d):
             violations += 1
     lo, hi = wilson_interval(violations, trials)
     return BalanceProbeReport(

@@ -25,6 +25,7 @@ TREE_DRAW = 4
 # base + AUX_STREAM_OFFSET on are reserved for auxiliary estimates (norm
 # moments) of the same run, so the two never overlap.
 AUX_STREAM_OFFSET = 1 << 20
+NORM_TRIALS = 30  # a norm estimate E||f||^2 takes a block of this many aux streams
 
 
 def check_trial_streams(count: int, what: str = "trials") -> None:
@@ -56,9 +57,6 @@ class RandomSeed:
         """Counter-based generator keyed by (seed, stream, purpose)."""
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream), int(purpose)))
         return np.random.Generator(np.random.Philox(ss))
-
-    def with_stream(self, stream: int) -> "RandomSeed":
-        return RandomSeed(self.seed, stream)
 
     def shifted(self, offset: int) -> "RandomSeed":
         return RandomSeed(self.seed, self.stream + offset)

@@ -93,7 +93,6 @@ def test_exponent_matches_independent_evaluation():
                 - (0.5 - (1 - gamma) * f) * math.log(1 - 2 * (1 - gamma) * f)
                 - 2 * gamma * (1 - gamma) * f * f * d)
     assert first_moment_exponent(c, d, gamma).value == pytest.approx(expected, rel=1e-12)
-    assert first_moment_exponent(c, d, gamma).full_exponent_at(d) == pytest.approx(expected)
 
 
 def test_exponent_domain_errors():

@@ -1,6 +1,7 @@
 """The benchmark imports library names inside its functions, so a renamed or
-deleted name would surface only as a failed benchmark run. Resolve every
-``from bipbis... import name`` of ``bench/*.py`` here instead."""
+deleted name would surface only as a failed benchmark run, and a script's
+only as a failed subprocess. Resolve every ``from bipbis... import name`` of
+``bench/*.py`` and ``scripts/*.py`` here instead."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).parent.parent / "bench"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def bipbis_imports(path):
@@ -23,6 +25,15 @@ def bipbis_imports(path):
 
 @pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
 def test_bench_imports_from_the_library_resolve(path):
+    check_imports_resolve(path)
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_script_imports_from_the_library_resolve(path):
+    check_imports_resolve(path)
+
+
+def check_imports_resolve(path):
     for line, module, name in bipbis_imports(path):
         mod = importlib.import_module(module)
         assert hasattr(mod, name), f"{path.name}:{line}: {module} has no {name!r}"
@@ -31,3 +42,4 @@ def test_bench_imports_from_the_library_resolve(path):
 def test_the_bench_imports_library_names():
     # the guard must see the imports it is for
     assert len(bipbis_imports(BENCH / "tracing.py")) >= 20
+    assert len(bipbis_imports(SCRIPTS / "small_scale_phase.py")) >= 3

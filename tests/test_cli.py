@@ -249,6 +249,24 @@ def test_unwritable_outputs_fail_before_any_work(capsys, tmp_path, monkeypatch, 
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, first, second", [
+    (LOCAL_ARGS, "--csv", "--record"),
+    (("sample", "--n", "6", "--d", "1.5"), "--out", "--record"),
+], ids=["trial", "sample"])
+def test_two_outputs_naming_one_file_fail_before_any_work(capsys, tmp_path, monkeypatch,
+                                                          argv, first, second):
+    # the later output would overwrite the earlier one without a word
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were checked")
+
+    monkeypatch.setattr(experiments, "_execute", no_work)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, first, "same.out", second, str(tmp_path / "same.out"))
+    assert code == 1 and out == ""
+    assert "names the same file" in assert_one_error_line(err)
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # config files and errors
 # ---------------------------------------------------------------------------
@@ -524,6 +542,17 @@ def test_malformed_config_fails_with_one_json_line(capsys, tmp_path):
         code, _, err = run_cli(capsys, "phase", "--config", str(cfg))
         assert code == 1
         assert_one_error_line(err)
+
+
+def test_config_file_repeating_a_key_fails_with_one_json_line(capsys, tmp_path):
+    # json.load alone would run this with n=5
+    cfg = tmp_path / "repeat.json"
+    cfg.write_text('{"n": 10, "d": 2, "p": 0.1, "n": 5}')
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "local", "--config", str(cfg), "--csv", str(out_csv))
+    assert code == 1 and out == ""
+    assert "'n' appears more than once" in assert_one_error_line(err)
+    assert os.listdir(tmp_path) == ["repeat.json"]
 
 
 def test_malformed_workers_variable_fails_with_one_json_line(capsys, monkeypatch):
@@ -860,14 +889,6 @@ import subprocess
 import sys
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
-
-
-def test_threshold_sweep_script_runs():
-    out = subprocess.run(
-        [sys.executable, str(SCRIPTS / "local_threshold_sweep.py"),
-         "--n", "2000", "--trials", "2"],
-        capture_output=True, text=True, check=True)
-    assert "peak at p" in out.stdout
 
 
 def test_small_scale_phase_script_runs():

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 import bipbis
 from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId,
-                    apply_local_pair, edge_index_to_pair, gamma_trim, graph_from_text,
-                    graph_to_text, linear_blocking_polynomial, neighborhood,
-                    pair_to_edge_index, random_threshold_pair, read_graph_text,
-                    round_polynomial, sample_bipartite_graph, validate_graph,
-                    write_graph_text)
+                    apply_local_pair, gamma_trim, graph_from_text, graph_to_text,
+                    linear_blocking_polynomial, neighborhood, random_threshold_pair,
+                    read_graph_text, round_polynomial, sample_bipartite_graph,
+                    validate_graph, write_graph_text)
 from bipbis import graph as graph_module
 from bipbis.graph import _bernoulli_coordinates
 from bipbis.rng import GRAPH_DRAW
@@ -28,37 +27,40 @@ from conftest import (bernoulli_coordinates_exact, bernoulli_coordinates_unclipp
 
 
 # ---------------------------------------------------------------------------
-# edge-coordinate bijection
+# edge coordinates: 0-based and row-major, the edge (l, r) is l*n + r
 # ---------------------------------------------------------------------------
 
 
 def test_edge_index_first_and_last():
-    assert edge_index_to_pair(3, 1) == (0, 0)
-    assert pair_to_edge_index(3, 0, 0) == 1
-    assert edge_index_to_pair(3, 9) == (2, 2)
-    assert pair_to_edge_index(3, 2, 2) == 9
+    assert BipartiteGraph.from_edges(3, [(0, 0)]).coords.tolist() == [0]
+    assert BipartiteGraph.from_edges(3, [(2, 2)]).coords.tolist() == [8]
+    g = BipartiteGraph(3, np.array([0, 8]))
+    assert (g.el.tolist(), g.er.tolist()) == ([0, 2], [0, 2])
 
 
 def test_edge_index_totality_n2():
-    pairs = [edge_index_to_pair(2, k) for k in range(1, 5)]
-    assert sorted(pairs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    g = BipartiteGraph(2, np.arange(4))
+    assert list(zip(g.el.tolist(), g.er.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 @given(st.integers(min_value=1, max_value=50), st.data())
 def test_edge_index_roundtrip(n, data):
-    index = data.draw(st.integers(min_value=1, max_value=n * n))
-    l, r = edge_index_to_pair(n, index)
+    coord = data.draw(st.integers(min_value=0, max_value=n * n - 1))
+    g = BipartiteGraph(n, np.array([coord]))
+    l, r = int(g.el[0]), int(g.er[0])
     assert 0 <= l < n and 0 <= r < n
-    assert pair_to_edge_index(n, l, r) == index
+    assert BipartiteGraph.from_edges(n, [(l, r)]).coords.tolist() == [coord]
 
 
 def test_edge_index_rejections():
-    with pytest.raises(ParameterError):
-        edge_index_to_pair(3, 0)
-    with pytest.raises(ParameterError):
-        edge_index_to_pair(3, 10)
-    with pytest.raises(ParameterError):
-        pair_to_edge_index(3, 3, 0)
+    for coords in ([-1], [9]):
+        with pytest.raises(ParameterError, match="out of range"):
+            BipartiteGraph(3, np.array(coords))
+    # an endpoint outside [0, n): (0, 3) and (1, -1) would alias the
+    # coordinates of (1, 0) and (0, 2)
+    for pair in ((3, 0), (0, 3), (-1, 0), (1, -1), (2**70, 0)):
+        with pytest.raises(ParameterError, match="out of range for n=3"):
+            BipartiteGraph.from_edges(3, [(0, 1), pair])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,6 @@ def test_seed_validation_and_stream_arithmetic():
         RandomSeed(1, -2)
     s = RandomSeed(9, 3)
     assert s.shifted(4) == RandomSeed(9, 7)
-    assert s.with_stream(0) == RandomSeed(9, 0)
     # distinct purposes give independent substreams of one (seed, stream)
     a = s.generator(0).random(4)
     b = s.generator(1).random(4)

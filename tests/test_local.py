@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from bipbis import (CompatibilityViolation, ParameterError,
                     RandomSeed, Side, VertexId, apply_local_pair,
-                    concentration_probe, constant_pair, draw_labels,
+                    constant_pair, draw_labels,
                     estimate_gw_expectation, gamma_balanced_value, gamma_trim,
                     pair_decisions, random_threshold_pair,
                     sample_bipartite_graph)
+from bipbis.experiments import ExperimentConfig, sweep
 from bipbis.local import GaltonWatsonTree, VertexLabels
 from conftest import (ball_decisions, brute_trim_best, csr_argsort, edge_list_graphs,
                       graph_from_edges, segment_min_exceeds, subset_of)
@@ -288,22 +289,29 @@ def test_gw_tree_sampling_shape():
 
 
 def test_concentration_constant_pair_has_zero_variance():
-    rows = concentration_probe(constant_pair(0, 1), [60], d=3,
-                               trials_per_n=30, seed=RandomSeed(16))
-    assert rows[0].var_l_over_n == 0.0 and rows[0].var_r_over_n == 0.0
+    # (0, 1) selects none of L and all of R on every graph
+    for t in range(30):
+        s = RandomSeed(16, t)
+        sub = apply_local_pair(sample_bipartite_graph(60, 3, s), constant_pair(0, 1), s)
+        assert (sub.count_l, sub.count_r) == (0, 60)
 
 
 def test_concentration_p0_deterministic_l_side():
-    rows = concentration_probe(random_threshold_pair(0.0), [60], d=3,
-                               trials_per_n=30, seed=RandomSeed(17))
-    assert rows[0].var_l_over_n == 0.0
+    for t in range(30):
+        s = RandomSeed(17, t)
+        sub = apply_local_pair(sample_bipartite_graph(60, 3, s), random_threshold_pair(0.0), s)
+        assert sub.count_l == 0
 
 
 def test_concentration_stays_bounded_across_scales():
-    rows = concentration_probe(random_threshold_pair(0.1), [1000, 10_000, 100_000],
-                               d=10, trials_per_n=30, seed=RandomSeed(18))
-    for col in ("var_l_over_n", "var_r_over_n"):
-        vals = [getattr(r, col) for r in rows]
+    # the per-side count variances over n, from the rows of
+    # sweep local --grid n=1000,10000,100000 --d 10 --p 0.1 --trials 30 --seed 18
+    ns = [1000, 10_000, 100_000]
+    config = ExperimentConfig("local", {"d": 10, "p": 0.1, "trials": 30, "seed": 18,
+                                        "workers": 1})
+    rows = np.array([row[:7] for row in sweep(config, {"n": ns}).rows]).reshape(3, 30, 7)
+    for col in (5, 6):  # count_l, count_r
+        vals = [float(cell[:, col].var(ddof=1) / n) for cell, n in zip(rows, ns)]
         assert max(vals) / min(vals) < 3.0, (col, vals)
 
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
                     ParameterError, RandomSeed, StabilityConfig,
                     balance_inequality_probe, build_interpolation_path,
-                    check_overlap_chain, coordinate_at_step,
-                    detect_bad_steps, draw_labels, greedy_overlap_chain,
+                    check_overlap_chain, detect_bad_steps, draw_labels, greedy_overlap_chain,
                     left_indicator_polynomial, linear_blocking_polynomial,
                     profile_violates_balance_inequality, random_threshold_pair,
                     round_polynomial, sample_bipartite_graph, stability_trial,
                     validate_graph, walk_rounded_subsets)
+from bipbis import ogp
 from conftest import (bad_steps_materialized, flips_argsort, graph_from_edges, resample_draws,
                       subset_of)
 
@@ -31,11 +31,13 @@ def small_path(n=6, d=2.0, T=None, seed=7):
 
 
 def test_coordinate_schedule_is_cyclic():
+    # step t resamples the 0-based edge coordinate (t - 1) mod n^2
     for n in (2, 5, 9):
         m = n * n
-        assert coordinate_at_step(n, 1) == 1
-        assert coordinate_at_step(n, m) == m
-        assert coordinate_at_step(n, m + 1) == 1
+        path = small_path(n=n, d=1.5, T=2 * m + 3, seed=n)
+        steps, l, r, _ = path.flips
+        assert steps[-1] > m  # the schedule wraps past the first sweep
+        assert np.array_equal(l * n + r, (steps - 1) % m)
 
 
 def test_zero_length_path_is_base():
@@ -266,12 +268,13 @@ def test_stability_trial_wrapped_local_pair_beats_floor():
     assert report.above_floor
 
 
-def test_stability_trial_warns_on_large_step_budget():
+def test_stability_trial_warns_on_large_step_budget(monkeypatch):
+    monkeypatch.setattr(ogp, "_STEP_BUDGET", 10)
     with pytest.warns(UserWarning):
         stability_trial(
             lambda s: linear_blocking_polynomial(8, 3, s),
             n=8, d=2, gamma_steps=1, c=0.5, degree=1, trials=2,
-            seed=RandomSeed(62), step_budget=10)
+            seed=RandomSeed(62))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +460,6 @@ def test_chain_checker_accepts_valid_synthetic_chain():
     s1 = subset_of(range(need_dense), range(need_dense))
     s2 = subset_of(range(need_dense + fresh), range(need_dense))
     report = check_overlap_chain([s1, s2], [0, 4], path, params)
-    assert report.present
     assert report.conditions_bitmask() == 7
 
 
