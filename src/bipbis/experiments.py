@@ -28,8 +28,7 @@ from .exact import max_gamma_balanced_is
 from .graph import (_INT64_MAX, _check_vertex_count, _text_blocks, read_graph_text,
                     sample_bipartite_graph)
 from .local import apply_local_pair, gamma_trim, random_threshold_pair
-from .lowdeg import (linear_blocking_polynomial, norm_second_moment,
-                     round_polynomial)
+from .lowdeg import blocking_norm_estimate, linear_blocking_polynomial, round_polynomial
 from .ogp import (OverlapChainParams, StabilityConfig, build_interpolation_path,
                   check_overlap_chain, detect_bad_steps, greedy_overlap_chain,
                   walk_rounded_subsets)
@@ -171,6 +170,14 @@ def _exponent_point(name, v, p):
     _must(p["c"] > 0 and v > 1, "exponent requires c > 0 and d > 1")
 
 
+def _distinct_files(name, v, p):
+    # an output would overwrite the input or another output without a word;
+    # each file parameter checks the ones resolved before it
+    for other in ("graph", "record", "csv", "out"):
+        _must(p.get(other) is None or os.path.realpath(p[other]) != os.path.realpath(v),
+              f"{name} {v!r} names the same file as {other} {p.get(other)!r}")
+
+
 def _output_file(name, v, p):
     # a destination that cannot be written fails here, before the run's work
     directory = os.path.dirname(os.path.abspath(v))
@@ -178,9 +185,7 @@ def _output_file(name, v, p):
           and not os.path.isdir(v),
           f"{name} {v!r} cannot be written: its directory is missing or not writable, "
           f"or it is a directory")
-    for other in ("record", "csv", "out"):
-        _must(p.get(other) is None or os.path.realpath(p[other]) != os.path.realpath(v),
-              f"{name} {v!r} names the same file as {other} {p.get(other)!r}")
+    _distinct_files(name, v, p)
 
 
 _RUN_PARAMS = (
@@ -204,7 +209,8 @@ _GAMMA = Param("gamma", float, 0.5, _balance, "balance parameter (default 0.5)")
 PARAMS: dict[str, tuple[Param, ...]] = {
     "sample": (_N, _D, Param("out", str, REQUIRED, _output_file, "output path for the graph text file")),
     "exact": (
-        Param("graph", str, REQUIRED, None, "graph text file (header 'n m', then 'l r' lines)"),
+        Param("graph", str, REQUIRED, _distinct_files,
+              "graph text file (header 'n m', then 'l r' lines)"),
         _GAMMA,
         Param("limit", int, 32, _at_least(1), "per-side capacity limit (default 32)"),
     ),
@@ -443,10 +449,8 @@ def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], di
     trial_params = {**params, "stream": params["stream"] + cell * params["trials"]}
     if command == "ogp":
         norm_stream = params["stream"] + AUX_STREAM_OFFSET + NORM_TRIALS * cell
-        mean, _ = norm_second_moment(
-            lambda s: linear_blocking_polynomial(params["n"], params["k_l"], s),
-            params["n"], params["d"], trials=NORM_TRIALS,
-            seed=RandomSeed(params["seed"], norm_stream))
+        mean, _ = blocking_norm_estimate(params["n"], params["d"], params["k_l"], NORM_TRIALS,
+                                         RandomSeed(params["seed"], norm_stream))
         trial_params["_norm_estimate"] = mean
         outputs["norm_estimate"] = mean
     return _run_trials(command, trial_params), outputs

@@ -290,15 +290,20 @@ def _bernoulli_coordinates(m: int, p: float, rng: np.random.Generator) -> np.nda
         chunks.append(steps)
 
 
-def sample_bipartite_graph(n: int, d: float, seed: RandomSeed) -> BipartiteGraph:
-    """Sample the random bipartite graph with each L-R pair present independently
-    with probability d/n, deterministically given (n, d, seed)."""
+def sample_edge_coordinates(n: int, d: float, rng: np.random.Generator) -> np.ndarray:
+    """The sorted edge coordinates l*n + r of the random bipartite graph with
+    each L-R pair present independently with probability d/n, drawn from
+    ``rng``, a seed's GRAPH_DRAW generator."""
     _check_vertex_count(n)
     if not (0.0 < d < n):
         raise ParameterError(f"d must satisfy 0 < d < n (edge probability d/n in (0,1)), got d={d}, n={n}")
-    rng = seed.generator(GRAPH_DRAW)
-    coords = _bernoulli_coordinates(n * n, d / n, rng)
-    return BipartiteGraph(n, coords)
+    return _bernoulli_coordinates(n * n, d / n, rng)
+
+
+def sample_bipartite_graph(n: int, d: float, seed: RandomSeed) -> BipartiteGraph:
+    """Sample the random bipartite graph with each L-R pair present independently
+    with probability d/n, deterministically given (n, d, seed)."""
+    return BipartiteGraph(n, sample_edge_coordinates(n, d, seed.generator(GRAPH_DRAW)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 
 from .balance import VertexSubset, pack_bits
 from .errors import ParameterError
-from .graph import BipartiteGraph, sample_bipartite_graph
-from .rng import POLY_DRAW, RandomSeed
+from .graph import BipartiteGraph, sample_bipartite_graph, sample_edge_coordinates
+from .rng import GRAPH_DRAW, POLY_DRAW, RandomSeed
 
 # Comparisons against eta*n get this much slack so a float-boundary eta*n
 # can never flip an integer count across the threshold.
@@ -68,12 +68,17 @@ class LinearBlockingPolynomial:
         return ()
 
 
-def linear_blocking_polynomial(n: int, k_l: int, seed: RandomSeed) -> LinearBlockingPolynomial:
-    """Pick the selected L-subset by a seeded shuffle, independent of any graph."""
+def choose_blocking_subset(n: int, k_l: int, rng: np.random.Generator) -> np.ndarray:
+    """The sorted k_l-subset of L that the linear blocking polynomial selects,
+    by a shuffle drawn from ``rng``, a seed's POLY_DRAW generator."""
     if not (0 <= k_l <= n):
         raise ParameterError(f"k_l must lie in [0, n], got k_l={k_l}, n={n}")
-    rng = seed.generator(POLY_DRAW)
-    chosen = np.sort(rng.permutation(n)[:k_l])
+    return np.sort(rng.permutation(n)[:k_l])
+
+
+def linear_blocking_polynomial(n: int, k_l: int, seed: RandomSeed) -> LinearBlockingPolynomial:
+    """Pick the selected L-subset by a seeded shuffle, independent of any graph."""
+    chosen = choose_blocking_subset(n, k_l, seed.generator(POLY_DRAW))
     chosen.setflags(write=False)
     return LinearBlockingPolynomial(n=n, chosen_l=chosen)
 
@@ -236,6 +241,18 @@ def check_optimization(
     )
 
 
+def _check_norm_trials(trials: int) -> None:
+    if trials < 30:
+        raise ParameterError("trials must be >= 30 for the normal approximation")
+
+
+def _mean_and_ci(norms: np.ndarray) -> tuple[float, float]:
+    """The mean of the sampled squared norms and its normal-approximation 95%
+    half-width."""
+    return (float(norms.mean()),
+            float(1.96 * norms.std(ddof=1) / math.sqrt(norms.size)))
+
+
 def norm_second_moment(
     polynomial,
     n: int,
@@ -244,9 +261,29 @@ def norm_second_moment(
     seed: RandomSeed,
 ) -> tuple[float, float]:
     """Empirical E||f(A)||^2 with a normal-approximation 95% half-width."""
-    if trials < 30:
-        raise ParameterError("trials must be >= 30 for the normal approximation")
-    norms = np.array([norm for _, _, norm in _evaluations(polynomial, n, d, trials, seed)])
-    mean = float(norms.mean())
-    ci = float(1.96 * norms.std(ddof=1) / math.sqrt(trials))
-    return mean, ci
+    _check_norm_trials(trials)
+    return _mean_and_ci(np.array([norm for _, _, norm in _evaluations(polynomial, n, d, trials, seed)]))
+
+
+def blocking_norm_estimate(n: int, d: float, k_l: int, trials: int,
+                           seed: RandomSeed) -> tuple[float, float]:
+    """``norm_second_moment`` of ``lambda s: linear_blocking_polynomial(n,
+    k_l, s)``, read from each trial's edge coordinates and chosen subset
+    without building a graph or a polynomial.
+
+    On a graph, ||f||^2 = k_l + sum_r (1 - c_r)^2, where c_r counts r's
+    chosen neighbours. Every term is an integer, so the sum is exact in any
+    order (while below 2^53) and equals ``values @ values``; the estimate is
+    the same double.
+    """
+    _check_norm_trials(trials)
+    norms = np.empty(trials)
+    chosen = np.zeros(n, dtype=bool)
+    for t, (graph_rng, poly_rng) in enumerate(zip(seed.generators(GRAPH_DRAW, trials),
+                                                  seed.generators(POLY_DRAW, trials))):
+        chosen[:] = False
+        chosen[choose_blocking_subset(n, k_l, poly_rng)] = True
+        coords = sample_edge_coordinates(n, d, graph_rng)
+        free = 1 - np.bincount(coords[chosen[coords // n]] % n, minlength=n)
+        norms[t] = k_l + int(free @ free)
+    return _mean_and_ci(norms)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import experiments, linear_blocking_polynomial, stability_trial
+from bipbis import experiments, linear_blocking_polynomial, norm_second_moment, stability_trial
 from bipbis.cli import main
 from bipbis.errors import ParameterError
 from bipbis.experiments import (PARAMS, SCHEMAS, TRIAL_COMMANDS, ExperimentConfig,
@@ -267,6 +267,35 @@ def test_two_outputs_naming_one_file_fail_before_any_work(capsys, tmp_path, monk
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "absolute", "symlink"])
+def test_an_output_naming_the_input_graph_fails_before_any_work(capsys, tmp_path, monkeypatch,
+                                                                spelling):
+    # the record would replace the graph it was read from
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "sample", "--n", "12", "--d", "2", "--out", "g.txt")
+    assert code == 0
+    before = (tmp_path / "g.txt").read_bytes()
+    os.symlink("g.txt", "link.txt")
+    record = {"same": "g.txt", "dotted": "./g.txt", "absolute": str(tmp_path / "g.txt"),
+              "symlink": "link.txt"}[spelling]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were checked")
+
+    monkeypatch.setattr(experiments, "_execute", no_work)
+    code, out, err = run_cli(capsys, "exact", "--graph", "g.txt", "--record", record)
+    assert code == 1 and out == ""
+    assert "names the same file as record" in assert_one_error_line(err)
+    # the same from a config file
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"graph": "g.txt", "record": record}))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert "names the same file as record" in assert_one_error_line(err)
+    assert (tmp_path / "g.txt").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "g.txt", "link.txt"]
+
+
 # ---------------------------------------------------------------------------
 # config files and errors
 # ---------------------------------------------------------------------------
@@ -326,7 +355,7 @@ def test_side_targets_are_range_checked_before_work(capsys, tmp_path, monkeypatc
     def no_estimate(*args, **kwargs):
         raise AssertionError("the norm estimate ran before k_l was checked")
 
-    monkeypatch.setattr(experiments, "norm_second_moment", no_estimate)
+    monkeypatch.setattr(experiments, "blocking_norm_estimate", no_estimate)
     for k_l in (-1, 9):
         cfg.write_text(json.dumps({"n": 8, "d": 2, "epsilon": 0.6, "k_l": k_l, "trials": 1}))
         code, _, err = run_cli(capsys, "ogp", "--config", str(cfg))
@@ -608,7 +637,7 @@ def test_ogp_sweep_cells_estimate_the_norm_on_streams_of_their_own():
     assert cells[0]["norm_estimate"] == single.outputs["norm_estimate"]
     k_l = experiments.resolve_params("ogp", raw)["k_l"]
     block = RandomSeed(3, 5 + AUX_STREAM_OFFSET + 30)
-    mean, _ = experiments.norm_second_moment(
+    mean, _ = norm_second_moment(
         lambda s: linear_blocking_polynomial(8, k_l, s), 8, 2.0, trials=30, seed=block)
     assert cells[1]["norm_estimate"] == mean != cells[0]["norm_estimate"]
 
@@ -670,7 +699,7 @@ def test_trial_streams_stay_below_the_auxiliary_streams(monkeypatch):
         raise AssertionError("work started before the stream count was checked")
 
     monkeypatch.setitem(experiments._TRIAL_BODIES, "ogp", no_work)
-    monkeypatch.setattr(experiments, "norm_second_moment", no_work)
+    monkeypatch.setattr(experiments, "blocking_norm_estimate", no_work)
     raw = {"n": 4, "d": 2, "epsilon": 0.6, "workers": 1}
     with pytest.raises(ParameterError, match="trials must be below"):
         experiments.run_experiment(ExperimentConfig("ogp", {**raw, "trials": AUX_STREAM_OFFSET}))

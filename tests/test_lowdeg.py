@@ -7,6 +7,8 @@ from bipbis import (ParameterError, RandomSeed, check_optimization,
                     is_independent, left_indicator_polynomial,
                     linear_blocking_polynomial, norm_second_moment,
                     round_polynomial, sample_bipartite_graph)
+from bipbis.lowdeg import blocking_norm_estimate
+from bipbis.rng import AUX_STREAM_OFFSET, NORM_TRIALS
 from conftest import chosen_neighbor_counts, edge_list_graphs, graph_from_edges
 
 
@@ -238,6 +240,36 @@ def test_norm_second_moment_matches_binomial_oracle():
     pmf = scipy_stats.binom.pmf(ns, k_l, d / n)
     oracle = k_l + n * float(np.sum((1.0 - ns) ** 2 * pmf))
     assert abs(mean - oracle) <= ci
+
+
+@st.composite
+def blocking_cases(draw):
+    n = draw(st.integers(2, 120))
+    d = draw(st.floats(0.05, min(n - 0.05, 12.0), allow_nan=False))
+    k_l = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    seed = draw(st.sampled_from([0, 1, 9, (1 << 64) - 1]))
+    # a block inside one word count, one crossing 2^32, and the ogp command's own
+    stream = draw(st.sampled_from([0, (1 << 32) - 7, AUX_STREAM_OFFSET + 30 * 4]))
+    trials = draw(st.sampled_from([NORM_TRIALS, 33]))
+    return n, d, k_l, trials, RandomSeed(seed, stream)
+
+
+@given(blocking_cases())
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_blocking_norm_estimate_equals_the_generic_estimate(case):
+    n, d, k_l, trials, seed = case
+    oracle = norm_second_moment(lambda s: linear_blocking_polynomial(n, k_l, s), n, d,
+                                trials=trials, seed=seed)
+    assert blocking_norm_estimate(n, d, k_l, trials, seed) == oracle
+
+
+def test_blocking_norm_estimate_checks_like_the_generic_estimate():
+    with pytest.raises(ParameterError, match="trials must be >= 30"):
+        blocking_norm_estimate(10, 2.0, 3, 29, RandomSeed(1))
+    with pytest.raises(ParameterError, match="k_l must lie in"):
+        blocking_norm_estimate(10, 2.0, 11, 30, RandomSeed(1))
+    with pytest.raises(ParameterError, match="d must satisfy"):
+        blocking_norm_estimate(10, 10.0, 3, 30, RandomSeed(1))
 
 
 def test_factory_polynomials_get_per_trial_seeds():
