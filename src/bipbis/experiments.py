@@ -449,7 +449,7 @@ def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], di
     trial_params = {**params, "stream": params["stream"] + cell * params["trials"]}
     if command == "ogp":
         norm_stream = params["stream"] + AUX_STREAM_OFFSET + NORM_TRIALS * cell
-        mean, _ = blocking_norm_estimate(params["n"], params["d"], params["k_l"], NORM_TRIALS,
+        mean, _ = blocking_norm_estimate(params["n"], params["d"], params["k_l"],
                                          RandomSeed(params["seed"], norm_stream))
         trial_params["_norm_estimate"] = mean
         outputs["norm_estimate"] = mean

@@ -21,7 +21,7 @@ import numpy as np
 from .balance import VertexSubset, pack_bits
 from .errors import ParameterError
 from .graph import BipartiteGraph, sample_bipartite_graph, sample_edge_coordinates
-from .rng import GRAPH_DRAW, POLY_DRAW, RandomSeed
+from .rng import GRAPH_DRAW, NORM_TRIALS, POLY_DRAW, RandomSeed
 
 # Comparisons against eta*n get this much slack so a float-boundary eta*n
 # can never flip an integer count across the threshold.
@@ -241,11 +241,6 @@ def check_optimization(
     )
 
 
-def _check_norm_trials(trials: int) -> None:
-    if trials < 30:
-        raise ParameterError("trials must be >= 30 for the normal approximation")
-
-
 def _mean_and_ci(norms: np.ndarray) -> tuple[float, float]:
     """The mean of the sampled squared norms and its normal-approximation 95%
     half-width."""
@@ -261,26 +256,25 @@ def norm_second_moment(
     seed: RandomSeed,
 ) -> tuple[float, float]:
     """Empirical E||f(A)||^2 with a normal-approximation 95% half-width."""
-    _check_norm_trials(trials)
+    if trials < 30:
+        raise ParameterError("trials must be >= 30 for the normal approximation")
     return _mean_and_ci(np.array([norm for _, _, norm in _evaluations(polynomial, n, d, trials, seed)]))
 
 
-def blocking_norm_estimate(n: int, d: float, k_l: int, trials: int,
-                           seed: RandomSeed) -> tuple[float, float]:
+def blocking_norm_estimate(n: int, d: float, k_l: int, seed: RandomSeed) -> tuple[float, float]:
     """``norm_second_moment`` of ``lambda s: linear_blocking_polynomial(n,
-    k_l, s)``, read from each trial's edge coordinates and chosen subset
-    without building a graph or a polynomial.
+    k_l, s)`` over NORM_TRIALS trials, read from each trial's edge
+    coordinates and chosen subset without building a graph or a polynomial.
 
     On a graph, ||f||^2 = k_l + sum_r (1 - c_r)^2, where c_r counts r's
     chosen neighbours. Every term is an integer, so the sum is exact in any
     order (while below 2^53) and equals ``values @ values``; the estimate is
     the same double.
     """
-    _check_norm_trials(trials)
-    norms = np.empty(trials)
+    norms = np.empty(NORM_TRIALS)
     chosen = np.zeros(n, dtype=bool)
-    for t, (graph_rng, poly_rng) in enumerate(zip(seed.generators(GRAPH_DRAW, trials),
-                                                  seed.generators(POLY_DRAW, trials))):
+    for t, (graph_rng, poly_rng) in enumerate(zip(seed.generators(GRAPH_DRAW, NORM_TRIALS),
+                                                  seed.generators(POLY_DRAW, NORM_TRIALS))):
         chosen[:] = False
         chosen[choose_blocking_subset(n, k_l, poly_rng)] = True
         coords = sample_edge_coordinates(n, d, graph_rng)

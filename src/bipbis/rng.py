@@ -141,8 +141,14 @@ def _philox_keys(seed: int, stream: int, count: int, purpose: int) -> np.ndarray
 @functools.cache
 def _key_sequence() -> type:
     """The type of a key-only seed sequence, which gives a Philox the one
-    thing it asks of its seed sequence: its 2-word key. It is built on first
-    use, so that importing bipbis does not import numpy.random."""
+    thing it asks of its seed sequence: its 2-word key.
+
+    It is built on first use because its base class lives in numpy.random,
+    which numpy 2 loads only on first access: a module-level import would add
+    numpy.random's import, about 18 ms on a 2-CPU host against about 80 ms for
+    the rest of ``import bipbis``, to the import time of every program,
+    including those that draw nothing. On numpy 1.x ``import numpy`` loads
+    numpy.random anyway, and this saves nothing."""
     from numpy.random.bit_generator import ISeedSequence
 
     class PhiloxKey(ISeedSequence):

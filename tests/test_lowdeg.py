@@ -250,26 +250,23 @@ def blocking_cases(draw):
     seed = draw(st.sampled_from([0, 1, 9, (1 << 64) - 1]))
     # a block inside one word count, one crossing 2^32, and the ogp command's own
     stream = draw(st.sampled_from([0, (1 << 32) - 7, AUX_STREAM_OFFSET + 30 * 4]))
-    trials = draw(st.sampled_from([NORM_TRIALS, 33]))
-    return n, d, k_l, trials, RandomSeed(seed, stream)
+    return n, d, k_l, RandomSeed(seed, stream)
 
 
 @given(blocking_cases())
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 def test_blocking_norm_estimate_equals_the_generic_estimate(case):
-    n, d, k_l, trials, seed = case
+    n, d, k_l, seed = case
     oracle = norm_second_moment(lambda s: linear_blocking_polynomial(n, k_l, s), n, d,
-                                trials=trials, seed=seed)
-    assert blocking_norm_estimate(n, d, k_l, trials, seed) == oracle
+                                trials=NORM_TRIALS, seed=seed)
+    assert blocking_norm_estimate(n, d, k_l, seed) == oracle
 
 
 def test_blocking_norm_estimate_checks_like_the_generic_estimate():
-    with pytest.raises(ParameterError, match="trials must be >= 30"):
-        blocking_norm_estimate(10, 2.0, 3, 29, RandomSeed(1))
     with pytest.raises(ParameterError, match="k_l must lie in"):
-        blocking_norm_estimate(10, 2.0, 11, 30, RandomSeed(1))
+        blocking_norm_estimate(10, 2.0, 11, RandomSeed(1))
     with pytest.raises(ParameterError, match="d must satisfy"):
-        blocking_norm_estimate(10, 10.0, 3, 30, RandomSeed(1))
+        blocking_norm_estimate(10, 10.0, 3, RandomSeed(1))
 
 
 def test_factory_polynomials_get_per_trial_seeds():
