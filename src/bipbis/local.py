@@ -20,6 +20,7 @@ from .balance import (VertexSubset, check_gamma, independence_violation, lowest_
                       max_balanced_pair, pack_bits)
 from .errors import CapacityError, CompatibilityViolation, ParameterError
 from .graph import BipartiteGraph, Neighborhood, Side, VertexId
+from .lowdeg import FlipTracker
 from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed
 
 DecideFn = Callable[[Neighborhood, np.ndarray], int]
@@ -61,7 +62,8 @@ def draw_labels(n: int, seed: RandomSeed) -> VertexLabels:
 @dataclass(frozen=True)
 class LocalFunctionPair:
     """Radius plus, per side, a ball decider and the vectorised decider that
-    computes it for every vertex at once.
+    computes it for every vertex at once; ``track(base, labels)`` opens the
+    tracker of the 2n decisions (L block first) along a path from ``base``.
 
     Compatibility (the outputs always form an independent set) is a semantic
     property; ``apply_local_pair`` re-verifies it on every application.
@@ -72,6 +74,7 @@ class LocalFunctionPair:
     decide_r: DecideFn
     bulk_decide_l: BulkDecideFn
     bulk_decide_r: BulkDecideFn
+    track: Callable[[BipartiteGraph, "VertexLabels"], FlipTracker]
 
     def __post_init__(self):
         if self.radius < 0:
@@ -84,6 +87,8 @@ def pair_decisions(
     labels: VertexLabels,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boolean decision vectors (L side, R side), without verification."""
+    if labels.n != graph.n:
+        raise ParameterError(f"labels drawn for n={labels.n}, graph has n={graph.n}")
     sel_l = np.asarray(pair.bulk_decide_l(graph, labels), dtype=bool)
     sel_r = np.asarray(pair.bulk_decide_r(graph, labels), dtype=bool)
     return sel_l, sel_r
@@ -136,7 +141,21 @@ def random_threshold_pair(p: float) -> LocalFunctionPair:
         blocked[graph.er[low[graph.el]]] = True
         return ~blocked
 
-    return LocalFunctionPair(1, decide_l, decide_r, bulk_l, bulk_r)
+    def track(base: BipartiteGraph, labels: VertexLabels) -> FlipTracker:
+        # each R vertex's count of low neighbours (labels at most p); r's
+        # decision flips when an add lifts its count to 1 or a removal drops it to 0
+        low = labels.l <= p
+        is_low, n = low.tolist(), base.n
+        count = np.bincount(base.er[low[base.el]], minlength=n).tolist()
+
+        def flip(l: int, r: int, added: bool) -> tuple[tuple[int, float], ...]:
+            if not is_low[l]:
+                return ()
+            count[r] += 1 if added else -1
+            return ((n + r, -1.0 if added else 1.0),) if count[r] == added else ()
+        return flip
+
+    return LocalFunctionPair(1, decide_l, decide_r, bulk_l, bulk_r, track)
 
 
 def constant_pair(value_l: int, value_r: int) -> LocalFunctionPair:
@@ -152,7 +171,8 @@ def constant_pair(value_l: int, value_r: int) -> LocalFunctionPair:
     def mk_bulk(v):
         return lambda graph, labels: np.full(graph.n, bool(v))
 
-    return LocalFunctionPair(0, mk(value_l), mk(value_r), mk_bulk(value_l), mk_bulk(value_r))
+    return LocalFunctionPair(0, mk(value_l), mk(value_r), mk_bulk(value_l), mk_bulk(value_r),
+                             lambda base, labels: lambda l, r, added: ())
 
 
 # ---------------------------------------------------------------------------

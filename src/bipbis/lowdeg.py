@@ -1,10 +1,10 @@
 """Degree-bounded polynomial algorithms over the edge-indicator vector.
 
-A polynomial here is any object with ``n``, ``degree`` and
-``evaluate(graph) -> ndarray of shape (2n,)`` (L block first). A polynomial
-may also give a flip rule, ``flip_rule(l, r, added)``: the outputs that
-adding (or removing) the edge (l, r) changes, as exact (index, change)
-pairs. Path probes walk with it instead of re-evaluating. The rounding
+A polynomial here is any object with ``n`` and ``evaluate(graph)``, an
+ndarray of shape (2n,) (L block first). The path probes walk with its
+tracker, ``track(base) -> flip``: called in path order from the graph
+``base``, ``flip(l, r, added)`` returns the exact (index, change) pairs of
+the outputs that adding (or removing) the edge (l, r) changes. The rounding
 procedure thresholds at 1, drops vertices with a selected neighbor, and fails
 when the number of dropped vertices plus values strictly between 1/2 and 1
 exceeds eta * n.
@@ -26,6 +26,7 @@ from .rng import GRAPH_DRAW, NORM_TRIALS, POLY_DRAW, RandomSeed
 # Comparisons against eta*n get this much slack so a float-boundary eta*n
 # can never flip an integer count across the threshold.
 ETA_TOLERANCE = 1e-9
+FlipTracker = Callable[[int, int, bool], tuple]
 
 
 def check_polynomial_output(values: np.ndarray, n: int) -> np.ndarray:
@@ -45,11 +46,6 @@ class LinearBlockingPolynomial:
 
     n: int
     chosen_l: np.ndarray  # sorted indices, |chosen_l| = k_l
-    degree: int = 1
-
-    def __post_init__(self):
-        # the flip rule's membership test, kept out of the dataclass fields
-        object.__setattr__(self, "_chosen", frozenset(self.chosen_l.tolist()))
 
     def evaluate(self, graph: BipartiteGraph) -> np.ndarray:
         if graph.n != self.n:
@@ -61,11 +57,10 @@ class LinearBlockingPolynomial:
         values[self.n:] = 1.0 - np.bincount(graph.er[mask[graph.el]], minlength=self.n)
         return values
 
-    def flip_rule(self, l: int, r: int, added: bool) -> tuple[tuple[int, float], ...]:
+    def track(self, base: BipartiteGraph) -> FlipTracker:
         """Only the R value of r moves, by one, and only if l is chosen."""
-        if l in self._chosen:
-            return ((self.n + r, -1.0 if added else 1.0),)
-        return ()
+        chosen, n = frozenset(self.chosen_l.tolist()), self.n
+        return lambda l, r, added: ((n + r, -1.0 if added else 1.0),) if l in chosen else ()
 
 
 def choose_blocking_subset(n: int, k_l: int, rng: np.random.Generator) -> np.ndarray:
@@ -88,7 +83,6 @@ class LeftIndicatorPolynomial:
     """Degree-0 constant vector: 1 on every L vertex, 0 on every R vertex."""
 
     n: int
-    degree: int = 0
 
     def evaluate(self, graph: BipartiteGraph) -> np.ndarray:
         if graph.n != self.n:
@@ -97,8 +91,8 @@ class LeftIndicatorPolynomial:
         values[: self.n] = 1.0
         return values
 
-    def flip_rule(self, l: int, r: int, added: bool) -> tuple[tuple[int, float], ...]:
-        return ()
+    def track(self, base: BipartiteGraph) -> FlipTracker:
+        return lambda l, r, added: ()
 
 
 def left_indicator_polynomial(n: int) -> LeftIndicatorPolynomial:

@@ -7,9 +7,8 @@ original random graph and any m consecutive steps refresh every coordinate.
 Paths are stored as their flips, the steps that change the graph; a step's
 graph is materialized by replaying the flips up to it over the base. Probes
 walk a path forward once, applying each flip to a mutable adjacency and
-updating the polynomial and its rounding locally; whole graphs are
-materialized only for the chain checker and, at flip steps, for a function
-without a flip rule.
+updating the function through its tracker and its rounding locally; whole
+graphs are materialized only for the chain checker.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import ParameterError
 from .exact import pareto_profile
 from .graph import BipartiteGraph, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
-from .lowdeg import _as_factory, check_polynomial_output, norm_second_moment, rounding_fails
+from .lowdeg import FlipTracker, _as_factory, check_polynomial_output, norm_second_moment, rounding_fails
 from .rng import AUX_STREAM_OFFSET, NORM_TRIALS, RESAMPLE_DRAW, RandomSeed, check_trial_streams
 from .stats import wilson_interval
 
@@ -147,25 +146,21 @@ def detect_bad_steps(f, path: InterpolationPath, config: StabilityConfig) -> lis
     """Steps t whose single-coordinate flip moves f by at least
     c * norm_estimate in squared norm. Exact, no sampling within a step.
 
-    One pass over the path's flips: a step that changes no edge moves nothing
-    and is never bad, as the threshold is positive. A flip's move comes from
-    the polynomial's flip rule when it has one; otherwise f is evaluated on
-    the materialized graph of each flip step.
+    One pass over f's tracker along the path's flips: a step that changes no
+    edge moves nothing and is never bad, as the threshold is positive.
     """
     threshold = config.badness_threshold
-    steps, ls, rs, added = (a.tolist() for a in path.flips)
-    if hasattr(f, "flip_rule"):
-        return [t for t, l, r, a in zip(steps, ls, rs, added)
-                if sum(dv * dv for _, dv in f.flip_rule(l, r, a)) >= threshold]
-    bad: list[int] = []
-    prev = check_polynomial_output(f.evaluate(path.base), path.n)
-    for t in steps:
-        cur = check_polynomial_output(f.evaluate(path.materialize(t)), path.n)
-        diff = cur - prev
-        if float(diff @ diff) >= threshold:
-            bad.append(t)
-        prev = cur
-    return bad
+    flip, _ = _tracker(f, path)
+    return [t for t, l, r, added in zip(*(a.tolist() for a in path.flips))
+            if sum(dv * dv for _, dv in flip(l, r, added)) >= threshold]
+
+
+def _tracker(f, path: InterpolationPath) -> tuple[FlipTracker, np.ndarray]:
+    """f's tracker opened on the path's base graph, and f's checked values there."""
+    if not hasattr(f, "track"):
+        raise ParameterError(f"{type(f).__name__} has no tracker to walk a path with")
+    values = check_polynomial_output(f.evaluate(path.base), path.n)
+    return f.track(path.base), values
 
 
 def walk_rounded_subsets(f, path: InterpolationPath, eta: float) -> Iterator[VertexSubset]:
@@ -174,7 +169,7 @@ def walk_rounded_subsets(f, path: InterpolationPath, eta: float) -> Iterator[Ver
     keeps, or EMPTY_SUBSET where that rounding fails.
 
     The path is walked forward once. Each flip updates per-vertex neighbour
-    sets, the outputs named by ``f.flip_rule`` (whose changes must be exact),
+    sets, the outputs named by f's tracker (whose changes must be exact),
     each vertex's count of neighbours in I = {v : value >= 1}, and the running
     conflicted and fractional totals; a flip touches only l, r and the
     neighbours of a vertex that enters or leaves I. Steps without a flip
@@ -182,13 +177,11 @@ def walk_rounded_subsets(f, path: InterpolationPath, eta: float) -> Iterator[Ver
     """
     if eta < 0:
         raise ParameterError(f"eta must be non-negative, got {eta}")
-    if not hasattr(f, "flip_rule"):
-        raise ParameterError(f"{type(f).__name__} has no flip rule to walk a path with")
-    values = check_polynomial_output(f.evaluate(path.base), path.n)
-    return _walk(f, path, values.tolist(), eta)
+    flip, values = _tracker(f, path)
+    return _walk(flip, path, values.tolist(), eta)
 
 
-def _walk(f, path: InterpolationPath, values: list, eta: float) -> Iterator[VertexSubset]:
+def _walk(flip: FlipTracker, path: InterpolationPath, values: list, eta: float) -> Iterator[VertexSubset]:
     n = path.n
     # vertices are numbered as the polynomial's outputs: L is 0..n-1, R is n..2n-1
     adj: list[set] = [set() for _ in range(2 * n)]
@@ -236,7 +229,7 @@ def _walk(f, path: InterpolationPath, values: list, eta: float) -> Iterator[Vert
         if in_i[l]:
             count[w] += sign
             place(w)
-        for v, delta in f.flip_rule(l, r, added):
+        for v, delta in flip(l, r, added):
             old = values[v]
             new = values[v] = old + float(delta)
             frac += (0.5 < new < 1.0) - (0.5 < old < 1.0)
@@ -325,15 +318,13 @@ class LocalPairVectorFunction:
 
     pair: LocalFunctionPair
     labels: VertexLabels
-    degree: int = 1
-
-    @property
-    def n(self) -> int:
-        return self.labels.n
 
     def evaluate(self, graph: BipartiteGraph) -> np.ndarray:
         sel_l, sel_r = pair_decisions(graph, self.pair, self.labels)
         return np.concatenate([sel_l, sel_r]).astype(float)
+
+    def track(self, base: BipartiteGraph) -> FlipTracker:
+        return self.pair.track(base, self.labels)
 
 
 # ---------------------------------------------------------------------------

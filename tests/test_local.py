@@ -79,6 +79,14 @@ def test_threshold_pair_rejects_bad_p():
         random_threshold_pair(1.5)
 
 
+def test_decisions_refuse_labels_drawn_for_another_n():
+    g = sample_bipartite_graph(6, 2, RandomSeed(8))
+    for pair in (random_threshold_pair(0.3), constant_pair(0, 1)):
+        for other in (5, 7):
+            with pytest.raises(ParameterError):
+                pair_decisions(g, pair, draw_labels(other, RandomSeed(8)))
+
+
 def test_threshold_pair_always_compatible():
     rng = np.random.default_rng(99)
     for t in range(1000):

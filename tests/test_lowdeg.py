@@ -76,8 +76,8 @@ def test_chosen_set_is_seed_deterministic_and_graph_independent():
 
 def test_degree_discipline_under_single_coordinate_flips():
     # flipping one edge coordinate changes no L value and moves at most one
-    # R value, by at most 1; the flip rule names exactly the change that a
-    # full re-evaluation shows
+    # R value, by at most 1; a tracker opened on the graph names exactly the
+    # change that a full re-evaluation shows
     rng = np.random.default_rng(8)
     n = 12
     for f in (make_poly(n, 4, seed=21), left_indicator_polynomial(n)):
@@ -93,7 +93,7 @@ def test_degree_discipline_under_single_coordinate_flips():
             assert np.abs(delta).max() <= 1.0
             assert np.count_nonzero(delta) <= 1
             ruled = np.zeros(2 * n)
-            for index, change in f.flip_rule(l, r, (l, r) not in present):
+            for index, change in f.track(g)(l, r, (l, r) not in present):
                 ruled[index] += change
             assert np.array_equal(ruled, delta)
 
@@ -211,7 +211,6 @@ def test_left_indicator_optimizes_exactly():
 def test_all_zero_polynomial_never_succeeds():
     class Zero:
         n = 8
-        degree = 0
 
         def evaluate(self, graph):
             return np.zeros(16)

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
-                    ParameterError, RandomSeed, StabilityConfig,
+                    ParameterError, RandomSeed, StabilityConfig, StabilityReport,
                     balance_inequality_probe, build_interpolation_path,
-                    check_overlap_chain, detect_bad_steps, draw_labels, greedy_overlap_chain,
-                    left_indicator_polynomial, linear_blocking_polynomial,
+                    check_overlap_chain, constant_pair, detect_bad_steps, draw_labels,
+                    greedy_overlap_chain, left_indicator_polynomial, linear_blocking_polynomial,
                     profile_violates_balance_inequality, random_threshold_pair,
                     round_polynomial, sample_bipartite_graph, stability_trial,
                     validate_graph, walk_rounded_subsets)
@@ -148,8 +148,6 @@ def test_full_cycle_refreshes_every_coordinate():
 class SpikePolynomial:
     """n * indicator(first coordinate set): one flip can move the norm by n^2."""
 
-    degree = 1
-
     def __init__(self, n):
         self.n = n
 
@@ -158,6 +156,10 @@ class SpikePolynomial:
         values[0] = self.n * float(0 in graph.coords)
         return values
 
+    def track(self, base):
+        n = self.n
+        return lambda l, r, added: ((0, n if added else -n),) if l == r == 0 else ()
+
 
 def test_constant_function_has_no_bad_steps():
     path = small_path()
@@ -165,10 +167,12 @@ def test_constant_function_has_no_bad_steps():
 
     class Const:
         n = path.n
-        degree = 0
 
         def evaluate(self, graph):
             return np.ones(2 * path.n)
+
+        def track(self, base):
+            return lambda l, r, added: ()
 
     assert detect_bad_steps(Const(), path, config) == []
 
@@ -207,15 +211,14 @@ def test_incremental_and_full_detection_agree():
         assert fast == slow
 
 
-class WithoutFlipRule:
-    """A polynomial seen through n, degree and evaluate only, so that
-    detect_bad_steps evaluates it on the graphs of the flip steps."""
+class WithoutTracker:
+    """A polynomial seen through n and evaluate only."""
 
     def __init__(self, f):
-        self.n, self.degree, self.evaluate = f.n, f.degree, f.evaluate
+        self.n, self.evaluate = f.n, f.evaluate
 
 
-def test_evaluating_at_flips_matches_the_flip_rule_and_every_step():
+def test_tracked_detection_matches_every_step_and_both_probes_need_a_tracker():
     # weights of 1/4 move a flip by 1/8 and weights of 1/2 by 1/2, so a
     # threshold of 1/5 makes some flips bad and others not
     rng = np.random.default_rng(9)
@@ -226,14 +229,18 @@ def test_evaluating_at_flips_matches_the_flip_rule_and_every_step():
         seed = RandomSeed(int(rng.integers(0, 2**31)))
         path = build_interpolation_path(sample_bipartite_graph(n, 1.5, seed), 2 * n * n, 1.5, seed)
         f = DyadicLinearPolynomial(n, int(rng.integers(0, 2**31)))
-        wrapped = WithoutFlipRule(f)
-        assert not hasattr(wrapped, "flip_rule")
-        by_rule = detect_bad_steps(f, path, config)
-        assert detect_bad_steps(wrapped, path, config) == by_rule
-        assert bad_steps_materialized(f, path, config) == by_rule
-        found += len(by_rule)
+        by_tracker = detect_bad_steps(f, path, config)
+        assert bad_steps_materialized(f, path, config) == by_tracker
+        found += len(by_tracker)
         flips += path.flips[0].size
     assert 0 < found < flips
+    refusals = []
+    for probe in (lambda g: detect_bad_steps(g, path, config),
+                  lambda g: walk_rounded_subsets(g, path, 0.5)):
+        with pytest.raises(ParameterError) as refused:
+            probe(WithoutTracker(f))
+        refusals.append(str(refused.value))
+    assert refusals == ["WithoutTracker has no tracker to walk a path with"] * 2
 
 
 def test_linear_polynomial_single_flip_bound():
@@ -266,6 +273,43 @@ def test_stability_trial_wrapped_local_pair_beats_floor():
     report = stability_trial(make_f, n=30, d=3, gamma_steps=1, c=0.5, degree=1,
                              trials=8, seed=RandomSeed(61))
     assert report.above_floor
+    # recorded when each flip step's graph was evaluated whole
+    assert report == StabilityReport(
+        trials=8, no_bad_count=8, empirical_probability=1.0, wilson_low=0.6755843804891231,
+        wilson_high=1.0, floor=1.0000000000000005e-08, norm_estimate=21.4)
+
+
+# The steps at which a flip changes a decision of the 1-local pair at p=0.3,
+# n=240, d=3, T=n^2 on RandomSeed(61), recorded when each flip step's graph
+# was evaluated whole.
+WRAPPED_PAIR_BAD_STEPS_240 = [
+    1712, 5236, 5278, 7707, 7730, 7731, 7882, 8309, 8345, 8441, 8749, 8851, 10699,
+    10726, 10773, 10777, 13726, 13825, 13922, 14015, 14051, 14132, 18765, 18798, 18867,
+    18873, 20402, 20512, 22119, 22218, 22243, 22272, 22642, 22647, 22657, 22684, 23521,
+    24055, 24107, 24240, 26728, 26729, 26854, 28137, 28166, 28190, 28193, 28224, 28564,
+    28625, 28674, 28734, 28769, 28775, 28783, 29329, 29350, 29379, 29385, 29405, 29424,
+    29441, 29467, 30236, 30278, 30585, 30709, 30744, 30776, 31218, 31336, 31726, 31844,
+    31879, 31904, 33622, 33731, 33800, 33859, 33866, 33963, 33986, 34065, 34067, 34222,
+    34896, 35649, 35701, 35770, 35834, 35854, 35916, 35920, 35936, 35950, 39405, 40330,
+    40368, 40489, 40540, 41047, 41054, 41153, 41276, 41553, 41607, 41833, 41870, 42805,
+    42943, 42963, 42975, 43059, 43149, 43170, 43943, 43951, 43999, 44018, 44068, 44071,
+    44078, 44241, 44266, 44315, 49235, 49320, 49931, 50011, 50013, 50047, 50437, 50467,
+    50669, 50802, 51193, 51263, 51690, 51702, 51986, 52005, 52192, 52580, 52637, 54009,
+    54071, 54072, 54216, 55179, 55244, 55261, 55262, 55949, 55962, 55997, 56012, 56073,
+    56079, 56100, 56119, 56425, 56476, 56530, 56579, 56960, 57030, 57495, 57557,
+]
+
+
+def wrapped_pair_path(n, seed=RandomSeed(61), p=0.3, d=3.0):
+    f = LocalPairVectorFunction(random_threshold_pair(p), draw_labels(n, seed))
+    return f, build_interpolation_path(sample_bipartite_graph(n, d, seed), n * n, d, seed)
+
+
+def test_wrapped_local_pair_bad_steps_are_pinned():
+    # a flip moves one decision by 1, so a threshold of 1 makes every such flip bad
+    f, path = wrapped_pair_path(240)
+    config = StabilityConfig(c=0.5, gamma_steps=1, degree=1, norm_estimate=2.0)
+    assert detect_bad_steps(f, path, config) == WRAPPED_PAIR_BAD_STEPS_240
 
 
 def test_stability_trial_warns_on_large_step_budget(monkeypatch):
@@ -287,8 +331,6 @@ class DyadicLinearPolynomial:
     steps so sums are exact in any order. Unlike the blocking construction,
     its rounding meets conflicts, fractional values and failures."""
 
-    degree = 1
-
     def __init__(self, n, seed):
         rng = np.random.default_rng(seed)
         self.n = n
@@ -302,9 +344,11 @@ class DyadicLinearPolynomial:
         np.add.at(values, self.n + graph.er, w)
         return values
 
-    def flip_rule(self, l, r, added):
-        w = self.weight[l, r] if added else -self.weight[l, r]
-        return ((l, w), (self.n + r, w)) if w else ()
+    def track(self, base):
+        def flip(l, r, added):
+            w = self.weight[l, r] if added else -self.weight[l, r]
+            return ((l, w), (self.n + r, w)) if w else ()
+        return flip
 
 
 def rounded_by_materializing(f, path, eta):
@@ -317,19 +361,31 @@ def rounded_by_materializing(f, path, eta):
     return out
 
 
-@given(n=st.integers(2, 7), density=st.floats(0.1, 0.9), kind=st.integers(0, 2),
+def path_function(kind, n, k_frac, seed, entropy):
+    """The three polynomials, then the 1-local pair at p = 0, at p = 1, at p
+    tied with an L label and at p = k_frac, then the two constant pairs; each
+    pair is wrapped with the labels of ``seed``."""
+    if kind < 3:
+        return (linear_blocking_polynomial(n, round(k_frac * n), seed),
+                left_indicator_polynomial(n),
+                DyadicLinearPolynomial(n, entropy))[kind]
+    labels = draw_labels(n, seed)
+    p = (0.0, 1.0, float(labels.l[round(k_frac * (n - 1))]), k_frac)
+    pairs = [random_threshold_pair(x) for x in p] + [constant_pair(0, 1), constant_pair(1, 0)]
+    return LocalPairVectorFunction(pairs[kind - 3], labels)
+
+
+@given(n=st.integers(2, 7), density=st.floats(0.1, 0.9), kind=st.integers(0, 8),
        k_frac=st.floats(0.0, 1.0), eta=st.sampled_from([0.0, 0.15, 0.5, 2.0]),
        gamma_steps=st.sampled_from([1, 2]), entropy=st.integers(0, 2**31 - 1))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=360, deadline=None)
 def test_walk_matches_materialized_rounding_at_every_step(
         n, density, kind, k_frac, eta, gamma_steps, entropy):
     seed = RandomSeed(entropy)
     d = density * n
     path = build_interpolation_path(sample_bipartite_graph(n, d, seed),
                                     gamma_steps * n * n, d, seed)
-    f = (linear_blocking_polynomial(n, round(k_frac * n), seed),
-         left_indicator_polynomial(n),
-         DyadicLinearPolynomial(n, entropy))[kind]
+    f = path_function(kind, n, k_frac, seed, entropy)
     assert list(walk_rounded_subsets(f, path, eta)) == rounded_by_materializing(f, path, eta)
     config = StabilityConfig(c=0.05, gamma_steps=gamma_steps, degree=1, norm_estimate=2.0)
     assert detect_bad_steps(f, path, config) == bad_steps_materialized(f, path, config)
@@ -346,12 +402,38 @@ def test_walk_reaches_failures_and_recoveries():
     assert any(failed) and not all(failed)
 
 
+def test_probes_never_rebuild_a_path_graph(monkeypatch):
+    # materialize stays an oracle: neither probe builds a path graph whole
+    def refuse(self, t):
+        raise AssertionError(f"the graph of step {t} was built whole")
+
+    monkeypatch.setattr(ogp.InterpolationPath, "materialize", refuse)
+    monkeypatch.setattr(ogp.InterpolationPath, "edge_coordinates_at", refuse)
+    pair, path = wrapped_pair_path(40, RandomSeed(64))
+    config = StabilityConfig(c=0.5, gamma_steps=1, degree=1, norm_estimate=2.0)
+    for f in (linear_blocking_polynomial(40, 12, RandomSeed(64)), pair):
+        assert detect_bad_steps(f, path, config) is not None
+        assert sum(1 for _ in walk_rounded_subsets(f, path, 0.1)) == path.length + 1
+
+
+def test_probes_refuse_a_function_built_for_another_n():
+    path = small_path(n=6)
+    config = StabilityConfig(c=0.5, gamma_steps=1, degree=1, norm_estimate=2.0)
+    for other in (5, 7):
+        for f in (linear_blocking_polynomial(other, 2, RandomSeed(1)),
+                  LocalPairVectorFunction(random_threshold_pair(0.3), draw_labels(other, RandomSeed(1)))):
+            with pytest.raises(ParameterError):
+                detect_bad_steps(f, path, config)
+            with pytest.raises(ParameterError):
+                walk_rounded_subsets(f, path, 0.1)
+
+
 def test_walk_rejects_bad_input():
     path = small_path()
     with pytest.raises(ParameterError):
         walk_rounded_subsets(linear_blocking_polynomial(path.n, 2, RandomSeed(1)), path, -0.1)
     with pytest.raises(ParameterError):
-        walk_rounded_subsets(SpikePolynomial(path.n), path, 0.0)
+        walk_rounded_subsets(WithoutTracker(SpikePolynomial(path.n)), path, 0.0)
 
 
 # ---------------------------------------------------------------------------
