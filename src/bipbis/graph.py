@@ -13,9 +13,10 @@ once, on first use.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -222,20 +223,23 @@ def _double_at_least(k: int) -> float:
     return x if x >= k else math.nextafter(x, math.inf)
 
 
-def _geometric_gaps(p: float, size: int, cap: float, rng: np.random.Generator) -> np.ndarray:
-    """``rng.geometric(p, size)`` with every draw lowered to at most ``cap``,
-    an integer-valued double below 2**63.
+def _geometric_gaps(p: float, size: int, cap: float,
+                    rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """(rows, size) int64: row i is ``rng.geometric(p, size)`` of the i-th
+    generator of ``rngs``, drawn before the next one is pulled, with every
+    draw lowered to at most ``cap``, an integer-valued double below 2**63.
 
     For p < 1/3 numpy draws ceil(E / -log1p(-p)), E a standard exponential,
     and turns a value at or above 2**63 into the int64 maximum. This inverts
     the same exponentials with log1p taken once, not once per draw, and caps
     them before the ceiling: ceil(min(x, cap)) = min(ceil(x), cap), and the
-    result casts to int64 exactly.
+    result casts to int64 exactly. The inversion runs once over all rows.
     """
-    if p >= _GEOMETRIC_SEARCH_P:
-        gaps = rng.geometric(p, size=size)
-        return np.minimum(gaps, int(cap), out=gaps)
-    draws = rng.standard_exponential(size)
+    search = p >= _GEOMETRIC_SEARCH_P
+    rows = [rng.geometric(p, size=size) if search else rng.standard_exponential(size) for rng in rngs]
+    draws = rows[0][None] if len(rows) == 1 else np.array(rows).reshape(-1, size)  # one row: a view
+    if search:
+        return np.minimum(draws, int(cap), out=draws)
     scale = -math.log1p(-p)
     if scale >= _FINITE_SCALE:
         draws /= scale
@@ -247,9 +251,22 @@ def _geometric_gaps(p: float, size: int, cap: float, rng: np.random.Generator) -
     return draws.astype(np.int64)
 
 
-def _bernoulli_coordinates(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted positions of iid Bernoulli(p) successes over 0..m-1, for m up to
-    the largest n^2 within int64.
+def _cut(steps: np.ndarray, pos: int, m: int) -> tuple[list, list]:
+    """Turn each row of gaps into running positions from ``pos``, in place.
+    Return each row's index of its first position at or past m, read as
+    uint64, and whether it has one."""
+    steps[:, 0] += pos
+    steps.cumsum(axis=1, out=steps)
+    past = steps.view(np.uint64) >= m
+    ends = past.argmax(axis=1)
+    return ends.tolist(), past[np.arange(ends.size), ends].tolist()
+
+
+def _bernoulli_coordinates(m: int, p: float,
+                           rows: Callable[[], Iterable[np.random.Generator]]) -> list:
+    """For each generator of ``rows()``, the sorted positions of iid
+    Bernoulli(p) successes over 0..m-1 drawn from it, for m up to the largest
+    n^2 within int64.
 
     Uses geometric gap jumps, so the cost is O(successes) rather than O(m);
     with m = n^2 cells a per-cell draw is infeasible at experiment scale.
@@ -270,40 +287,49 @@ def _bernoulli_coordinates(m: int, p: float, rng: np.random.Generator) -> np.nda
     whatever the batch holds after it is dropped. Drawing the gaps in
     batches leaves their sequence, and so the coordinates, unchanged. The
     offset and the running sum write into the gap array.
+
+    The rows' first batches are drawn, inverted, summed and cut as one 2-D
+    array. ``rows()`` yields each row's generator from its start, valid until
+    the next is pulled (``RandomSeed.generators`` re-keys one generator), so
+    the rare row that its first batch leaves short of m draws that batch
+    again from a new ``rows()`` before it goes on.
     """
     if p <= 0.0:
-        return np.empty(0, dtype=np.int64)
+        return [np.empty(0, dtype=np.int64) for _ in rows()]
     expected = m * p
     batch = max(int(expected + 6.0 * np.sqrt(expected + 1.0)) + 16, 16)
-    pos = -1
-    chunks = []
-    while True:
-        steps = _geometric_gaps(p, batch, _double_at_least(m - pos), rng)
-        steps[0] += pos
-        steps.cumsum(out=steps)
-        past = steps.view(np.uint64) >= m
-        end = int(past.argmax())
-        if past[end]:
-            chunks.append(steps[:end])
-            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        pos = int(steps[-1])
-        chunks.append(steps)
+    first = _geometric_gaps(p, batch, _double_at_least(m + 1), rows())
+    coords = []
+    for i, (row, end, done) in enumerate(zip(first, *_cut(first, -1, m))):
+        chunks = [row]
+        if not done:
+            rng = next(itertools.islice(rows(), i, None))
+            _geometric_gaps(p, batch, _double_at_least(m + 1), (rng,))  # to the state after it
+        while not done:
+            pos = int(chunks[-1][-1])
+            steps = _geometric_gaps(p, batch, _double_at_least(m - pos), (rng,))
+            (end,), (done,) = _cut(steps, pos, m)
+            chunks.append(steps[0])
+        chunks[-1] = chunks[-1][:end]
+        coords.append(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
+    return coords
 
 
-def sample_edge_coordinates(n: int, d: float, rng: np.random.Generator) -> np.ndarray:
-    """The sorted edge coordinates l*n + r of the random bipartite graph with
-    each L-R pair present independently with probability d/n, drawn from
-    ``rng``, a seed's GRAPH_DRAW generator."""
+def sample_edge_coordinates(n: int, d: float,
+                            rows: Callable[[], Iterable[np.random.Generator]]) -> list:
+    """The sorted edge coordinates l*n + r of random bipartite graphs with
+    each L-R pair present independently with probability d/n, one drawn from
+    each GRAPH_DRAW generator of ``rows()`` (see ``_bernoulli_coordinates``)."""
     _check_vertex_count(n)
     if not (0.0 < d < n):
         raise ParameterError(f"d must satisfy 0 < d < n (edge probability d/n in (0,1)), got d={d}, n={n}")
-    return _bernoulli_coordinates(n * n, d / n, rng)
+    return _bernoulli_coordinates(n * n, d / n, rows)
 
 
 def sample_bipartite_graph(n: int, d: float, seed: RandomSeed) -> BipartiteGraph:
     """Sample the random bipartite graph with each L-R pair present independently
     with probability d/n, deterministically given (n, d, seed)."""
-    return BipartiteGraph(n, sample_edge_coordinates(n, d, seed.generator(GRAPH_DRAW)))
+    return BipartiteGraph(n, sample_edge_coordinates(n, d, lambda: (seed.generator(GRAPH_DRAW),))[0])
 
 
 # ---------------------------------------------------------------------------

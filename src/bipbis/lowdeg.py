@@ -63,11 +63,15 @@ class LinearBlockingPolynomial:
         return lambda l, r, added: ((n + r, -1.0 if added else 1.0),) if l in chosen else ()
 
 
+def _check_subset_size(n: int, k_l: int) -> None:
+    if not (0 <= k_l <= n):
+        raise ParameterError(f"k_l must lie in [0, n], got k_l={k_l}, n={n}")
+
+
 def choose_blocking_subset(n: int, k_l: int, rng: np.random.Generator) -> np.ndarray:
     """The sorted k_l-subset of L that the linear blocking polynomial selects,
     by a shuffle drawn from ``rng``, a seed's POLY_DRAW generator."""
-    if not (0 <= k_l <= n):
-        raise ParameterError(f"k_l must lie in [0, n], got k_l={k_l}, n={n}")
+    _check_subset_size(n, k_l)
     return np.sort(rng.permutation(n)[:k_l])
 
 
@@ -263,15 +267,16 @@ def blocking_norm_estimate(n: int, d: float, k_l: int, seed: RandomSeed) -> tupl
     On a graph, ||f||^2 = k_l + sum_r (1 - c_r)^2, where c_r counts r's
     chosen neighbours. Every term is an integer, so the sum is exact in any
     order (while below 2^53) and equals ``values @ values``; the estimate is
-    the same double.
+    the same double. All trials are drawn and counted together.
     """
-    norms = np.empty(NORM_TRIALS)
-    chosen = np.zeros(n, dtype=bool)
-    for t, (graph_rng, poly_rng) in enumerate(zip(seed.generators(GRAPH_DRAW, NORM_TRIALS),
-                                                  seed.generators(POLY_DRAW, NORM_TRIALS))):
-        chosen[:] = False
-        chosen[choose_blocking_subset(n, k_l, poly_rng)] = True
-        coords = sample_edge_coordinates(n, d, graph_rng)
-        free = 1 - np.bincount(coords[chosen[coords // n]] % n, minlength=n)
-        norms[t] = k_l + int(free @ free)
-    return _mean_and_ci(norms)
+    _check_subset_size(n, k_l)
+    chosen = np.zeros((NORM_TRIALS, n), dtype=bool)
+    for row, rng in zip(chosen, seed.generators(POLY_DRAW, NORM_TRIALS)):
+        row[rng.permutation(n)[:k_l]] = True
+    coords = sample_edge_coordinates(n, d, lambda: seed.generators(GRAPH_DRAW, NORM_TRIALS))
+    cells = np.concatenate(coords)
+    # trial t's edge (l, r) is chosen at t*n + l of chosen and counts towards c_r at t*n + r
+    trial = np.repeat(np.arange(0, NORM_TRIALS * n, n), [row.size for row in coords])
+    hit = chosen.ravel()[cells // n + trial]
+    free = 1 - np.bincount(cells[hit] % n + trial[hit], minlength=NORM_TRIALS * n).reshape(NORM_TRIALS, n)
+    return _mean_and_ci((k_l + np.einsum("ij,ij->i", free, free)).astype(float))

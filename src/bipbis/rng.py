@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -138,31 +139,19 @@ def _philox_keys(seed: int, stream: int, count: int, purpose: int) -> np.ndarray
     return keys
 
 
-@functools.cache
-def _key_sequence() -> type:
-    """The type of a key-only seed sequence, which gives a Philox the one
-    thing it asks of its seed sequence: its 2-word key.
-
-    It is built on first use because its base class lives in numpy.random,
-    which numpy 2 loads only on first access: a module-level import would add
-    numpy.random's import, about 18 ms on a 2-CPU host against about 80 ms for
-    the rest of ``import bipbis``, to the import time of every program,
-    including those that draw nothing. On numpy 1.x ``import numpy`` loads
-    numpy.random anyway, and this saves nothing."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        __slots__ = ("key",)
-
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a Philox key is 2 uint64 words")
-            return self.key
-
-    return PhiloxKey
+def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Philox generator, re-keyed in place to each of ``keys`` in turn:
+    its state is set to the key, counter 0 and an empty buffer, which is the
+    state of a Philox built with that key."""
+    if len(keys) == 0:
+        return
+    bit_generator = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    for key in keys:
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -188,15 +177,16 @@ class RandomSeed:
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream), int(purpose)))
         return np.random.Generator(np.random.Philox(ss))
 
-    def generators(self, purpose: int, count: int) -> list[np.random.Generator]:
+    def generators(self, purpose: int, count: int) -> Iterator[np.random.Generator]:
         """The generators of ``purpose`` on streams stream, ..., stream +
-        count - 1: ``[self.shifted(i).generator(purpose) for i in
-        range(count)]``, with the keys derived in one pass."""
+        count - 1, each drawing as ``self.shifted(i).generator(purpose)``
+        does, with the keys derived in one pass.
+
+        They are one generator, re-keyed for each stream in turn: a yielded
+        generator is valid until the next one is pulled."""
         if count < 0 or int(purpose) < 0:
             raise ParameterError(f"purpose and count must be non-negative, got {purpose}, {count}")
-        keys = _philox_keys(int(self.seed), int(self.stream), count, int(purpose))
-        key_sequence = _key_sequence()
-        return [np.random.Generator(np.random.Philox(key_sequence(key))) for key in keys]
+        return _rekeyed(_philox_keys(int(self.seed), int(self.stream), count, int(purpose)))
 
     def shifted(self, offset: int) -> "RandomSeed":
         return RandomSeed(self.seed, self.stream + offset)

@@ -629,6 +629,30 @@ def test_sweep_grid_expansion_and_streams(capsys, tmp_path):
     assert "cells=6" in out
 
 
+# The ogp-path benchmark operation (n=60, d=4, epsilon=0.6, K=2, gamma_steps=1,
+# c=0.5, one trial): its row and float.hex of its norm estimate, recorded from
+# the code that drew the estimate's 30 trials one generator pair at a time.
+PINNED_OGP_PATH_OPS = {
+    (1, 0): "0x1.9d11111111111p+5",
+    (1, 1): "0x1.9c88888888889p+5",
+    (1, 2): "0x1.9fbbbbbbbbbbcp+5",
+    (1, 3): "0x1.a19999999999ap+5",
+    (1, 4): "0x1.9f77777777777p+5",
+    # the norm block's streams cross 2^32
+    (1, (1 << 32) - AUX_STREAM_OFFSET - 15): "0x1.7eeeeeeeeeeefp+5",
+    ((1 << 64) - 1, 0): "0x1.9000000000000p+5",
+}
+
+
+@pytest.mark.parametrize("seed, stream", list(PINNED_OGP_PATH_OPS))
+def test_ogp_path_operations_are_pinned(seed, stream):
+    record = experiments.run_experiment(ExperimentConfig("ogp", {
+        "n": 60, "d": 4.0, "epsilon": 0.6, "K": 2, "gamma_steps": 1, "c": 0.5,
+        "trials": 1, "workers": 1, "seed": seed, "stream": stream}))
+    assert record.rows == [(0, 60, 4.0, 3600, 0, 1, 5)]
+    assert record.outputs["norm_estimate"].hex() == PINNED_OGP_PATH_OPS[seed, stream]
+
+
 def test_ogp_sweep_cells_estimate_the_norm_on_streams_of_their_own():
     raw = {"n": 8, "d": 2, "epsilon": 0.6, "trials": 2, "seed": 3, "stream": 5, "workers": 1}
     single = experiments.run_experiment(ExperimentConfig("ogp", raw))

@@ -191,7 +191,7 @@ def test_sample_determinism_and_seed_separation():
 @settings(max_examples=100)
 def test_bernoulli_coordinates_match_the_unclipped_sums(m, log_p, seed):
     p = 10.0**log_p
-    got = _bernoulli_coordinates(m, p, np.random.default_rng(seed))
+    got = _bernoulli_coordinates(m, p, lambda: (np.random.default_rng(seed),))[0]
     want = bernoulli_coordinates_unclipped(m, p, np.random.default_rng(seed))
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -200,14 +200,14 @@ def test_bernoulli_coordinates_match_the_unclipped_sums(m, log_p, seed):
 @pytest.mark.parametrize("m", [1, 97, 10**4])
 def test_bernoulli_coordinates_match_the_unclipped_sums_where_numpy_switches_to_a_search(m, p):
     for seed in range(3):
-        got = _bernoulli_coordinates(m, p, np.random.default_rng(seed))
+        got = _bernoulli_coordinates(m, p, lambda: (np.random.default_rng(seed),))[0]
         want = bernoulli_coordinates_unclipped(m, p, np.random.default_rng(seed))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_bernoulli_coordinates_match_the_unclipped_sums_on_the_graph_stream():
     n, d = 10**5, 10.0
-    got = _bernoulli_coordinates(n * n, d / n, RandomSeed(4, 2).generator(GRAPH_DRAW))
+    got = _bernoulli_coordinates(n * n, d / n, lambda: (RandomSeed(4, 2).generator(GRAPH_DRAW),))[0]
     want = bernoulli_coordinates_unclipped(n * n, d / n, RandomSeed(4, 2).generator(GRAPH_DRAW))
     assert got.size > 0 and got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -223,8 +223,8 @@ from bipbis.graph import _bernoulli_coordinates
 print(json.dumps({
     "edges": [sample_bipartite_graph(n, 1e-300, RandomSeed(1)).edge_count
               for n in (800000000, 3037000499)],
-    "tiny": _bernoulli_coordinates(2147483647**2, 1e-300, np.random.default_rng(0)).tolist(),
-    "coords": _bernoulli_coordinates(3037000499**2, 1e-17, np.random.default_rng(5)).tolist(),
+    "tiny": _bernoulli_coordinates(2147483647**2, 1e-300, lambda: (np.random.default_rng(0),))[0].tolist(),
+    "coords": _bernoulli_coordinates(3037000499**2, 1e-17, lambda: (np.random.default_rng(5),))[0].tolist(),
 }))
 """
 
@@ -254,7 +254,7 @@ def test_bernoulli_coordinates_take_whole_batches_at_large_n(monkeypatch):
 
     monkeypatch.setattr(graph_module, "_geometric_gaps", counted)
     m, p = 3037000499**2, 1e-14
-    got = _bernoulli_coordinates(m, p, np.random.default_rng(5))
+    got = _bernoulli_coordinates(m, p, lambda: (np.random.default_rng(5),))[0]
     want = bernoulli_coordinates_exact(m, p, np.random.default_rng(5))
     assert got.size == 92606 and np.array_equal(got, want)
     assert len(calls) == 1
@@ -269,15 +269,33 @@ def test_bernoulli_coordinates_are_unchanged_by_short_batches(monkeypatch, m, p)
     monkeypatch.setattr(graph_module, "_geometric_gaps",
                         lambda p, size, cap, rng: draw(p, min(size, 3), cap, rng))
     for seed in range(4):
-        got = _bernoulli_coordinates(m, p, np.random.default_rng(seed))
+        got = _bernoulli_coordinates(m, p, lambda: (np.random.default_rng(seed),))[0]
         want = bernoulli_coordinates_exact(m, p, np.random.default_rng(seed))
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m, p", [(97, 0.5), (10**4, 0.01), (3600, 4 / 60),
+                                  (3037000499**2, 1e-17), (25, 1e-300)])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_bernoulli_rows_equal_one_row_draws_from_fresh_generators(monkeypatch, m, p, rows):
+    # three gaps a batch, so rows cross batches at different points, and each
+    # continues from its own stream while one generator is re-keyed for every row
+    draw = graph_module._geometric_gaps
+    monkeypatch.setattr(graph_module, "_geometric_gaps",
+                        lambda p, size, cap, rngs: draw(p, min(size, 3), cap, rngs))
+    seed = RandomSeed(7, (1 << 32) - 2)
+    got = _bernoulli_coordinates(m, p, lambda: seed.generators(GRAPH_DRAW, rows))
+    assert len(got) == rows
+    for i, row in enumerate(got):
+        want = _bernoulli_coordinates(m, p, lambda: (seed.shifted(i).generator(GRAPH_DRAW),))[0]
+        assert row.dtype == want.dtype and np.array_equal(row, want)
+        assert (row.size == 0) == (p == 1e-300)
 
 
 def test_bernoulli_coordinates_end_at_tiny_probabilities():
     # gaps drawn at p = 1e-20 sit at the int64 maximum; summed raw they wrap
     for p in (1e-20, 1e-300):
-        assert _bernoulli_coordinates(25, p, np.random.default_rng(3)).size == 0
+        assert _bernoulli_coordinates(25, p, lambda: (np.random.default_rng(3),))[0].size == 0
     assert sample_bipartite_graph(5, 1e-300, RandomSeed(1)).edge_count == 0
 
 
