@@ -33,7 +33,7 @@ from .ogp import (GreedyChainResult, InterpolationPath, LocalPairVectorFunction,
                   OverlapChainParams, OverlapChainReport, StabilityConfig,
                   StabilityReport, balance_inequality_probe,
                   build_interpolation_path, check_overlap_chain,
-                  detect_bad_steps, greedy_overlap_chain,
+                  detect_bad_steps, greedy_chain_over_segments, greedy_overlap_chain,
                   profile_violates_balance_inequality, stability_trial,
                   walk_rounded_subsets)
 from .rng import RandomSeed

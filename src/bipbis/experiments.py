@@ -30,7 +30,7 @@ from .graph import (_INT64_MAX, _check_vertex_count, _text_blocks, read_graph_te
 from .local import apply_local_pair, gamma_trim, random_threshold_pair
 from .lowdeg import blocking_norm_estimate, linear_blocking_polynomial, round_polynomial
 from .ogp import (OverlapChainParams, StabilityConfig, build_interpolation_path,
-                  check_overlap_chain, detect_bad_steps, greedy_overlap_chain,
+                  check_overlap_chain, detect_bad_steps, greedy_chain_over_segments,
                   walk_rounded_subsets)
 from .rng import AUX_STREAM_OFFSET, NORM_TRIALS, RandomSeed, check_trial_streams
 
@@ -347,7 +347,7 @@ def _ogp_trial(params: dict, trial: int) -> tuple:
                              degree=1, norm_estimate=params["_norm_estimate"])
     bad = detect_bad_steps(f, path, config)
     chain_params = OverlapChainParams.for_scale(params["epsilon"], params["K"], n, d)
-    result = greedy_overlap_chain(walk_rounded_subsets(f, path, params["eta"]), chain_params)
+    result = greedy_chain_over_segments(walk_rounded_subsets(f, path, params["eta"]), chain_params)
     bitmask = 0
     if result.success:
         report = check_overlap_chain(result.sets, result.timestamps, path, chain_params)

@@ -7,13 +7,13 @@ original random graph and any m consecutive steps refresh every coordinate.
 Paths are stored as their flips, the steps that change the graph; a step's
 graph is materialized by replaying the flips up to it over the base. Probes
 walk a path forward once, applying each flip to a mutable adjacency and
-updating the function through its tracker and its rounding locally; whole
+updating the function through its tracker and its rounding locally, and
+the greedy overlap chain reads the rounded sets one segment per flip; whole
 graphs are materialized only for the chain checker.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -163,17 +163,17 @@ def _tracker(f, path: InterpolationPath) -> tuple[FlipTracker, np.ndarray]:
     return f.track(path.base), values
 
 
-def walk_rounded_subsets(f, path: InterpolationPath, eta: float) -> Iterator[VertexSubset]:
-    """For t = 0..T in order, the set that
-    ``round_polynomial(f.evaluate(path.materialize(t)), path.materialize(t), eta)``
+def walk_rounded_subsets(f, path: InterpolationPath, eta: float) -> Iterator[tuple[int, int, VertexSubset]]:
+    """Segments ``(start, stop, subset)``, one from t = 0 and one from each
+    flip's step, contiguous up to T + 1: at each t in [start, stop) the set
+    that ``round_polynomial(f.evaluate(path.materialize(t)), path.materialize(t), eta)``
     keeps, or EMPTY_SUBSET where that rounding fails.
 
     The path is walked forward once. Each flip updates per-vertex neighbour
     sets, the outputs named by f's tracker (whose changes must be exact),
     each vertex's count of neighbours in I = {v : value >= 1}, and the running
     conflicted and fractional totals; a flip touches only l, r and the
-    neighbours of a vertex that enters or leaves I. Steps without a flip
-    yield the same subset object as the step before.
+    neighbours of a vertex that enters or leaves I.
     """
     if eta < 0:
         raise ParameterError(f"eta must be non-negative, got {eta}")
@@ -181,7 +181,8 @@ def walk_rounded_subsets(f, path: InterpolationPath, eta: float) -> Iterator[Ver
     return _walk(flip, path, values.tolist(), eta)
 
 
-def _walk(flip: FlipTracker, path: InterpolationPath, values: list, eta: float) -> Iterator[VertexSubset]:
+def _walk(flip: FlipTracker, path: InterpolationPath, values: list,
+          eta: float) -> Iterator[tuple[int, int, VertexSubset]]:
     n = path.n
     # vertices are numbered as the polynomial's outputs: L is 0..n-1, R is n..2n-1
     adj: list[set] = [set() for _ in range(2 * n)]
@@ -210,11 +211,10 @@ def _walk(flip: FlipTracker, path: InterpolationPath, values: list, eta: float) 
 
     for v in range(2 * n):
         place(v)
-    current = rounded()
-    t = 0
+    start = 0
     for step, l, r, added in zip(*(a.tolist() for a in path.flips)):
-        yield from itertools.repeat(current, step - t)
-        t = step
+        yield start, step, rounded()
+        start = step
         w = n + r
         sign = 1 if added else -1
         if added:
@@ -239,8 +239,7 @@ def _walk(flip: FlipTracker, path: InterpolationPath, values: list, eta: float) 
                     count[u] += 1 if in_i[v] else -1
                     place(u)
                 place(v)
-        current = rounded()
-    yield from itertools.repeat(current, path.length + 1 - t)
+    yield start, path.length + 1, rounded()
 
 
 @dataclass(frozen=True)
@@ -384,38 +383,42 @@ class GreedyChainResult:
     success: bool
 
 
-def greedy_overlap_chain(
-    path_sets: Iterable[VertexSubset], params: OverlapChainParams,
-) -> GreedyChainResult:
-    """Greedy selection along the path: the first set is kept outright, then
-    each next pick is the first set contributing at least (epsilon/4)*phi
-    vertices outside the union so far. Succeeds iff K sets are selected.
+def _new_mass(s: VertexSubset, union: VertexSubset) -> int:
+    return (s.mask_l & ~union.mask_l).bit_count() + (s.mask_r & ~union.mask_r).bit_count()
 
-    ``path_sets`` is any iterable of the sets at t = 0, 1, ...; no set is
-    pulled after the K-th pick.
-    """
-    sets_at = iter(path_sets)
-    first = next(sets_at, None)
-    if first is None:
-        raise ParameterError("path_sets must be non-empty")
+
+def greedy_chain_over_segments(
+    segments: Iterable[tuple[int, int, VertexSubset]], params: OverlapChainParams,
+) -> GreedyChainResult:
+    """Greedy selection along the path's segments, as ``walk_rounded_subsets``
+    yields them: the set at t = 0 is kept outright, then each next pick is the
+    first step whose set has at least (epsilon/4)*phi vertices outside the
+    union so far. Succeeds iff K sets are selected; no segment is pulled
+    after the K-th pick. A segment is tested at its start and, after a pick
+    at t, again at t + 1 inside it, where its set adds nothing to the union."""
     threshold = params.new_mass_min - COUNT_TOLERANCE
-    sets = [first]
-    timestamps = [0]
-    union = first
-    last = None
-    for t, v in enumerate(sets_at, start=1):
-        if v is not last:  # a walk repeats one object until its set changes
-            last = v
-            new_mass = ((v.mask_l & ~union.mask_l).bit_count()
-                        + (v.mask_r & ~union.mask_r).bit_count())
-        if new_mass >= threshold:
+    sets, timestamps, union = [], [], EMPTY_SUBSET
+    for start, stop, v in segments:
+        for t in range(start, stop):
+            if sets and _new_mass(v, union) < threshold:
+                break
             sets.append(v)
             timestamps.append(t)
             union = union.union(v)
-            last = None
             if len(sets) == params.K:
-                break
-    return GreedyChainResult(tuple(sets), tuple(timestamps), len(sets) == params.K)
+                return GreedyChainResult(tuple(sets), tuple(timestamps), True)
+    if not sets:
+        raise ParameterError("the path must have at least one step")
+    return GreedyChainResult(tuple(sets), tuple(timestamps), False)
+
+
+def greedy_overlap_chain(
+    path_sets: Iterable[VertexSubset], params: OverlapChainParams,
+) -> GreedyChainResult:
+    """``greedy_chain_over_segments`` with the set at each t = 0, 1, ... as a
+    segment of one step, for per-step callers such as the benchmark's
+    re-enactment of the ``ogp`` trial, which the ROADMAP's stage timers delete."""
+    return greedy_chain_over_segments(((t, t + 1, v) for t, v in enumerate(path_sets)), params)
 
 
 @dataclass(frozen=True)
@@ -459,9 +462,8 @@ def check_overlap_chain(
     """Verify the three chain conditions independently and report which fail."""
     if len(sets) != len(timestamps):
         raise ParameterError("sets and timestamps must have equal length")
-    for t in timestamps:
-        if not (0 <= t <= path.length):
-            raise ParameterError(f"timestamp {t} outside [0, {path.length}]")
+    if not sets:
+        raise ParameterError("a chain must hold at least one set")
     ind_ok = []
     witnesses = []
     for s, t in zip(sets, timestamps):
@@ -470,15 +472,12 @@ def check_overlap_chain(
         witnesses.append(w)
     dens_min = params.density_min - COUNT_TOLERANCE
     density_ok = [s.count_l >= dens_min and s.count_r >= dens_min for s in sets]
-    new_mass_ok = [True]
-    new_masses = [sets[0].size if sets else 0]
-    union = sets[0] if sets else EMPTY_SUBSET
-    for s in sets[1:]:
-        mass = (s.mask_l & ~union.mask_l).bit_count() + (s.mask_r & ~union.mask_r).bit_count()
-        new_masses.append(mass)
-        new_mass_ok.append(
-            params.new_mass_min - COUNT_TOLERANCE <= mass <= params.new_mass_max + COUNT_TOLERANCE)
+    new_masses, union = [], EMPTY_SUBSET
+    for s in sets:
+        new_masses.append(_new_mass(s, union))
         union = union.union(s)
+    low, high = params.new_mass_min - COUNT_TOLERANCE, params.new_mass_max + COUNT_TOLERANCE
+    new_mass_ok = [True] + [low <= mass <= high for mass in new_masses[1:]]
     return OverlapChainReport(
         independent_ok=tuple(ind_ok),
         independence_witnesses=tuple(witnesses),

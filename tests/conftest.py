@@ -369,6 +369,11 @@ def bad_steps_materialized(f, path, config) -> list[int]:
     return bad
 
 
+def per_step(segments) -> list:
+    """The walk's segments (start, stop, subset) expanded to one set per step."""
+    return [v for start, stop, v in segments for _ in range(start, stop)]
+
+
 def bernoulli_coordinates_unclipped(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """The geometric-gap sampler summing the raw gaps, which wraps int64 (and
     never ends) once p is small enough for gaps near the int64 maximum."""

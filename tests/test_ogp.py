@@ -6,16 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
-                    ParameterError, RandomSeed, StabilityConfig, StabilityReport,
+                    ParameterError, RandomSeed, StabilityConfig, StabilityReport, VertexSubset,
                     balance_inequality_probe, build_interpolation_path,
                     check_overlap_chain, constant_pair, detect_bad_steps, draw_labels,
-                    greedy_overlap_chain, left_indicator_polynomial, linear_blocking_polynomial,
+                    greedy_chain_over_segments, greedy_overlap_chain,
+                    left_indicator_polynomial, linear_blocking_polynomial,
                     profile_violates_balance_inequality, random_threshold_pair,
                     round_polynomial, sample_bipartite_graph, stability_trial,
                     validate_graph, walk_rounded_subsets)
 from bipbis import ogp
-from conftest import (bad_steps_materialized, flips_argsort, graph_from_edges, resample_draws,
-                      subset_of)
+from bipbis.experiments import resolve_params
+from conftest import (bad_steps_materialized, flips_argsort, graph_from_edges, per_step,
+                      resample_draws, subset_of)
 
 
 def small_path(n=6, d=2.0, T=None, seed=7):
@@ -386,9 +388,26 @@ def test_walk_matches_materialized_rounding_at_every_step(
     path = build_interpolation_path(sample_bipartite_graph(n, d, seed),
                                     gamma_steps * n * n, d, seed)
     f = path_function(kind, n, k_frac, seed, entropy)
-    assert list(walk_rounded_subsets(f, path, eta)) == rounded_by_materializing(f, path, eta)
+    segments = list(walk_rounded_subsets(f, path, eta))
+    walked = per_step(segments)
+    assert walked == rounded_by_materializing(f, path, eta)
     config = StabilityConfig(c=0.05, gamma_steps=gamma_steps, degree=1, norm_estimate=2.0)
     assert detect_bad_steps(f, path, config) == bad_steps_materialized(f, path, config)
+    # the segment chain reads the walk as the per-step chain reads its expansion,
+    # at a bar of 0.6 vertices and at a bar that every step passes, K > T + 1
+    for params in (chain_params(epsilon=0.6, K=4, phi=4.0),
+                   chain_params(epsilon=1e-12, K=path.length + 2, phi=1.0)):
+        assert greedy_chain_over_segments(segments, params) == greedy_overlap_chain(walked, params)
+
+
+@given(**path_shapes, kind=st.integers(0, 8))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_walk_yields_a_segment_at_zero_and_one_at_each_flip(n, sweeps, extra, density, seed, kind):
+    path, _ = path_of_shape(n, sweeps, extra, density, seed)
+    f = path_function(kind, n, 0.5, RandomSeed(seed), seed)
+    starts, stops, _ = zip(*walk_rounded_subsets(f, path, 0.15))
+    assert starts == (0, *path.flips[0].tolist())
+    assert stops == (*starts[1:], path.length + 1)
 
 
 def test_walk_reaches_failures_and_recoveries():
@@ -396,7 +415,7 @@ def test_walk_reaches_failures_and_recoveries():
     n = 6
     path = small_path(n=n, d=3.0, seed=5)
     f = DyadicLinearPolynomial(n, 11)
-    walked = list(walk_rounded_subsets(f, path, 0.5))
+    walked = per_step(walk_rounded_subsets(f, path, 0.5))
     assert walked == rounded_by_materializing(f, path, 0.5)
     failed = [s is EMPTY_SUBSET for s in walked]
     assert any(failed) and not all(failed)
@@ -413,7 +432,7 @@ def test_probes_never_rebuild_a_path_graph(monkeypatch):
     config = StabilityConfig(c=0.5, gamma_steps=1, degree=1, norm_estimate=2.0)
     for f in (linear_blocking_polynomial(40, 12, RandomSeed(64)), pair):
         assert detect_bad_steps(f, path, config) is not None
-        assert sum(1 for _ in walk_rounded_subsets(f, path, 0.1)) == path.length + 1
+        assert len(per_step(walk_rounded_subsets(f, path, 0.1))) == path.length + 1
 
 
 def test_probes_refuse_a_function_built_for_another_n():
@@ -481,6 +500,59 @@ def test_greedy_over_a_generator_matches_the_list_and_stops_at_k():
         greedy_overlap_chain(iter(()), params)
 
 
+segmentations = st.lists(
+    st.tuples(st.integers(1, 50), st.integers(0, 255), st.integers(0, 255)), min_size=1, max_size=12)
+
+
+@given(segmentation=segmentations, epsilon=st.sampled_from([1e-12, 0.2, 0.6, 1.0]),
+       phi=st.floats(1.0, 40.0), K=st.integers(2, 700))
+@example(segmentation=[(3, 1, 0), (50, 1, 0), (2, 3, 1)], epsilon=1e-12, phi=40.0, K=700)
+@example(segmentation=[(1, 0, 0), (40, 7, 0), (9, 7, 3)], epsilon=1e-12, phi=1.0, K=20)
+@example(segmentation=[(5, 1, 0), (5, 255, 0), (5, 255, 255)], epsilon=1.0, phi=20.0, K=700)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_segment_chain_equals_the_chain_over_each_step(segmentation, epsilon, phi, K):
+    # segments of 1 to 50 steps with random masks; epsilon = 1e-12 puts the bar
+    # at or below 0, so every step picks, inside a segment too
+    segments, start = [], 0
+    for length, mask_l, mask_r in segmentation:
+        segments.append((start, start + length, VertexSubset(mask_l, mask_r)))
+        start += length
+    params = chain_params(epsilon=epsilon, K=K, phi=phi)
+    result = greedy_chain_over_segments(segments, params)
+    assert result == greedy_overlap_chain(per_step(segments), params)
+    if epsilon == 1e-12:
+        assert result.timestamps == tuple(range(min(K, start)))
+
+
+# The K=50 chain of the ogp defaults at n=200, d=4, epsilon=0.6, gamma_steps=1
+# on RandomSeed(1, 0), recorded from the per-step chain: it stalls after six
+# picks, so it reads all 40 001 steps, 1513 of them flips.
+STALLED_CHAIN_TIMESTAMPS = (0, 7386, 17851, 24214, 28850, 35985)
+STALLED_CHAIN_MASK_L = 0x418000e8009c00003204000420050106000001000040085
+STALLED_CHAIN_MASKS_R = (
+    0xb6a07c85edb3315c7f4f7fbbb39a6fb24f5b09560739ec8b76,
+    0xb6a27cadf9b33b4c7f4f7bbba31b47b2cb5108362739ec097e,
+    0xb6a27d9ff9373b4c7fcf7b3ba31247b2cb110c3aaf33ac416e,
+    0xb6a6fddff33f1bcc57cb5b3b871257b2c9110c3aef33ac616f,
+    0xb6b6fddff31f1f8dd7cb1b3b8712d7b6f9150a3aed333c616f,
+    0xb2bdfddfe1571fa5d7cb1b35c702d2b3b9111228ed773c716d,
+)
+
+
+def test_a_chain_that_walks_the_whole_path_is_pinned():
+    n, d, s = 200, 4.0, RandomSeed(1, 0)
+    params = resolve_params("ogp", {"n": n, "d": d, "epsilon": 0.6, "K": 50, "gamma_steps": 1})
+    path = build_interpolation_path(sample_bipartite_graph(n, d, s), n * n, d, s)
+    f = linear_blocking_polynomial(n, params["k_l"], s)
+    assert path.flips[0].size == 1513
+    result = greedy_chain_over_segments(walk_rounded_subsets(f, path, params["eta"]),
+                                        OverlapChainParams.for_scale(0.6, 50, n, d))
+    assert not result.success
+    assert result.timestamps == STALLED_CHAIN_TIMESTAMPS
+    assert [(v.mask_l, v.mask_r) for v in result.sets] == [
+        (STALLED_CHAIN_MASK_L, mask_r) for mask_r in STALLED_CHAIN_MASKS_R]
+
+
 def test_greedy_selection_lands_in_window():
     # grow by exactly ceil(new_mass_min) fresh vertices per step: every pick
     # is then inside [min, 2*min] <= [min, max]
@@ -528,6 +600,15 @@ def test_chain_checker_flags_each_condition():
     assert report.independence_witnesses[0] is not None
     wl, wr = report.independence_witnesses[0]
     assert g5.has_edge(wl, wr)
+
+
+def test_chain_checker_refuses_an_empty_chain_and_steps_off_the_path():
+    path = small_path()
+    with pytest.raises(ParameterError):
+        check_overlap_chain([], [], path, chain_params())
+    for t in (-1, path.length + 1):
+        with pytest.raises(ParameterError):
+            check_overlap_chain([EMPTY_SUBSET, EMPTY_SUBSET], [0, t], path, chain_params())
 
 
 def test_chain_checker_accepts_valid_synthetic_chain():
