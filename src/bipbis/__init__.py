@@ -18,9 +18,8 @@ from .exact import (ParetoProfile, enumerate_max_gamma_balanced,
                     max_gamma_balanced_is, max_joint_intersection,
                     pareto_profile)
 from .graph import (BipartiteGraph, Neighborhood, Side, VertexId,
-                    graph_from_text, graph_to_text, neighborhood,
-                    read_graph_text, sample_bipartite_graph, validate_graph,
-                    write_graph_text)
+                    graph_from_text, graph_to_text, read_graph_text,
+                    sample_bipartite_graph, validate_graph, write_graph_text)
 from .local import (GaltonWatsonTree, LocalFunctionPair, VertexLabels,
                     apply_local_pair, constant_pair, draw_labels,
                     estimate_gw_expectation, gamma_balanced_value, gamma_trim,

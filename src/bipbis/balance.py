@@ -98,9 +98,6 @@ class VertexSubset:
     def union(self, other: "VertexSubset") -> "VertexSubset":
         return VertexSubset(self.mask_l | other.mask_l, self.mask_r | other.mask_r)
 
-    def difference(self, other: "VertexSubset") -> "VertexSubset":
-        return VertexSubset(self.mask_l & ~other.mask_l, self.mask_r & ~other.mask_r)
-
 
 EMPTY_SUBSET = VertexSubset(0, 0)
 

@@ -133,6 +133,10 @@ def _probability(name, v, p):
     _must(0.0 <= v <= 1.0, f"p must lie in [0, 1], got {v}")
 
 
+def _seed(name, v, p):
+    RandomSeed(v)  # its own rule, 0 <= seed < 2^64, before any work starts
+
+
 def _trial_count(name, v, p):
     _at_least(1)(name, v, p)
     check_trial_streams(v)
@@ -189,7 +193,7 @@ def _output_file(name, v, p):
 
 
 _RUN_PARAMS = (
-    Param("seed", int, 1, None, "base seed (default 1)"),
+    Param("seed", int, 1, _seed, "base seed (default 1)"),
     Param("stream", int, 0, _non_negative, "base stream offset (default 0)"),
     Param("record", str, None, _output_file, "write the full experiment record as JSON here"),
 )

@@ -1,13 +1,14 @@
-"""Balanced bipartite graphs: sampling, edge coordinates, neighborhoods, text I/O.
+"""Balanced bipartite graphs: sampling, edge coordinates, text I/O.
 
 Edge coordinates number the n-by-n biadjacency cells 0..n^2 - 1 in row-major
 order (L-vertex major, R-vertex minor), so the edge (l, r) is l*n + r. Code
 that replays or resamples edges -- notably the interpolation path -- relies
 on this order being stable across runs, so it is fixed here once.
 
-Graphs are logically immutable after construction and safe to share
-read-only across parallel workers; the CSR adjacency of both sides is built
-once, on first use.
+A graph is its edge list: the sorted coordinates and their endpoint arrays.
+Every kernel scatters over that list; there is no adjacency index. Graphs
+are logically immutable after construction and safe to share read-only
+across parallel workers.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class VertexId:
     side: Side
     index: int
 
-    def global_index(self, n: int) -> int:
-        """Position in the length-2n vertex order: L 0..n-1, then R 0..n-1."""
-        return self.index if self.side is Side.L else n + self.index
-
 
 # ---------------------------------------------------------------------------
 # The graph itself
@@ -57,6 +54,16 @@ def _check_vertex_count(n: int) -> None:
         raise ParameterError(f"n={n} is too large: n^2 edge coordinates must fit in int64")
 
 
+def _check_coordinates(n: int, coords: np.ndarray) -> None:
+    """coords must be a strictly increasing 1-D array within [0, n^2)."""
+    if coords.ndim != 1:
+        raise ParameterError(f"edge coordinates must be one-dimensional, got shape {coords.shape}")
+    if np.any(coords[1:] <= coords[:-1]):
+        raise ParameterError("edge coordinates must be strictly increasing")
+    if coords.size and (coords[0] < 0 or coords[-1] >= n * n):
+        raise ParameterError("edge coordinate out of range")
+
+
 class BipartiteGraph:
     """A balanced bipartite graph on n+n vertices.
 
@@ -65,22 +72,15 @@ class BipartiteGraph:
     coordinates raise ParameterError. ``from_coordinates`` accepts any order
     and drops repeats. The edge set is that array and its endpoint arrays
     ``el`` and ``er``; the graph is logically immutable and its arrays are
-    read-only. Both sides' CSR index arrays and the R-side neighbour order
-    are built together, once, on the first adjacency read; edge-list kernels
-    never build them.
+    read-only.
     """
 
-    __slots__ = ("n", "edge_count", "coords", "el", "er", "_csr")
+    __slots__ = ("n", "edge_count", "coords", "el", "er")
 
     def __init__(self, n: int, coords: np.ndarray):
         _check_vertex_count(n)
         coords = np.asarray(coords, dtype=np.int64)
-        if coords.ndim != 1:
-            raise ParameterError(f"edge coordinates must be one-dimensional, got shape {coords.shape}")
-        if np.any(coords[1:] <= coords[:-1]):
-            raise ParameterError("edge coordinates must be strictly increasing")
-        if coords.size and (coords[0] < 0 or coords[-1] >= n * n):
-            raise ParameterError("edge coordinate out of range")
+        _check_coordinates(n, coords)
         self.n = n
         self.coords = coords
         self.edge_count = int(coords.size)
@@ -89,7 +89,6 @@ class BipartiteGraph:
         self.el = coords // n
         self.er = self.el * n
         np.subtract(coords, self.er, out=self.er)
-        self._csr = None
         for arr in (self.coords, self.el, self.er):
             arr.setflags(write=False)
 
@@ -98,66 +97,6 @@ class BipartiteGraph:
         """Build from sorted, duplicate-free 0-based coordinates."""
         coords = np.unique(np.asarray(coords, dtype=np.int64))
         return BipartiteGraph(n, coords)
-
-    @staticmethod
-    def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        coords = []
-        for l, r in pairs:
-            if not (0 <= l < n and 0 <= r < n):
-                raise ParameterError(f"vertex pair ({l}, {r}) out of range for n={n}")
-            coords.append(l * n + r)
-        return BipartiteGraph.from_coordinates(n, np.array(coords, dtype=np.int64))
-
-    # -- adjacency access ---------------------------------------------------
-
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(L indptr, R indptr, flat L-neighbour indices over R), built on first use."""
-        if self._csr is None:
-            n = self.n
-            # Row-major order makes el non-decreasing and er increasing within
-            # a row, so sorting the unique transposed keys r*n + l orders the
-            # edges by (r, l), as a stable argsort of er would; each key is
-            # below n^2.
-            keys = self.er * n
-            keys += self.el
-            keys.sort()
-            keys %= n
-            indptr_l, indptr_r = (np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
-                                  for ends in (self.el, self.er))
-            for arr in (indptr_l, indptr_r, keys):
-                arr.setflags(write=False)
-            self._csr = (indptr_l, indptr_r, keys)
-        return self._csr
-
-    def neighbors_l(self, i: int) -> np.ndarray:
-        """Sorted R-neighbors of L-vertex i."""
-        indptr = self._adjacency()[0]
-        return self.er[indptr[i]:indptr[i + 1]]
-
-    def neighbors_r(self, j: int) -> np.ndarray:
-        """Sorted L-neighbors of R-vertex j."""
-        indptr, flat = self.csr_r()
-        return flat[indptr[j]:indptr[j + 1]]
-
-    def degrees_l(self) -> np.ndarray:
-        return np.diff(self._adjacency()[0])
-
-    def degrees_r(self) -> np.ndarray:
-        return np.diff(self._adjacency()[1])
-
-    def csr_l(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, flat R-neighbor indices) over L vertices, for bulk kernels."""
-        return self._adjacency()[0], self.er
-
-    def csr_r(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, flat L-neighbor indices) over R vertices."""
-        _, indptr, flat = self._adjacency()
-        return indptr, flat
-
-    def has_edge(self, l: int, r: int) -> bool:
-        row = self.neighbors_l(l)
-        k = np.searchsorted(row, r)
-        return bool(k < row.size and row[k] == r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
@@ -172,36 +111,18 @@ class BipartiteGraph:
 
 
 def validate_graph(graph: BipartiteGraph) -> None:
-    """Full-scan structural check: bipartite, symmetric, consistent counts."""
-    n = graph.n
-    if graph.el.size and (graph.el.min() < 0 or graph.el.max() >= n):
-        raise ParameterError("L endpoint out of range")
-    if graph.er.size and (graph.er.min() < 0 or graph.er.max() >= n):
-        raise ParameterError("R endpoint out of range")
-    # coords is read-only and built strictly increasing, so a repeat shows
-    # as a step that does not rise
-    if np.any(graph.coords[1:] <= graph.coords[:-1]):
-        raise ParameterError("duplicate edges present")
-    if int(graph.degrees_l().sum()) != graph.edge_count:
-        raise ParameterError("L-degree sum disagrees with edge_count")
-    if int(graph.degrees_r().sum()) != graph.edge_count:
-        raise ParameterError("R-degree sum disagrees with edge_count")
-    # symmetry: the sorted edge coordinates rebuilt from each side's CSR agree
-    l_rows, l_nbrs = _csr_pairs(*graph.csr_l())
-    r_rows, r_nbrs = _csr_pairs(*graph.csr_r())
-    l_keys, r_keys = l_rows * n + l_nbrs, r_nbrs * n + r_rows
-    l_keys.sort()
-    r_keys.sort()
-    if not np.array_equal(l_keys, r_keys):
-        raise ParameterError("adjacency is not symmetric across sides")
-
-
-def _csr_pairs(indptr: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(vertex, neighbor) arrays of every entry of one side's CSR adjacency."""
-    degrees = np.diff(indptr)
-    if degrees.size and (degrees.min() < 0 or indptr[0] < 0 or indptr[-1] > flat.size):
-        raise ParameterError("CSR index pointers are not a valid partition")
-    return np.repeat(np.arange(degrees.size), degrees), flat[indptr[0]:indptr[-1]]
+    """Full-scan check of what the graph holds: strictly increasing edge
+    coordinates in [0, n^2), endpoint arrays equal to their rows and
+    columns, and an edge count equal to their number."""
+    n, coords = graph.n, graph.coords
+    _check_vertex_count(n)
+    _check_coordinates(n, coords)
+    if graph.edge_count != coords.size:
+        raise ParameterError(f"edge_count {graph.edge_count} disagrees with {coords.size} coordinates")
+    if not np.array_equal(graph.el, coords // n):
+        raise ParameterError("L endpoints disagree with the edge coordinates")
+    if not np.array_equal(graph.er, coords % n):
+        raise ParameterError("R endpoints disagree with the edge coordinates")
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +260,15 @@ def sample_bipartite_graph(n: int, d: float, seed: RandomSeed) -> BipartiteGraph
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """The radius-s ball around a root, as a rooted induced subgraph.
-
-    Local vertex 0 is the root. ``global_indices`` maps local vertices to
-    positions in the host graph's length-2n vertex order; it is None for
-    synthetic balls (offspring trees) with no host graph.
+    """The radius-s ball around a root, as a rooted induced subgraph, what a
+    ball decider reads. Local vertex 0 is the root; the library builds balls
+    only from offspring trees (``GaltonWatsonTree.to_neighborhood``).
     """
 
     root_side: Side
     vertex_ids: tuple[VertexId, ...]
     adj: tuple[tuple[int, ...], ...]
     depths: tuple[int, ...]
-    global_indices: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -358,47 +276,6 @@ class Neighborhood:
 
     def root_neighbors(self) -> tuple[int, ...]:
         return self.adj[0]
-
-
-def neighborhood(graph: BipartiteGraph, v: VertexId, radius: int) -> Neighborhood:
-    """BFS ball of graph-distance <= radius around v, with induced edges."""
-    if radius < 0:
-        raise ParameterError(f"radius must be non-negative, got {radius}")
-    if not (0 <= v.index < graph.n):
-        raise ParameterError(f"vertex {v} out of range for n={graph.n}")
-    local = {(v.side, v.index): 0}
-    order = [(v.side, v.index)]
-    depths = [0]
-    frontier = [(v.side, v.index)]
-    for depth in range(1, radius + 1):
-        nxt = []
-        for side, idx in frontier:
-            nbrs = graph.neighbors_l(idx) if side is Side.L else graph.neighbors_r(idx)
-            for u in nbrs:
-                key = (side.other(), int(u))
-                if key not in local:
-                    local[key] = len(order)
-                    order.append(key)
-                    depths.append(depth)
-                    nxt.append(key)
-        frontier = nxt
-    adj: list[list[int]] = [[] for _ in order]
-    for side, idx in order:
-        a = local[(side, idx)]
-        nbrs = graph.neighbors_l(idx) if side is Side.L else graph.neighbors_r(idx)
-        for u in nbrs:
-            key = (side.other(), int(u))
-            if key in local:
-                adj[a].append(local[key])
-    vertex_ids = tuple(VertexId(side, idx) for side, idx in order)
-    gidx = np.array([vid.global_index(graph.n) for vid in vertex_ids], dtype=np.int64)
-    return Neighborhood(
-        root_side=v.side,
-        vertex_ids=vertex_ids,
-        adj=tuple(tuple(sorted(a)) for a in adj),
-        depths=tuple(depths),
-        global_indices=gidx,
-    )
 
 
 # ---------------------------------------------------------------------------

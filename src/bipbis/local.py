@@ -47,9 +47,6 @@ class VertexLabels:
     def r(self) -> np.ndarray:
         return self.values[self.n:]
 
-    def restrict(self, ball: Neighborhood) -> np.ndarray:
-        return self.values[ball.global_indices]
-
 
 def draw_labels(n: int, seed: RandomSeed) -> VertexLabels:
     """iid Uniform[0,1] labels, deterministic given the seed; the same seed
@@ -260,7 +257,6 @@ class GaltonWatsonTree:
             vertex_ids=vertex_ids,
             adj=self.adj,
             depths=tuple(depths),
-            global_indices=None,
         )
 
 

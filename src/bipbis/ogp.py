@@ -44,7 +44,6 @@ class InterpolationPath:
     current bit changes nothing and is left out."""
 
     base: BipartiteGraph
-    d: float
     length: int
     flips: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -103,7 +102,7 @@ def build_interpolation_path(
     flips = (steps + 1, *np.divmod(steps % m, n), bits[steps])
     for a in flips:
         a.setflags(write=False)
-    return InterpolationPath(base=base, d=d, length=T, flips=flips)
+    return InterpolationPath(base=base, length=T, flips=flips)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +251,6 @@ class StabilityReport:
     floor: float
     norm_estimate: float
 
-    @property
-    def above_floor(self) -> bool:
-        return self.empirical_probability >= self.floor
-
 
 def stability_trial(
     make_f,
@@ -370,10 +365,6 @@ class OverlapChainParams:
     @property
     def density_min(self) -> float:
         return (1.0 + self.epsilon) * self.phi
-
-    @property
-    def satisfies_chain_length_bound(self) -> bool:
-        return self.K >= math.ceil(9.0 / self.epsilon**2) + 1
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,21 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId, VertexSubset,
-                    max_balanced_pair, neighborhood, sample_bipartite_graph)
+from bipbis import (BipartiteGraph, Neighborhood, ParameterError, RandomSeed, Side, VertexId,
+                    VertexSubset, max_balanced_pair, sample_bipartite_graph)
 from bipbis.graph import _INT64_MAX, _MAX_DIGITS, _bad_line, _check_vertex_count
 from bipbis.lowdeg import check_polynomial_output
 from bipbis.rng import RESAMPLE_DRAW
 
 
 def graph_from_edges(n, edges):
-    return BipartiteGraph.from_edges(n, edges)
+    """The graph with the edges (l, r), given in any order; repeats are dropped."""
+    coords = []
+    for l, r in edges:
+        if not (0 <= l < n and 0 <= r < n):
+            raise ParameterError(f"vertex pair ({l}, {r}) out of range for n={n}")
+        coords.append(l * n + r)
+    return BipartiteGraph.from_coordinates(n, np.array(coords, dtype=np.int64))
 
 
 def brute_balanced(a: int, b: int, gamma: float) -> bool:
@@ -130,6 +136,42 @@ def bfs_ball(n: int, edges: list[tuple[int, int]], side: str, idx: int, radius: 
     return seen
 
 
+def neighbor_lists(graph: BipartiteGraph) -> dict[Side, list[list[int]]]:
+    """Each vertex's neighbours by side, read off the edge list; row-major
+    order leaves every list sorted."""
+    nbrs = {Side.L: [[] for _ in range(graph.n)], Side.R: [[] for _ in range(graph.n)]}
+    for l, r in zip(graph.el.tolist(), graph.er.tolist()):
+        nbrs[Side.L][l].append(r)
+        nbrs[Side.R][r].append(l)
+    return nbrs
+
+
+def neighborhood(graph: BipartiteGraph, v: VertexId, radius: int) -> Neighborhood:
+    """BFS ball of graph-distance <= radius around v, with induced edges,
+    over the graph's neighbour lists."""
+    nbrs = neighbor_lists(graph)
+    local = {(v.side, v.index): 0}
+    order = [(v.side, v.index)]
+    depths = [0]
+    frontier = list(order)
+    for depth in range(1, radius + 1):
+        nxt = []
+        for side, idx in frontier:
+            for u in nbrs[side][idx]:
+                key = (side.other(), u)
+                if key not in local:
+                    local[key] = len(order)
+                    order.append(key)
+                    depths.append(depth)
+                    nxt.append(key)
+        frontier = nxt
+    adj = tuple(tuple(sorted(local[(side.other(), u)] for u in nbrs[side][idx]
+                             if (side.other(), u) in local))
+                for side, idx in order)
+    return Neighborhood(root_side=v.side, vertex_ids=tuple(VertexId(*key) for key in order),
+                        adj=adj, depths=tuple(depths))
+
+
 def graph_to_text_loop(graph: BipartiteGraph) -> str:
     """The text format written one edge line at a time."""
     buf = io.StringIO()
@@ -161,7 +203,7 @@ def graph_from_text_loop(text: str) -> BipartiteGraph:
     pairs = [(int(l), int(r)) for l, r in rows[1:]]
     if len(set(pairs)) != len(pairs):
         raise ParameterError("duplicate edge")
-    return BipartiteGraph.from_edges(n, pairs)
+    return graph_from_edges(n, pairs)
 
 
 def graph_from_text_whole(text: str | bytes) -> BipartiteGraph:
@@ -224,48 +266,29 @@ def graph_from_text_whole(text: str | bytes) -> BipartiteGraph:
     return BipartiteGraph(n, coords)
 
 
-def validate_graph_sets(graph: BipartiteGraph) -> None:
-    """Structural check with the symmetry test done on Python sets of pairs."""
+def validate_graph_loop(graph: BipartiteGraph) -> None:
+    """validate_graph's checks, in its order and with its messages, on
+    Python ints one edge at a time."""
     n = graph.n
-    if graph.el.size and (graph.el.min() < 0 or graph.el.max() >= n):
-        raise ParameterError("L endpoint out of range")
-    if graph.er.size and (graph.er.min() < 0 or graph.er.max() >= n):
-        raise ParameterError("R endpoint out of range")
-    if np.unique(graph.coords).size != graph.edge_count:
-        raise ParameterError("duplicate edges present")
-    if int(graph.degrees_l().sum()) != graph.edge_count:
-        raise ParameterError("L-degree sum disagrees with edge_count")
-    if int(graph.degrees_r().sum()) != graph.edge_count:
-        raise ParameterError("R-degree sum disagrees with edge_count")
-    from_l = {(l, r) for l in range(n) for r in graph.neighbors_l(l)}
-    from_r = {(l, r) for r in range(n) for l in graph.neighbors_r(r)}
-    if from_l != from_r:
-        raise ParameterError("adjacency is not symmetric across sides")
+    coords, el, er = graph.coords.tolist(), graph.el.tolist(), graph.er.tolist()
+    if any(b <= a for a, b in zip(coords, coords[1:])):
+        raise ParameterError("edge coordinates must be strictly increasing")
+    if any(not 0 <= c < n * n for c in coords):
+        raise ParameterError("edge coordinate out of range")
+    if graph.edge_count != len(coords):
+        raise ParameterError(f"edge_count {graph.edge_count} disagrees with {len(coords)} coordinates")
+    if el != [c // n for c in coords]:
+        raise ParameterError("L endpoints disagree with the edge coordinates")
+    if er != [c % n for c in coords]:
+        raise ParameterError("R endpoints disagree with the edge coordinates")
 
 
-def graph_arrays(graph: BipartiteGraph) -> dict[str, np.ndarray]:
-    """Every array of a graph by name, the CSRs read through csr_l and csr_r."""
-    (indptr_l, flat_l_to_r), (indptr_r, flat_r_to_l) = graph.csr_l(), graph.csr_r()
-    return {"coords": graph.coords, "el": graph.el, "er": graph.er,
-            "indptr_l": indptr_l, "flat_l_to_r": flat_l_to_r,
-            "indptr_r": indptr_r, "flat_r_to_l": flat_r_to_l}
-
-
-def csr_argsort(n: int, coords: np.ndarray) -> dict[str, np.ndarray]:
-    """Every array of BipartiteGraph(n, coords), named as in graph_arrays,
-    the R side built by a stable argsort of the R endpoints."""
-    coords = np.asarray(coords, dtype=np.int64)
-    el, er = coords // n, coords % n
-    order = np.argsort(er, kind="stable")
-    return {
-        "coords": coords,
-        "el": el,
-        "er": er,
-        "indptr_l": np.concatenate(([0], np.cumsum(np.bincount(el, minlength=n)))),
-        "flat_l_to_r": er,
-        "indptr_r": np.concatenate(([0], np.cumsum(np.bincount(er, minlength=n)))),
-        "flat_r_to_l": el[order],
-    }
+def csr_r_argsort(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, flat L-neighbour indices) over R vertices, the neighbours
+    set in (r, l) order by a stable argsort of the R endpoints."""
+    order = np.argsort(graph.er, kind="stable")
+    return (np.concatenate(([0], np.cumsum(np.bincount(graph.er, minlength=graph.n)))),
+            graph.el[order])
 
 
 def segment_min_exceeds(flat_values: np.ndarray, indptr: np.ndarray, threshold: float) -> np.ndarray:
@@ -285,10 +308,10 @@ def segment_min_exceeds(flat_values: np.ndarray, indptr: np.ndarray, threshold: 
 
 def chosen_neighbor_counts(graph: BipartiteGraph, chosen_l) -> np.ndarray:
     """For each R vertex, its number of L neighbours in chosen_l, one vertex
-    at a time over neighbors_r."""
+    at a time over its neighbour list."""
     chosen = set(np.asarray(chosen_l).tolist())
-    return np.array([sum(int(l) in chosen for l in graph.neighbors_r(j))
-                     for j in range(graph.n)], dtype=np.int64)
+    return np.array([sum(l in chosen for l in nbrs) for nbrs in neighbor_lists(graph)[Side.R]],
+                    dtype=np.int64)
 
 
 @st.composite
@@ -311,21 +334,22 @@ def edge_list_graphs(draw, max_n: int = 3000):
     return graph
 
 
-def resample_draws(path, seed: RandomSeed) -> tuple[np.ndarray, np.ndarray]:
-    """The per-step draws of a path built with ``seed``, drawn again: the
-    1-based coordinate each step resamples, on the cyclic schedule, and the
-    bit it draws from Ber(d/n)."""
+def resample_draws(path, d: float, seed: RandomSeed) -> tuple[np.ndarray, np.ndarray]:
+    """The per-step draws of a path built with ``d`` and ``seed``, drawn
+    again: the 1-based coordinate each step resamples, on the cyclic
+    schedule, and the bit it draws from Ber(d/n)."""
     T, m = path.length, path.n * path.n
     sigmas = np.arange(T, dtype=np.int64) % m + 1
-    bits = (seed.generator(RESAMPLE_DRAW).random(T) < path.d / path.n).astype(np.uint8)
+    bits = (seed.generator(RESAMPLE_DRAW).random(T) < d / path.n).astype(np.uint8)
     return sigmas, bits
 
 
-def flips_argsort(path, seed: RandomSeed) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def flips_argsort(path, d: float,
+                  seed: RandomSeed) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """InterpolationPath.flips for any coordinate order: a stable argsort
     groups each coordinate's visits in step order, and each visit's old bit
     is the visit before it, or the base bit on the first."""
-    sigmas, bits = resample_draws(path, seed)
+    sigmas, bits = resample_draws(path, d, seed)
     order = np.argsort(sigmas, kind="stable")
     coords = sigmas[order] - 1
     old = np.empty(path.length, dtype=np.uint8)
@@ -349,7 +373,9 @@ def ball_decisions(graph: BipartiteGraph, pair, labels) -> tuple[np.ndarray, np.
     for side, sel, decide in ((Side.L, sel_l, pair.decide_l), (Side.R, sel_r, pair.decide_r)):
         for i in range(n):
             ball = neighborhood(graph, VertexId(side, i), pair.radius)
-            sel[i] = bool(decide(ball, labels.restrict(ball)))
+            # L labels come first in labels.values, then R
+            where = [u.index + (n if u.side is Side.R else 0) for u in ball.vertex_ids]
+            sel[i] = bool(decide(ball, labels.values[where]))
     return sel_l, sel_r
 
 

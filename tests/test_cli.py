@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -75,6 +76,23 @@ def test_sample_then_exact_roundtrip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "exact", "--graph", str(out_path), "--gamma", "0.5")
     assert code == 0
     assert out.startswith("size=")
+
+
+# sha256 of the file `sample --n 1000 --d 10` writes, by seed: the sampler and
+# the text format byte for byte
+PINNED_SAMPLE_FILES = {
+    7: "61fc21fa33896fcb0904e63f59920bad044c5f8c056cd7de73872a772bf493fe",
+    8: "9b0c22b005581967f2817bd71e5dbaa3f653d066524172dcaa01019e53f70382",
+}
+
+
+@pytest.mark.parametrize("seed", list(PINNED_SAMPLE_FILES))
+def test_sample_files_are_pinned(capsys, tmp_path, seed):
+    out_path = tmp_path / "g.txt"
+    code, _, _ = run_cli(capsys, "sample", "--n", "1000", "--d", "10", "--seed", str(seed),
+                         "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SAMPLE_FILES[seed]
 
 
 def test_sample_writes_its_graph_file_atomically(capsys, tmp_path, monkeypatch):
@@ -342,6 +360,29 @@ def test_fractional_integer_parameters_are_refused(capsys, tmp_path):
                          "--p", "0.2", "--trials", "1", "--csv", str(out_csv))
     assert code == 0
     assert read_rows(out_csv)[1][1] == "200"
+
+
+@pytest.mark.parametrize("argv", [
+    ("phase", "--x", "1", "--y", "1", "--seed", "-5"),
+    ("phase", "--x", "1", "--y", "1", "--seed", str(2**64)),
+    ("local", "--n", "10", "--d", "2", "--p", "0.1", "--seed", "-1", "--trials", "2",
+     "--workers", "2"),
+])
+def test_seeds_outside_64_bits_fail_before_any_work(capsys, monkeypatch, argv):
+    # phase once recorded seed -5 and exited 0; local was refused only when a
+    # pool worker built its first RandomSeed
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before its seed was checked")
+
+    monkeypatch.setattr(experiments, "_execute", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "seed must be a 64-bit unsigned integer" in assert_one_error_line(err)
+
+
+def test_the_largest_64_bit_seed_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "phase", "--x", "1.5", "--y", "1.5", "--seed", str(2**64 - 1))
+    assert code == 0 and out.strip() == "phase=HARD"
 
 
 def test_side_targets_are_range_checked_before_work(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -14,16 +15,14 @@ from hypothesis import strategies as st
 
 import bipbis
 from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId,
-                    apply_local_pair, gamma_trim, graph_from_text, graph_to_text,
-                    linear_blocking_polynomial, neighborhood, random_threshold_pair,
-                    read_graph_text, round_polynomial, sample_bipartite_graph,
+                    graph_from_text, graph_to_text, read_graph_text, sample_bipartite_graph,
                     validate_graph, write_graph_text)
 from bipbis import graph as graph_module
 from bipbis.graph import _bernoulli_coordinates
 from bipbis.rng import GRAPH_DRAW
 from conftest import (bernoulli_coordinates_exact, bernoulli_coordinates_unclipped, bfs_ball,
-                      csr_argsort, graph_arrays, graph_from_edges, graph_from_text_loop,
-                      graph_from_text_whole, graph_to_text_loop, validate_graph_sets)
+                      graph_from_edges, graph_from_text_loop, graph_from_text_whole,
+                      graph_to_text_loop, neighborhood, validate_graph_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +31,8 @@ from conftest import (bernoulli_coordinates_exact, bernoulli_coordinates_unclipp
 
 
 def test_edge_index_first_and_last():
-    assert BipartiteGraph.from_edges(3, [(0, 0)]).coords.tolist() == [0]
-    assert BipartiteGraph.from_edges(3, [(2, 2)]).coords.tolist() == [8]
+    assert graph_from_edges(3, [(0, 0)]).coords.tolist() == [0]
+    assert graph_from_edges(3, [(2, 2)]).coords.tolist() == [8]
     g = BipartiteGraph(3, np.array([0, 8]))
     assert (g.el.tolist(), g.er.tolist()) == ([0, 2], [0, 2])
 
@@ -49,7 +48,7 @@ def test_edge_index_roundtrip(n, data):
     g = BipartiteGraph(n, np.array([coord]))
     l, r = int(g.el[0]), int(g.er[0])
     assert 0 <= l < n and 0 <= r < n
-    assert BipartiteGraph.from_edges(n, [(l, r)]).coords.tolist() == [coord]
+    assert graph_from_edges(n, [(l, r)]).coords.tolist() == [coord]
 
 
 def test_edge_index_rejections():
@@ -60,7 +59,7 @@ def test_edge_index_rejections():
     # coordinates of (1, 0) and (0, 2)
     for pair in ((3, 0), (0, 3), (-1, 0), (1, -1), (2**70, 0)):
         with pytest.raises(ParameterError, match="out of range for n=3"):
-            BipartiteGraph.from_edges(3, [(0, 1), pair])
+            graph_from_edges(3, [(0, 1), pair])
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,7 @@ def test_constructor_rejects_unsorted_and_repeated_coordinates():
     with pytest.raises(ParameterError, match="strictly increasing"):
         BipartiteGraph(3, [1, 1])
     g = BipartiteGraph.from_coordinates(3, [5, 1, 1])
-    assert g.edge_count == 2 and g.has_edge(0, 1) and g.has_edge(1, 2)
+    assert g.edge_count == 2 and g.coords.tolist() == [1, 5]
 
 
 def test_constructor_rejects_out_of_range_input():
@@ -91,7 +90,7 @@ def test_constructor_rejects_out_of_range_input():
 def edge_coordinate_sets(draw):
     """Strictly increasing coordinates: empty, complete and sparse graphs,
     full rows and columns, isolated vertices on both sides, and n large
-    enough that the transposed keys pass 2^31."""
+    enough that the coordinates pass 2^31."""
     n = draw(st.integers(min_value=1, max_value=8) | st.integers(min_value=9, max_value=300)
              | st.integers(min_value=46_400, max_value=100_000))
     coords = draw(st.lists(st.integers(min_value=0, max_value=n * n - 1), max_size=60))
@@ -107,57 +106,17 @@ def edge_coordinate_sets(draw):
 
 @given(edge_coordinate_sets())
 @settings(max_examples=200)
-def test_csr_matches_argsort_oracle(case):
+def test_graph_is_its_coordinates_and_their_endpoints(case):
     n, coords = case
     given_coords = coords.copy()
     g = BipartiteGraph(n, coords)
     assert np.array_equal(coords, given_coords)
-    arrays = graph_arrays(g)
-    for name, want in csr_argsort(n, given_coords).items():
-        got = arrays[name]
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for got, want in ((g.coords, given_coords), (g.el, given_coords // n),
+                      (g.er, given_coords % n)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         assert not got.flags.writeable
-
-
-def test_easy_algorithms_leave_the_r_side_unbuilt():
-    # the calls of one local and one lowdeg trial scan the edge list only and
-    # build no CSR
-    s = RandomSeed(5)
-    g = sample_bipartite_graph(2000, 10, s)
-    subset = apply_local_pair(g, random_threshold_pair(0.1746), s)
-    gamma_trim(subset, 0.5)
-    values = linear_blocking_polynomial(2000, 700, s).evaluate(g)
-    round_polynomial(values, g, 0.0)
-    assert g._csr is None
-
-
-ADJACENCY_USES = {
-    "csr_l": lambda g: g.csr_l(),
-    "csr_r": lambda g: g.csr_r(),
-    "neighbors_l": lambda g: g.neighbors_l(0),
-    "neighbors_r": lambda g: g.neighbors_r(0),
-    "degrees_l": lambda g: g.degrees_l(),
-    "degrees_r": lambda g: g.degrees_r(),
-    "has_edge": lambda g: g.has_edge(0, 1),
-    "validate_graph": validate_graph,
-    "neighborhood": lambda g: neighborhood(g, VertexId(Side.R, 1), 1),
-}
-
-
-# every adjacency read builds both sides' CSR, the R side included
-@pytest.mark.parametrize("use", sorted(ADJACENCY_USES))
-def test_r_side_is_built_on_first_use(use):
-    g = sample_bipartite_graph(300, 4, RandomSeed(6))
-    assert g._csr is None
-    ADJACENCY_USES[use](g)
-    built = g._csr
-    want = csr_argsort(g.n, g.coords)
-    for name, got in zip(("indptr_l", "indptr_r", "flat_r_to_l"), built):
-        assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
-        assert not got.flags.writeable
-    assert g.csr_l()[0] is built[0] and g.csr_l()[1] is g.er
-    assert g.csr_r()[0] is built[1] and g.csr_r()[1] is built[2]
-    assert g._csr is built
+    validate_graph(g)
+    validate_graph_loop(g)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +129,15 @@ def test_sample_mean_edge_count():
     mean = 1000 * 10
     sd = np.sqrt(1000**2 * 0.01 * 0.99)
     assert abs(g.edge_count - mean) < 4 * sd
+
+
+def test_sampled_coordinates_are_pinned():
+    # sha256 of the n=1e5, d=10 coordinates of (seed 1, stream 3): the sampler
+    # byte for byte
+    coords = sample_bipartite_graph(10**5, 10, RandomSeed(1, 3)).coords
+    assert coords.size == 1_000_429
+    assert (hashlib.sha256(coords.tobytes()).hexdigest()
+            == "4deb348c770fb45eb52bcdb404028118077b4b489319f99ef0736aa6e5fe42ed")
 
 
 def test_sample_degenerate_probability():
@@ -345,7 +313,7 @@ def test_per_coordinate_presence_chi_square():
 
 
 # ---------------------------------------------------------------------------
-# neighborhoods
+# the tests' ball builder, behind the ball-at-a-time oracles
 # ---------------------------------------------------------------------------
 
 
@@ -385,14 +353,6 @@ def test_neighborhood_matches_bfs_oracle():
         ball = neighborhood(g, VertexId(side, idx), radius)
         got = {(v.side.value, v.index) for v in ball.vertex_ids}
         assert got == bfs_ball(n, edges, side.value, idx, radius)
-
-
-def test_neighborhood_invalid_vertex():
-    g = graph_from_edges(2, [])
-    with pytest.raises(ParameterError):
-        neighborhood(g, VertexId(Side.L, 5), 1)
-    with pytest.raises(ParameterError):
-        neighborhood(g, VertexId(Side.L, 0), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -519,25 +479,51 @@ def test_text_writer_and_validator_match_loop_oracles(n, seed, data):
     g = sample_bipartite_graph(n, min(n - 0.01, 2.5), RandomSeed(seed))
     assert graph_to_text(g) == graph_to_text_loop(g)
     validate_graph(g)
-    validate_graph_sets(g)
+    validate_graph_loop(g)
     if g.edge_count == 0:
         return
-    # moving one R-side adjacency entry to another L vertex breaks symmetry
-    indptr_l, indptr_r, flat = g._csr
-    flat = flat.copy()
-    k = data.draw(st.integers(min_value=0, max_value=flat.size - 1))
-    flat[k] = (flat[k] + data.draw(st.integers(min_value=1, max_value=n - 1))) % n
-    g._csr = (indptr_l, indptr_r, flat)
-    for check in (validate_graph, validate_graph_sets):
-        with pytest.raises(ParameterError, match="not symmetric"):
+    # moving one entry of any array breaks the graph, and both checks name the same fault
+    name = data.draw(st.sampled_from(["coords", "el", "er"]))
+    broken = getattr(g, name).copy()
+    broken[data.draw(st.integers(min_value=0, max_value=broken.size - 1))] += data.draw(
+        st.sampled_from([-n * n, -n, -1, 1, n, n * n]))
+    setattr(g, name, broken)
+    errors = []
+    for check in (validate_graph, validate_graph_loop):
+        with pytest.raises(ParameterError) as error:
             check(g)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1]
 
 
-def test_validator_rejects_a_broken_csr_index():
-    g = graph_from_edges(3, [(0, 0), (1, 1), (2, 2)])
-    indptr_l, _, flat = g.csr_l()[0], *g.csr_r()
-    g._csr = (indptr_l, np.array([0, 4, 2, 3]), flat)  # degrees 4, -2, 1 still sum to 3
-    with pytest.raises(ParameterError, match="partition"):
+# unsorted, repeated, out-of-range and inconsistent arrays in place of each of
+# the graph's own, whose coordinates are [1, 5, 6], el [0, 1, 2] and er [1, 2, 0]
+BROKEN_ARRAYS = [
+    ("coords", [5, 1, 6], "strictly increasing"),
+    ("coords", [1, 5, 5], "strictly increasing"),
+    ("coords", [-1, 5, 6], "out of range"),
+    ("coords", [1, 5, 9], "out of range"),
+    ("coords", [1, 5, 7], "R endpoints"),
+    ("coords", [1, 2, 6], "L endpoints"),
+    ("coords", [1, 5, 6, 7], "edge_count 3 disagrees"),
+    ("coords", [[1, 5, 6]], "one-dimensional"),
+    ("el", [1, 0, 2], "L endpoints"),
+    ("el", [0, 1, 1], "L endpoints"),
+    ("el", [0, 1, 3], "L endpoints"),
+    ("el", [0, 1], "L endpoints"),
+    ("er", [2, 1, 0], "R endpoints"),
+    ("er", [1, 2, 2], "R endpoints"),
+    ("er", [1, 2, 3], "R endpoints"),
+    ("er", [1, 2, 0, 0], "R endpoints"),
+]
+
+
+@pytest.mark.parametrize("name, values, match", BROKEN_ARRAYS)
+def test_validator_rejects_each_broken_array(name, values, match):
+    g = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    validate_graph(g)
+    setattr(g, name, np.array(values, dtype=np.int64))
+    with pytest.raises(ParameterError, match=match):
         validate_graph(g)
 
 

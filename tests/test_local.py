@@ -13,8 +13,8 @@ from bipbis import (CompatibilityViolation, ParameterError,
                     sample_bipartite_graph)
 from bipbis.experiments import ExperimentConfig, sweep
 from bipbis.local import GaltonWatsonTree, VertexLabels
-from conftest import (ball_decisions, brute_trim_best, csr_argsort, edge_list_graphs,
-                      graph_from_edges, segment_min_exceeds, subset_of)
+from conftest import (ball_decisions, brute_trim_best, csr_r_argsort, edge_list_graphs,
+                      graph_from_edges, neighborhood, segment_min_exceeds, subset_of)
 
 
 def bisect_fixed_point(d, lo=0.0, hi=1.0, iters=200):
@@ -70,8 +70,7 @@ def test_threshold_pair_p1_keeps_isolated_r_only():
     g = sample_bipartite_graph(25, 2, RandomSeed(6))
     sub = apply_local_pair(g, random_threshold_pair(1.0), RandomSeed(6))
     assert sub.count_l == 25
-    isolated = {j for j in range(25) if g.neighbors_r(j).size == 0}
-    assert sub.in_r == frozenset(isolated)
+    assert sub.in_r == frozenset(range(25)) - frozenset(g.er.tolist())
 
 
 def test_threshold_pair_rejects_bad_p():
@@ -122,28 +121,16 @@ def test_threshold_pair_matches_the_segment_minimum_oracle(graph, p, ties, entro
     values = rng.random(2 * n)
     values[rng.random(2 * n) < ties] = p
     labels = VertexLabels(n, values)
-    oracle = csr_argsort(n, graph.coords)
+    indptr, flat = csr_r_argsort(graph)
     sel_l, sel_r = pair_decisions(graph, random_threshold_pair(p), labels)
     assert np.array_equal(sel_l, labels.l <= p)
-    assert np.array_equal(
-        sel_r, segment_min_exceeds(labels.l[oracle["flat_r_to_l"]], oracle["indptr_r"], p))
+    assert np.array_equal(sel_r, segment_min_exceeds(labels.l[flat], indptr, p))
 
 
 def _distances_from(graph, v, cap):
-    """BFS distances (inf beyond cap) keyed by (side, index)."""
-    dist = {(v.side, v.index): 0}
-    frontier = [(v.side, v.index)]
-    for depth in range(1, cap + 1):
-        nxt = []
-        for side, idx in frontier:
-            nbrs = graph.neighbors_l(idx) if side is Side.L else graph.neighbors_r(idx)
-            for u in nbrs:
-                key = (side.other(), int(u))
-                if key not in dist:
-                    dist[key] = depth
-                    nxt.append(key)
-        frontier = nxt
-    return dist
+    """BFS distances up to cap, keyed by (side, index); farther vertices are absent."""
+    ball = neighborhood(graph, v, cap)
+    return {(u.side, u.index): depth for u, depth in zip(ball.vertex_ids, ball.depths)}
 
 
 def test_locality_is_structural():

@@ -73,11 +73,11 @@ path_shapes = dict(
 
 
 def path_of_shape(n, sweeps, extra, density, seed):
-    """A path and the seed it was built with, for the strategies above."""
+    """A path and the d and seed it was built with, for the strategies above."""
     m, d = n * n, density * n
     T = max(0, sweeps * m + (int(extra * m) if isinstance(extra, float) else extra))
     base = sample_bipartite_graph(n, d, RandomSeed(seed))
-    return build_interpolation_path(base, T, d, RandomSeed(seed, 1)), RandomSeed(seed, 1)
+    return build_interpolation_path(base, T, d, RandomSeed(seed, 1)), d, RandomSeed(seed, 1)
 
 
 @given(**path_shapes)
@@ -85,8 +85,8 @@ def path_of_shape(n, sweeps, extra, density, seed):
 def test_delta_reconstruction_matches_step_by_step_replay(n, sweeps, extra, density, seed):
     # resampling one coordinate per step must land on the same graphs as
     # replaying the stored flips
-    path, path_seed = path_of_shape(n, sweeps, extra, density, seed)
-    sigmas, bits = resample_draws(path, path_seed)
+    path, d, path_seed = path_of_shape(n, sweeps, extra, density, seed)
+    sigmas, bits = resample_draws(path, d, path_seed)
     state = np.zeros(n * n, dtype=np.uint8)
     state[path.base.coords] = 1
     for t in range(path.length + 1):
@@ -115,9 +115,9 @@ def test_flips_are_the_steps_that_change_the_graph():
 @example(n=2100, sweeps=1, extra=0, density=4.0 / 2100, seed=5)  # T > 2**22: two bit chunks
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 def test_flips_match_the_argsort_oracle(n, sweeps, extra, density, seed):
-    path, path_seed = path_of_shape(n, sweeps, extra, density, seed)
+    path, d, path_seed = path_of_shape(n, sweeps, extra, density, seed)
     got = path.flips
-    for a, b in zip(got, flips_argsort(path, path_seed)):
+    for a, b in zip(got, flips_argsort(path, d, path_seed)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not a.flags.writeable
 
@@ -138,7 +138,7 @@ def test_full_cycle_refreshes_every_coordinate():
     # after m steps the graph is exactly the resampled bits, independent of base
     path = small_path(n=4, d=1.0, T=16, seed=9)
     m = 16
-    resampled = np.flatnonzero(resample_draws(path, RandomSeed(9))[1][:m])
+    resampled = np.flatnonzero(resample_draws(path, 1.0, RandomSeed(9))[1][:m])
     assert np.array_equal(path.edge_coordinates_at(m), resampled)
 
 
@@ -185,7 +185,7 @@ def test_spike_polynomial_triggers_exactly_on_flips_of_coordinate_one():
     config = StabilityConfig(c=0.5, gamma_steps=1, degree=1, norm_estimate=6.0)
     bad = detect_bad_steps(f, path, config)
     # recompute expected flips of coordinate 1 by replay
-    sigmas, bits = resample_draws(path, RandomSeed(33))
+    sigmas, bits = resample_draws(path, 2.0, RandomSeed(33))
     state = np.zeros(36, dtype=np.uint8)
     state[path.base.coords] = 1
     expected = []
@@ -265,7 +265,7 @@ def test_stability_trial_linear_polynomial_beats_floor():
         n=30, d=3, gamma_steps=1, c=0.5, degree=1, trials=10, seed=RandomSeed(60))
     assert report.empirical_probability == 1.0
     assert report.floor == pytest.approx((3 / 30) ** (4 * 1 * 1 / 0.5))
-    assert report.above_floor
+    assert report.empirical_probability >= report.floor
 
 
 def test_stability_trial_wrapped_local_pair_beats_floor():
@@ -274,7 +274,7 @@ def test_stability_trial_wrapped_local_pair_beats_floor():
 
     report = stability_trial(make_f, n=30, d=3, gamma_steps=1, c=0.5, degree=1,
                              trials=8, seed=RandomSeed(61))
-    assert report.above_floor
+    assert report.empirical_probability >= report.floor
     # recorded when each flip step's graph was evaluated whole
     assert report == StabilityReport(
         trials=8, no_bad_count=8, empirical_probability=1.0, wilson_low=0.6755843804891231,
@@ -403,7 +403,7 @@ def test_walk_matches_materialized_rounding_at_every_step(
 @given(**path_shapes, kind=st.integers(0, 8))
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 def test_walk_yields_a_segment_at_zero_and_one_at_each_flip(n, sweeps, extra, density, seed, kind):
-    path, _ = path_of_shape(n, sweeps, extra, density, seed)
+    path, _, _ = path_of_shape(n, sweeps, extra, density, seed)
     f = path_function(kind, n, 0.5, RandomSeed(seed), seed)
     starts, stops, _ = zip(*walk_rounded_subsets(f, path, 0.15))
     assert starts == (0, *path.flips[0].tolist())
@@ -565,7 +565,7 @@ def test_greedy_selection_lands_in_window():
     assert result.success
     union = sets[0]
     for s, t in zip(result.sets[1:], result.timestamps[1:]):
-        new_mass = s.difference(union).size
+        new_mass = len(s.in_l - union.in_l) + len(s.in_r - union.in_r)
         assert params.new_mass_min - 1e-9 <= new_mass <= params.new_mass_max + 1e-9
         union = union.union(s)
 
@@ -599,7 +599,7 @@ def test_chain_checker_flags_each_condition():
     assert not report.condition1
     assert report.independence_witnesses[0] is not None
     wl, wr = report.independence_witnesses[0]
-    assert g5.has_edge(wl, wr)
+    assert wl * n + wr in g5.coords
 
 
 def test_chain_checker_refuses_an_empty_chain_and_steps_off_the_path():
@@ -626,15 +626,11 @@ def test_chain_checker_accepts_valid_synthetic_chain():
     assert report.conditions_bitmask() == 7
 
 
-def test_chain_params_validation_and_hypothesis_bound():
+def test_chain_params_validation():
     with pytest.raises(ParameterError):
         OverlapChainParams(epsilon=0.0, K=2, phi=10.0)
     with pytest.raises(ParameterError):
         OverlapChainParams(epsilon=0.5, K=1, phi=10.0)
-    small = OverlapChainParams(epsilon=0.3, K=2, phi=10.0)
-    assert not small.satisfies_chain_length_bound   # needs K >= 101
-    big = OverlapChainParams(epsilon=0.3, K=101, phi=10.0)
-    assert big.satisfies_chain_length_bound
 
 
 def test_greedy_coherence_with_checker_condition3():
@@ -652,7 +648,7 @@ def test_greedy_coherence_with_checker_condition3():
             continue
         union = result.sets[0]
         for s in result.sets[1:]:
-            mass = s.difference(union).size
+            mass = len(s.in_l - union.in_l) + len(s.in_r - union.in_r)
             assert params.new_mass_min - 1e-9 <= mass <= params.new_mass_max + 1e-9
             union = union.union(s)
 
