@@ -168,6 +168,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "IOError", "message": str(exc)}), file=sys.stderr)
         return 1
+    except MemoryError as exc:  # raised here or re-raised from a pool worker
+        print(json.dumps({"error": "MemoryError", "message": str(exc) or "out of memory"}),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

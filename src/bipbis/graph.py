@@ -308,25 +308,31 @@ def _text_blocks(graph: BipartiteGraph) -> Iterator[str]:
 
 
 def _edge_lines(el: np.ndarray, er: np.ndarray) -> str:
-    """One line "l r" for each endpoint pair, in order; there is at least one."""
-    values = np.column_stack((el, er)).ravel()
-    widths = np.ones(values.size, dtype=np.int64)
-    ten, top = 10, int(values.max())
+    """One line "l r" for each endpoint pair, in order; there is at least one.
+
+    Every token is first written as a fixed-width row of digits, leading
+    zeros included, and its separator; the leading zeros are then dropped.
+    """
+    # endpoints are below n <= 3037000499 < 2**32, since n^2 fits in int64
+    values = np.empty(2 * el.size, dtype=np.uint32)
+    values[0::2] = el
+    values[1::2] = er
+    skip = np.zeros(values.size, dtype=np.uint8)  # each token's leading zeros
+    width, ten, top = 1, 10, int(values.max())
     while ten <= top:
-        widths += values >= ten
+        skip += values < ten
+        width += 1
         ten *= 10
-    ends = np.cumsum(widths + 1)  # token k and the byte after it end at ends[k]
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)
-    buf[ends[0::2] - 1] = ord(" ")
-    buf[ends[1::2] - 1] = ord("\n")
-    at = ends - 2
-    # digit j from the right of every token at least j + 1 digits wide
-    for j in range(int(widths.max())):
-        live = widths > j
-        buf[at[live]] = values[live] % 10 + ord("0")
-        values //= 10
-        at -= 1
-    return buf.tobytes().decode("ascii")
+    rows = np.empty((values.size, width + 1), dtype=np.uint8)
+    rows[0::2, width] = ord(" ")
+    rows[1::2, width] = ord("\n")
+    for col in range(width - 1, -1, -1):
+        tens = values // 10
+        rows[:, col] = values - tens * 10 + ord("0")
+        values = tens
+    # keep[s]: the bytes kept of a row with s leading zeros
+    keep = np.arange(width + 1) >= np.arange(width + 1)[:, None]
+    return rows[keep[skip]].tobytes().decode("ascii")
 
 
 # The reader works on the raw bytes. Line breaks and blanks are the ASCII
@@ -426,9 +432,16 @@ def graph_from_text(text: str | bytes) -> BipartiteGraph:
         starts, ends = flips[0::2], flips[1::2]
         # opens[k]: token k is the first on its line, as a block's first token
         # is. Tokens 2j and 2j+1 must share a line of their own; the sentinel
-        # makes an odd last token open a pair.
+        # makes an odd last token open a pair. A token opens a line when the
+        # gap before it holds a line break; only a gap longer than one byte
+        # needs more than its first byte read.
         opens = np.ones(starts.size + 1, dtype=bool)
-        opens[1:-1] = np.logical_or.reduceat(brk, flips[:-1])[1::2]
+        gap_lo, gap_hi = ends[:-1], starts[1:]
+        opens[1:-1] = brk[gap_lo]
+        long = np.flatnonzero(gap_hi - gap_lo > 1)
+        if long.size:
+            spans = np.stack([gap_lo[long], gap_hi[long]], axis=1).ravel()
+            opens[1 + long] = np.logical_or.reduceat(brk, spans)[0::2]
         bad = np.flatnonzero(~opens[0:-1:2] | opens[1::2])
         if bad.size:
             at = int(starts[2 * bad[0]])

@@ -78,21 +78,22 @@ def test_sample_then_exact_roundtrip(capsys, tmp_path):
     assert out.startswith("size=")
 
 
-# sha256 of the file `sample --n 1000 --d 10` writes, by seed: the sampler and
-# the text format byte for byte
+# sha256 of the file `sample` writes, by (n, d, seed): the sampler and the
+# text format byte for byte, with tokens of up to 3 and up to 5 digits
 PINNED_SAMPLE_FILES = {
-    7: "61fc21fa33896fcb0904e63f59920bad044c5f8c056cd7de73872a772bf493fe",
-    8: "9b0c22b005581967f2817bd71e5dbaa3f653d066524172dcaa01019e53f70382",
+    ("1000", "10", "7"): "61fc21fa33896fcb0904e63f59920bad044c5f8c056cd7de73872a772bf493fe",
+    ("1000", "10", "8"): "9b0c22b005581967f2817bd71e5dbaa3f653d066524172dcaa01019e53f70382",
+    ("100000", "1", "7"): "f86aaa734b07856e37000736fe4c7a65f82378ccd0a891c4e1e03e8a9d970bd9",
 }
 
 
-@pytest.mark.parametrize("seed", list(PINNED_SAMPLE_FILES))
-def test_sample_files_are_pinned(capsys, tmp_path, seed):
+@pytest.mark.parametrize("n, d, seed", list(PINNED_SAMPLE_FILES))
+def test_sample_files_are_pinned(capsys, tmp_path, n, d, seed):
     out_path = tmp_path / "g.txt"
-    code, _, _ = run_cli(capsys, "sample", "--n", "1000", "--d", "10", "--seed", str(seed),
+    code, _, _ = run_cli(capsys, "sample", "--n", n, "--d", d, "--seed", seed,
                          "--out", str(out_path))
     assert code == 0
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SAMPLE_FILES[seed]
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SAMPLE_FILES[n, d, seed]
 
 
 def test_sample_writes_its_graph_file_atomically(capsys, tmp_path, monkeypatch):
@@ -585,6 +586,35 @@ def assert_one_error_line(err, kind="ParameterError"):
     payload = json.loads(err)
     assert payload["error"] == kind
     return payload["message"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_running_out_of_memory_ends_in_one_json_line(capsys, tmp_path, monkeypatch, workers):
+    # a trial body raises it, with nothing large allocated
+    def out_of_memory(params, trial):
+        raise MemoryError(f"Unable to allocate 8.00 TiB in process {os.getpid()}")
+
+    monkeypatch.setitem(experiments._TRIAL_BODIES, "local", out_of_memory)
+    code, out, err = run_cli(capsys, *LOCAL_ARGS, "--workers", workers,
+                             "--csv", str(tmp_path / "r.csv"))
+    assert code == 1 and out == ""
+    message = assert_one_error_line(err, "MemoryError")
+    assert message.startswith("Unable to allocate 8.00 TiB in process ")
+    # with two workers a pool worker raised it and pool.map re-raised it here
+    assert message.endswith(f" {os.getpid()}") == (workers == "1")
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_memory_error_without_a_message_gets_one(capsys, tmp_path, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(experiments, "_execute", out_of_memory)
+    code, out, err = run_cli(capsys, "sample", "--n", "6", "--d", "1.5",
+                             "--out", str(tmp_path / "g.txt"))
+    assert code == 1 and out == ""
+    assert assert_one_error_line(err, "MemoryError") == "out of memory"
+    assert os.listdir(tmp_path) == []
 
 
 def test_exact_rejects_duplicate_edge_lines(capsys, tmp_path):

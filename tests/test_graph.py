@@ -496,6 +496,35 @@ def test_text_writer_and_validator_match_loop_oracles(n, seed, data):
     assert errors[0] == errors[1]
 
 
+# the largest n whose n^2 edge coordinates fit in int64; n - 1 has 10 digits
+LARGEST_N = math.isqrt(2**63 - 1)
+
+
+def endpoints(n):
+    """Endpoints below n, every width up to that of n - 1 drawn alike."""
+    widths = st.integers(min_value=1, max_value=len(str(n - 1)))
+    return widths.flatmap(lambda w: st.integers(min_value=10 ** (w - 1) if w > 1 else 0,
+                                                max_value=min(10 ** w, n) - 1))
+
+
+@st.composite
+def wide_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=LARGEST_N))
+    return n, draw(st.lists(st.tuples(endpoints(n), endpoints(n)), min_size=1, max_size=12))
+
+
+@given(wide_graphs(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=200)
+@example((LARGEST_N, [(10 ** w - 1, 10 ** (w - 1)) for w in range(1, 10)]
+          + [(0, LARGEST_N - 1), (LARGEST_N - 1, 0)]), 3)  # every width, 1 to 10 digits
+def test_text_writer_matches_the_loop_oracle_on_wide_tokens(graph_edges, write_edges):
+    g = graph_from_edges(*graph_edges)
+    with mock.patch.object(graph_module, "_WRITE_EDGES", write_edges):
+        text = graph_to_text(g)
+    assert text == graph_to_text_loop(g)
+    assert graph_from_text(text) == g
+
+
 # unsorted, repeated, out-of-range and inconsistent arrays in place of each of
 # the graph's own, whose coordinates are [1, 5, 6], el [0, 1, 2] and er [1, 2, 0]
 BROKEN_ARRAYS = [
@@ -562,6 +591,7 @@ def test_text_tests_pass_across_block_cuts(sizes, tmp_path):
 @example("2 1\n0\n1\n", 4, 1)            # a malformed line starts a block
 @example("2 2\n0 1\n1 9\n0 1 1\n", 3, 2)  # out of range, then malformed
 @example("3 2\n0 3\n4 0\n", 1, 1)          # out of range twice
+@example("2 1 \n0 1\t\r\n", 24, 1)       # a line break after a gap's first byte
 def test_block_reader_matches_the_whole_file_reader(text, read_bytes, window):
     """The same graph, or the same first error word for word."""
     try:
@@ -591,7 +621,7 @@ def test_text_io_memory_is_bounded_by_the_edges_and_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert read_back == g
-    # Measured with numpy 2.4 at m = 200 244 (2.2 MB of text): 7.2 MB to
+    # Measured with numpy 2.4 at m = 200 244 (2.2 MB of text): 3.0 MB to
     # write and 15.1 MB to read, against 22.6 and 32.0 MB for whole-file
     # arrays. At the end the reader holds 24 bytes an edge, the graph it returns.
     assert write_peak < 128 * graph_module._WRITE_EDGES
