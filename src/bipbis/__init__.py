@@ -14,8 +14,7 @@ from .balance import (EMPTY_SUBSET, VertexSubset, independence_violation,
                       is_gamma_balanced, is_independent, max_balanced_pair)
 from .errors import (BipbisError, CapacityError, CompatibilityViolation,
                      ParameterError)
-from .exact import (ParetoProfile, enumerate_max_gamma_balanced,
-                    max_gamma_balanced_is, max_joint_intersection,
+from .exact import (ParetoProfile, max_gamma_balanced_is, max_joint_intersection,
                     pareto_profile)
 from .graph import (BipartiteGraph, Neighborhood, Side, VertexId,
                     graph_from_text, graph_to_text, read_graph_text,

@@ -18,6 +18,12 @@ BOUNDARY_TOLERANCE = 1e-12
 _ONSET_D_MAX = 1e15  # negativity_onset_d gives up past this d
 
 
+def check_density_scale(d: float) -> None:
+    """Densities are in units of (log d)/d, which is positive only for d > 1."""
+    if d <= 1:
+        raise ParameterError(f"d must exceed 1 for a positive density scale, got {d}")
+
+
 def existence_threshold(gamma: float) -> float:
     check_gamma(gamma)
     return 1.0 / (2.0 * gamma * (1.0 - gamma))
@@ -43,8 +49,7 @@ class Sign(enum.Enum):
 
 
 def _exponent_value(c: float, d: float, gamma: float) -> float:
-    if d <= 1.0:
-        raise ParameterError(f"d must exceed 1, got {d}")
+    check_density_scale(d)
     f = c * math.log(d) / d
     gf = gamma * f
     hf = (1.0 - gamma) * f
@@ -74,12 +79,15 @@ class ExponentReport:
     sign: Sign
 
 
-def first_moment_exponent(c: float, d: float, gamma: float) -> ExponentReport:
-    check_gamma(gamma)
+def check_exponent_point(c: float, d: float) -> None:
     if c <= 0:
         raise ParameterError(f"c must be positive, got {c}")
-    if d <= 1:
-        raise ParameterError(f"d must exceed 1, got {d}")
+    check_density_scale(d)
+
+
+def first_moment_exponent(c: float, d: float, gamma: float) -> ExponentReport:
+    check_gamma(gamma)
+    check_exponent_point(c, d)
     value = _exponent_value(c, d, gamma)
     leading = c * (1.0 - 2.0 * gamma * (1.0 - gamma) * c)
     return ExponentReport(c=c, d=d, gamma=gamma, value=value,
@@ -180,6 +188,5 @@ def predicted_easy_point(epsilon: float, d: float) -> PhasePoint:
     x = 1 - epsilon, y = (1-epsilon) * d^epsilon / log d."""
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if d <= 1:
-        raise ParameterError(f"d must exceed 1, got {d}")
+    check_density_scale(d)
     return PhasePoint(1.0 - epsilon, (1.0 - epsilon) * d**epsilon / math.log(d))

@@ -3,9 +3,9 @@
 The search space collapses from 4^n to 2^n by observing that once the L-side
 trace of an independent set is fixed, the best R-side is forced: take as many
 unblocked R-vertices as balance allows. Branch-and-bound explores L-traces
-with an optimistic balanced-total bound. The enumerators (the full scan, the
-Pareto profile and the joint intersection) read one numpy table of all 2^n
-traces instead, built by doubling over the L vertices.
+with an optimistic balanced-total bound. The enumerators (the Pareto profile
+and the joint intersection) read one numpy table of all 2^n traces instead,
+built by doubling over the L vertices.
 
 A node has a decided L-vertices, k - a undecided ones and u free R-vertices,
 and takes the smaller of two bounds. The rectangle bound is the best balanced
@@ -88,22 +88,6 @@ def _trace_table(rows: list[int], n: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _witness_from_trace(l_mask: int, blocked: int, b: int, n: int) -> VertexSubset:
     return VertexSubset(l_mask, lowest_bits(~blocked & ((1 << n) - 1), b))
-
-
-def enumerate_max_gamma_balanced(
-    graph: BipartiteGraph, gamma: float, limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> tuple[int, VertexSubset]:
-    """Full scan over all 2^n L-traces; the forced-R completion makes this
-    equivalent to enumerating every subset of the 2n vertices. The first
-    argmax is the smallest optimal L-mask, the branch-and-bound's witness."""
-    check_gamma(gamma)
-    n = graph.n
-    _check_capacity(n, min(limit, _ENUMERATION_HARD_CAP), "enumeration")
-    blocked, a, u = _trace_table(_bitset_rows(graph), n)
-    totals = np.array(_balanced_tables(n, gamma)[0], dtype=np.int8)[a, u]
-    mask = int(np.argmax(totals))
-    best = int(totals[mask])
-    return best, _witness_from_trace(mask, int(blocked[mask]), best - int(a[mask]), n)
 
 
 def _balanced_tables(n: int, gamma: float) -> tuple[list[list[int]], list[list[int]]]:

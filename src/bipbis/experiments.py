@@ -21,18 +21,21 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import __version__
-from .analysis import (algorithmic_threshold, classify_phase, existence_threshold,
-                       first_moment_exponent, PhasePoint)
+from .analysis import (algorithmic_threshold, check_exponent_point, classify_phase,
+                       existence_threshold, first_moment_exponent, predicted_easy_point,
+                       PhasePoint)
+from .balance import check_gamma
 from .errors import ParameterError
 from .exact import max_gamma_balanced_is
-from .graph import (_INT64_MAX, _check_vertex_count, _text_blocks, read_graph_text,
-                    sample_bipartite_graph)
-from .local import apply_local_pair, gamma_trim, random_threshold_pair
-from .lowdeg import blocking_norm_estimate, linear_blocking_polynomial, round_polynomial
+from .graph import (_INT64_MAX, _check_vertex_count, _text_blocks, check_degree,
+                    read_graph_text, sample_bipartite_graph)
+from .local import apply_local_pair, check_threshold, gamma_trim, random_threshold_pair
+from .lowdeg import (_check_subset_size, blocking_norm_estimate, check_eta,
+                     linear_blocking_polynomial, round_polynomial)
 from .ogp import (OverlapChainParams, StabilityConfig, build_interpolation_path,
-                  check_overlap_chain, detect_bad_steps, greedy_chain_over_segments,
-                  walk_rounded_subsets)
-from .rng import AUX_STREAM_OFFSET, NORM_TRIALS, RandomSeed, check_trial_streams
+                  check_overlap_chain, check_stability_params, detect_bad_steps,
+                  greedy_chain_over_segments, walk_rounded_subsets)
+from .rng import AUX_STREAM_OFFSET, RandomSeed, check_trial_streams
 
 CSV_SCHEMA_VERSION = 1
 
@@ -113,28 +116,9 @@ def _at_least(minimum: int) -> Callable[[str, Any, dict], None]:
     return lambda name, v, p: _must(v >= minimum, f"{name} must be >= {minimum}, got {v}")
 
 
-def _positive(name, v, p):
-    _must(v > 0, f"{name} must be positive")
-
-
-def _non_negative(name, v, p):
-    _must(v >= 0, f"{name} must be non-negative")
-
-
-def _at_most_n(name, v, p):
-    _must(0 <= v <= p["n"], f"{name} must lie in [0, n], got {v}")
-
-
-def _balance(name, v, p):
-    _must(0.0 < v <= 0.5, f"gamma must lie in (0, 1/2], got {v}")
-
-
-def _probability(name, v, p):
-    _must(0.0 <= v <= 1.0, f"p must lie in [0, 1], got {v}")
-
-
-def _seed(name, v, p):
-    RandomSeed(v)  # its own rule, 0 <= seed < 2^64, before any work starts
+def _owner(check: Callable[[Any], Any]) -> Callable[[str, Any, dict], None]:
+    """The row check of a rule on the value alone, which ``check`` owns."""
+    return lambda name, v, p: check(v)
 
 
 def _trial_count(name, v, p):
@@ -142,36 +126,12 @@ def _trial_count(name, v, p):
     check_trial_streams(v)
 
 
-def _vertex_count(name, v, p):
-    _at_least(1)(name, v, p)
-    _check_vertex_count(v)
-
-
-def _degree(name, v, p):
-    _must(0.0 < v < p["n"], f"d must satisfy 0 < d < n, got d={v}, n={p['n']}")
-
-
-def _lowdeg_epsilon(name, v, p):
-    _must(0.0 < v < 1.0, f"epsilon must lie in (0, 1), got {v}")
-    _must(p["d"] > 1, "lowdeg requires d > 1")
-
-
-def _ogp_epsilon(name, v, p):
-    _positive(name, v, p)
-    _must(p["d"] > 1, "ogp requires d > 1")
+def _subset_size(name, v, p):
+    _check_subset_size(p["n"], v, name)
 
 
 def _path_length(name, v, p):
-    _at_least(1)(name, v, p)
     _must(v * p["n"] ** 2 <= _INT64_MAX, "the path length gamma_steps * n^2 must fit in int64")
-
-
-def _phase_point(name, v, p):
-    _must(p["x"] >= 0 and v >= 0, "phase coordinates must be non-negative")
-
-
-def _exponent_point(name, v, p):
-    _must(p["c"] > 0 and v > 1, "exponent requires c > 0 and d > 1")
 
 
 def _distinct_files(name, v, p):
@@ -193,8 +153,9 @@ def _output_file(name, v, p):
 
 
 _RUN_PARAMS = (
-    Param("seed", int, 1, _seed, "base seed (default 1)"),
-    Param("stream", int, 0, _non_negative, "base stream offset (default 0)"),
+    Param("seed", int, 1, _owner(RandomSeed), "base seed (default 1)"),
+    Param("stream", int, 0, lambda name, v, p: RandomSeed(p["seed"], v),
+          "base stream offset (default 0)"),
     Param("record", str, None, _output_file, "write the full experiment record as JSON here"),
 )
 # the run parameters that only a trial command takes
@@ -204,12 +165,14 @@ _TRIAL_RUN_PARAMS = (
     Param("csv", str, None, _output_file, "output CSV path"),
     Param("trials", int, 20, _trial_count, "number of trials (default 20)"),
 )
-_N = Param("n", int, REQUIRED, _vertex_count, "vertices per side")
-_D = Param("d", float, REQUIRED, _degree, "average degree")
-_GAMMA = Param("gamma", float, 0.5, _balance, "balance parameter (default 0.5)")
+_N = Param("n", int, REQUIRED, _owner(_check_vertex_count), "vertices per side")
+_D = Param("d", float, REQUIRED, lambda name, v, p: check_degree(p["n"], v), "average degree")
+_GAMMA = Param("gamma", float, 0.5, _owner(check_gamma), "balance parameter (default 0.5)")
 
 # The rows after the run parameters (and, for a trial command, workers, csv and
 # trials), in the order they are checked. A sweep may grid any numeric one of them.
+# A row calls the check of the library function that owns its rule; a rule that
+# reads several parameters is checked at the last of them to be resolved.
 PARAMS: dict[str, tuple[Param, ...]] = {
     "sample": (_N, _D, Param("out", str, REQUIRED, _output_file, "output path for the graph text file")),
     "exact": (
@@ -218,39 +181,46 @@ PARAMS: dict[str, tuple[Param, ...]] = {
         _GAMMA,
         Param("limit", int, 32, _at_least(1), "per-side capacity limit (default 32)"),
     ),
-    "local": (_N, _D, Param("p", float, REQUIRED, _probability, "L-side inclusion threshold"),
+    "local": (_N, _D, Param("p", float, REQUIRED, _owner(check_threshold),
+                            "L-side inclusion threshold"),
               _GAMMA),
     "lowdeg": (
         _N, _D,
-        Param("epsilon", float, REQUIRED, _lowdeg_epsilon, "density slack; sets k_l and k_r"),
+        Param("epsilon", float, REQUIRED, lambda name, v, p: predicted_easy_point(v, p["d"]),
+              "density slack; sets k_l and k_r"),
         Param("k_l", int,
               lambda p: math.floor((1 - p["epsilon"]) * math.log(p["d"]) / p["d"] * p["n"]),
-              _at_most_n, "chosen L vertices (default (1 - epsilon) log(d) / d * n)"),
+              _subset_size, "chosen L vertices (default (1 - epsilon) log(d) / d * n)"),
         Param("k_r", int,
               lambda p: math.floor((1 - p["epsilon"]) * p["d"] ** (p["epsilon"] - 1) * p["n"]),
-              _at_most_n, "R-side target size (default (1 - epsilon) d^(epsilon - 1) n)"),
-        Param("eta", float, 0.0, _non_negative, "rounding error budget (default 0)"),
+              _subset_size, "R-side target size (default (1 - epsilon) d^(epsilon - 1) n)"),
+        Param("eta", float, 0.0, _owner(check_eta), "rounding error budget (default 0)"),
     ),
     "ogp": (
         _N, _D,
-        Param("epsilon", float, REQUIRED, _ogp_epsilon, "overlap-chain slack; sets k_l and eta"),
-        Param("K", int, 2, _at_least(2), "chain length target (default 2)"),
+        Param("epsilon", float, REQUIRED, None, "overlap-chain slack; sets k_l and eta"),
+        Param("K", int, 2,
+              lambda name, v, p: OverlapChainParams.for_scale(p["epsilon"], v, p["n"], p["d"]),
+              "chain length target (default 2)"),
         Param("gamma_steps", int, 1, _path_length, "path length in units of n^2 (default 1)"),
-        Param("c", float, 0.5, _positive, "badness threshold factor (default 0.5)"),
+        Param("c", float, 0.5, lambda name, v, p: check_stability_params(v, p["gamma_steps"]),
+              "badness threshold factor (default 0.5)"),
         Param("k_l", int, lambda p: max(1, math.floor(
             (1 - min(p["epsilon"], 0.999)) * math.log(p["d"]) / p["d"] * p["n"])),
-              _at_most_n, "chosen L vertices (default (1 - epsilon) log(d) / d * n, at least 1)"),
+              _subset_size, "chosen L vertices (default (1 - epsilon) log(d) / d * n, at least 1)"),
         Param("eta", float, lambda p: p["epsilon"] / 16.0 * math.log(p["d"]) / p["d"],
-              _non_negative, "rounding error budget (default epsilon / 16 * log(d) / d)"),
+              _owner(check_eta), "rounding error budget (default epsilon / 16 * log(d) / d)"),
     ),
     "phase": (
         Param("x", float, REQUIRED, None, "L-side density in units of (log d)/d"),
-        Param("y", float, REQUIRED, _phase_point, "R-side density in units of (log d)/d"),
+        Param("y", float, REQUIRED, lambda name, v, p: PhasePoint(p["x"], v),
+              "R-side density in units of (log d)/d"),
     ),
-    "thresholds": (Param("gamma", float, REQUIRED, _balance, "balance parameter"),),
+    "thresholds": (Param("gamma", float, REQUIRED, _owner(check_gamma), "balance parameter"),),
     "exponent": (
         Param("c", float, REQUIRED, None, "density in units of (log d)/d"),
-        Param("d", float, REQUIRED, _exponent_point, "average degree"),
+        Param("d", float, REQUIRED, lambda name, v, p: check_exponent_point(p["c"], v),
+              "average degree"),
         _GAMMA,
     ),
 }
@@ -444,7 +414,7 @@ def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], di
 
     With base stream b, cell i runs its trials on streams b + i*trials on. An
     ogp cell shares one norm estimate among its trials, echoed into the
-    outputs, on the reserved streams b + AUX_STREAM_OFFSET + NORM_TRIALS*i on,
+    outputs, on norm block i of the base seed (``RandomSeed.norm_block``),
     so no two cells share one.
     """
     if command not in TRIAL_COMMANDS:
@@ -452,9 +422,8 @@ def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], di
     outputs: dict[str, Any] = {}
     trial_params = {**params, "stream": params["stream"] + cell * params["trials"]}
     if command == "ogp":
-        norm_stream = params["stream"] + AUX_STREAM_OFFSET + NORM_TRIALS * cell
-        mean, _ = blocking_norm_estimate(params["n"], params["d"], params["k_l"],
-                                         RandomSeed(params["seed"], norm_stream))
+        norm_seed = RandomSeed(params["seed"], params["stream"]).norm_block(cell)
+        mean, _ = blocking_norm_estimate(params["n"], params["d"], params["k_l"], norm_seed)
         trial_params["_norm_estimate"] = mean
         outputs["norm_estimate"] = mean
     return _run_trials(command, trial_params), outputs

@@ -54,6 +54,13 @@ def _check_vertex_count(n: int) -> None:
         raise ParameterError(f"n={n} is too large: n^2 edge coordinates must fit in int64")
 
 
+def check_degree(n: int, d: float) -> None:
+    """The average degree d must satisfy 0 < d < n: each L-R pair is an edge
+    with probability d/n in (0, 1)."""
+    if not (0.0 < d < n):
+        raise ParameterError(f"d must satisfy 0 < d < n, got d={d}, n={n}")
+
+
 def _check_coordinates(n: int, coords: np.ndarray) -> None:
     """coords must be a strictly increasing 1-D array within [0, n^2)."""
     if coords.ndim != 1:
@@ -242,8 +249,7 @@ def sample_edge_coordinates(n: int, d: float,
     each L-R pair present independently with probability d/n, one drawn from
     each GRAPH_DRAW generator of ``rows()`` (see ``_bernoulli_coordinates``)."""
     _check_vertex_count(n)
-    if not (0.0 < d < n):
-        raise ParameterError(f"d must satisfy 0 < d < n (edge probability d/n in (0,1)), got d={d}, n={n}")
+    check_degree(n, d)
     return _bernoulli_coordinates(n * n, d / n, rows)
 
 

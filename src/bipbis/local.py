@@ -115,12 +115,16 @@ def apply_local_pair(
 # ---------------------------------------------------------------------------
 
 
+def check_threshold(p: float) -> None:
+    if not (0.0 <= p <= 1.0):
+        raise ParameterError(f"p must lie in [0, 1], got {p}")
+
+
 def random_threshold_pair(p: float) -> LocalFunctionPair:
     """The 1-local pair with parameter p: an L vertex joins iff its own label
     is at most p; an R vertex joins iff every neighbor's label exceeds p.
     Compatible by construction."""
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
+    check_threshold(p)
 
     def decide_l(ball: Neighborhood, labels: np.ndarray) -> int:
         return int(labels[0] <= p)
@@ -201,11 +205,13 @@ def gamma_balanced_value(e_l: float, e_r: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class GaltonWatsonTree:
-    """Rooted tree with Poisson(d) offspring per node, truncated at ``depth``."""
+    """Rooted tree with Poisson(d) offspring per node, truncated at ``depth``;
+    ``depths[v]`` is node v's distance from the root, node 0."""
 
     offspring_mean: float
     depth: int
     adj: tuple[tuple[int, ...], ...]
+    depths: tuple[int, ...]
 
     @property
     def n_vertices(self) -> int:
@@ -218,8 +224,9 @@ class GaltonWatsonTree:
         if depth < 0:
             raise ParameterError("depth must be non-negative")
         children: list[list[int]] = [[]]
+        depths = [0]
         frontier = [0]
-        for _ in range(depth):
+        for level in range(1, depth + 1):
             nxt = []
             for node in frontier:
                 k = int(rng.poisson(d))
@@ -227,6 +234,7 @@ class GaltonWatsonTree:
                     child = len(children)
                     children.append([])
                     children[node].append(child)
+                    depths.append(level)
                     nxt.append(child)
                 if len(children) > _MAX_TREE_VERTICES:
                     raise CapacityError(
@@ -237,26 +245,17 @@ class GaltonWatsonTree:
             for c in kids:
                 adj[parent].append(c)
                 adj[c].append(parent)
-        return GaltonWatsonTree(d, depth, tuple(tuple(a) for a in adj))
+        return GaltonWatsonTree(d, depth, tuple(tuple(a) for a in adj), tuple(depths))
 
     def to_neighborhood(self, root_side: Side) -> Neighborhood:
-        depths = [0] * self.n_vertices
-        order = [0]
-        seen = {0}
-        for v in order:
-            for u in self.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    depths[u] = depths[v] + 1
-                    order.append(u)
-        sides = [root_side if depths[v] % 2 == 0 else root_side.other()
-                 for v in range(self.n_vertices)]
-        vertex_ids = tuple(VertexId(sides[v], v) for v in range(self.n_vertices))
+        other = root_side.other()
+        vertex_ids = tuple(VertexId(other if depth % 2 else root_side, v)
+                           for v, depth in enumerate(self.depths))
         return Neighborhood(
             root_side=root_side,
             vertex_ids=vertex_ids,
             adj=self.adj,
-            depths=tuple(depths),
+            depths=self.depths,
         )
 
 

@@ -63,9 +63,9 @@ class LinearBlockingPolynomial:
         return lambda l, r, added: ((n + r, -1.0 if added else 1.0),) if l in chosen else ()
 
 
-def _check_subset_size(n: int, k_l: int) -> None:
-    if not (0 <= k_l <= n):
-        raise ParameterError(f"k_l must lie in [0, n], got k_l={k_l}, n={n}")
+def _check_subset_size(n: int, k: int, name: str = "k_l") -> None:
+    if not (0 <= k <= n):
+        raise ParameterError(f"{name} must lie in [0, n], got {name}={k}, n={n}")
 
 
 def choose_blocking_subset(n: int, k_l: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,11 +132,15 @@ def rounding_fails(conflicted: int, fractional: int, eta: float, n: int) -> bool
     return conflicted + fractional > eta * n + ETA_TOLERANCE
 
 
+def check_eta(eta: float) -> None:
+    if eta < 0:
+        raise ParameterError(f"eta must be non-negative, got {eta}")
+
+
 def round_polynomial(values: np.ndarray, graph: BipartiteGraph, eta: float) -> RoundingOutcome:
     """Threshold at 1, drop conflicted vertices, fail when the error budget
     eta*n is exceeded. Deterministic in (values, graph, eta)."""
-    if eta < 0:
-        raise ParameterError(f"eta must be non-negative, got {eta}")
+    check_eta(eta)
     n = graph.n
     values = check_polynomial_output(values, n)
     in_i_l = values[:n] >= 1.0

@@ -21,13 +21,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .analysis import check_density_scale
 from .balance import EMPTY_SUBSET, VertexSubset, independence_violation
 from .errors import ParameterError
 from .exact import pareto_profile
-from .graph import BipartiteGraph, sample_bipartite_graph
+from .graph import BipartiteGraph, check_degree, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
-from .lowdeg import FlipTracker, _as_factory, check_polynomial_output, norm_second_moment, rounding_fails
-from .rng import AUX_STREAM_OFFSET, NORM_TRIALS, RESAMPLE_DRAW, RandomSeed, check_trial_streams
+from .lowdeg import (FlipTracker, _as_factory, check_eta, check_polynomial_output,
+                     norm_second_moment, rounding_fails)
+from .rng import NORM_TRIALS, RESAMPLE_DRAW, RandomSeed, check_trial_streams
 from .stats import wilson_interval
 
 # Counting comparisons against real thresholds get this slack; it keeps the
@@ -83,8 +85,7 @@ def build_interpolation_path(
     if T < 0:
         raise ParameterError(f"path length must be non-negative, got {T}")
     n = base.n
-    if not (0.0 < d < n):
-        raise ParameterError(f"d must satisfy 0 < d < n, got d={d}, n={n}")
+    check_degree(n, d)
     rng = seed.generator(RESAMPLE_DRAW)
     bits = np.empty(T, dtype=bool)
     for start in range(0, T, _BITS_CHUNK):
@@ -110,6 +111,14 @@ def build_interpolation_path(
 # ---------------------------------------------------------------------------
 
 
+def check_stability_params(c: float, gamma_steps: int) -> None:
+    """The badness threshold factor c and the path length in units of n^2."""
+    if c <= 0:
+        raise ParameterError("c must be positive")
+    if gamma_steps < 1:
+        raise ParameterError("gamma_steps must be a positive integer")
+
+
 @dataclass(frozen=True)
 class StabilityConfig:
     """Threshold bookkeeping for single-flip stability.
@@ -124,10 +133,7 @@ class StabilityConfig:
     norm_estimate: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ParameterError("c must be positive")
-        if self.gamma_steps < 1:
-            raise ParameterError("gamma_steps must be a positive integer")
+        check_stability_params(self.c, self.gamma_steps)
         if self.degree < 1:
             raise ParameterError("degree must be a positive integer")
         if self.norm_estimate <= 0:
@@ -174,8 +180,7 @@ def walk_rounded_subsets(f, path: InterpolationPath, eta: float) -> Iterator[tup
     conflicted and fractional totals; a flip touches only l, r and the
     neighbours of a vertex that enters or leaves I.
     """
-    if eta < 0:
-        raise ParameterError(f"eta must be non-negative, got {eta}")
+    check_eta(eta)
     flip, values = _tracker(f, path)
     return _walk(flip, path, values.tolist(), eta)
 
@@ -267,8 +272,8 @@ def stability_trial(
 
     ``make_f`` is a factory called with the per-trial seed (coefficient
     randomness, labels of a wrapped local pair, ...). The norm estimate is
-    measured first, over NORM_TRIALS graphs on the streams reserved for
-    auxiliary estimates (``seed.shifted(AUX_STREAM_OFFSET)`` on).
+    measured first, over NORM_TRIALS graphs on the first block of streams
+    reserved for norm estimates (``seed.norm_block()`` on).
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -279,7 +284,7 @@ def stability_trial(
             f"budget of {_STEP_BUDGET}; expect a long run", stacklevel=2)
     check_trial_streams(trials)
     norm_estimate, _ = norm_second_moment(
-        make_f, n, d, trials=NORM_TRIALS, seed=seed.shifted(AUX_STREAM_OFFSET))
+        make_f, n, d, trials=NORM_TRIALS, seed=seed.norm_block())
     config = StabilityConfig(c=c, gamma_steps=gamma_steps, degree=degree,
                              norm_estimate=norm_estimate)
     T = gamma_steps * n * n
@@ -350,8 +355,7 @@ class OverlapChainParams:
 
     @staticmethod
     def for_scale(epsilon: float, K: int, n: int, d: float) -> "OverlapChainParams":
-        if d <= 1:
-            raise ParameterError("d must exceed 1 for a positive density scale")
+        check_density_scale(d)
         return OverlapChainParams(epsilon, K, math.log(d) / d * n)
 
     @property
@@ -495,8 +499,7 @@ class BalanceProbeReport:
 def profile_violates_balance_inequality(graph: BipartiteGraph, d: float) -> bool:
     """Does any Pareto-profile point of the graph, in units of (log d / d)*n,
     have sum of side densities strictly below their product?"""
-    if d <= 1:
-        raise ParameterError("d must exceed 1 for a positive density scale")
+    check_density_scale(d)
     scale = math.log(d) / d * graph.n
     profile = pareto_profile(graph)
     for a, b in profile.entries:

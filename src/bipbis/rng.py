@@ -190,3 +190,9 @@ class RandomSeed:
 
     def shifted(self, offset: int) -> "RandomSeed":
         return RandomSeed(self.seed, self.stream + offset)
+
+    def norm_block(self, index: int = 0) -> "RandomSeed":
+        """The first seed of norm-estimate block ``index``: the NORM_TRIALS
+        auxiliary streams from stream + AUX_STREAM_OFFSET + NORM_TRIALS * index
+        on, disjoint from the trial streams and from every other block."""
+        return self.shifted(AUX_STREAM_OFFSET + NORM_TRIALS * index)

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from bipbis import (BipartiteGraph, Neighborhood, ParameterError, RandomSeed, Side, VertexId,
                     VertexSubset, max_balanced_pair, sample_bipartite_graph)
+from bipbis.balance import check_gamma
+from bipbis.exact import (_ENUMERATION_HARD_CAP, DEFAULT_ENUMERATION_LIMIT, _balanced_tables,
+                          _bitset_rows, _check_capacity, _trace_table, _witness_from_trace)
 from bipbis.graph import _INT64_MAX, _MAX_DIGITS, _bad_line, _check_vertex_count
 from bipbis.lowdeg import check_polynomial_output
 from bipbis.rng import RESAMPLE_DRAW
@@ -58,6 +61,22 @@ def brute_max_balanced(graph: BipartiteGraph, gamma: float) -> int:
             if brute_balanced(a, b, gamma) and a + b > best:
                 best = a + b
     return best
+
+
+def enumerate_max_gamma_balanced(
+    graph: BipartiteGraph, gamma: float, limit: int = DEFAULT_ENUMERATION_LIMIT,
+) -> tuple[int, VertexSubset]:
+    """Full scan over all 2^n L-traces; the forced-R completion makes this
+    equivalent to enumerating every subset of the 2n vertices. The first
+    argmax is the smallest optimal L-mask, the branch-and-bound's witness."""
+    check_gamma(gamma)
+    n = graph.n
+    _check_capacity(n, min(limit, _ENUMERATION_HARD_CAP), "enumeration")
+    blocked, a, u = _trace_table(_bitset_rows(graph), n)
+    totals = np.array(_balanced_tables(n, gamma)[0], dtype=np.int8)[a, u]
+    mask = int(np.argmax(totals))
+    best = int(totals[mask])
+    return best, _witness_from_trace(mask, int(blocked[mask]), best - int(a[mask]), n)
 
 
 def milp_optimum(graph: BipartiteGraph, gamma: float) -> int:

@@ -14,7 +14,7 @@ from bipbis import (RandomSeed, OverlapChainParams, StabilityConfig,
                     algorithmic_threshold, apply_local_pair,
                     build_interpolation_path, check_optimization,
                     check_overlap_chain, classify_phase, detect_bad_steps,
-                    enumerate_max_gamma_balanced, existence_threshold,
+                    existence_threshold,
                     first_moment_exponent, gamma_trim, greedy_overlap_chain,
                     is_gamma_balanced, is_independent,
                     left_indicator_polynomial, linear_blocking_polynomial,
@@ -22,7 +22,8 @@ from bipbis import (RandomSeed, OverlapChainParams, StabilityConfig,
                     optimal_local_threshold, random_threshold_pair,
                     round_polynomial, sample_bipartite_graph, stability_trial)
 from bipbis.analysis import PhasePoint, PhaseRegion
-from conftest import ACCEPTANCE_LINES, brute_max_balanced, graph_from_edges, subset_of
+from conftest import (ACCEPTANCE_LINES, brute_max_balanced, enumerate_max_gamma_balanced,
+                      graph_from_edges, subset_of)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

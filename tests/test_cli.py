@@ -8,15 +8,22 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import experiments, linear_blocking_polynomial, norm_second_moment, stability_trial
+from bipbis import (BipartiteGraph, OverlapChainParams, PhasePoint, StabilityConfig,
+                    build_interpolation_path, existence_threshold, experiments,
+                    first_moment_exponent, linear_blocking_polynomial, norm_second_moment,
+                    predicted_easy_point, random_threshold_pair, round_polynomial,
+                    sample_bipartite_graph, stability_trial, walk_rounded_subsets)
+from bipbis.balance import check_gamma
 from bipbis.cli import main
 from bipbis.errors import ParameterError
 from bipbis.experiments import (PARAMS, SCHEMAS, TRIAL_COMMANDS, ExperimentConfig,
                                 command_params, sweep)
+from bipbis.lowdeg import _check_subset_size
 from bipbis.rng import AUX_STREAM_OFFSET, RandomSeed
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -786,6 +793,67 @@ def test_sweep_checks_every_cell_before_it_runs_one(monkeypatch):
     config = ExperimentConfig("local", {"n": 100000, "p": 0.1, "trials": 3, "workers": 1})
     with pytest.raises(ParameterError, match="d must satisfy 0 < d < n"):
         sweep(config, {"d": [10.0, 2e5]})
+
+
+_UNIT_GRAPH = BipartiteGraph(4, np.array([], dtype=np.int64))
+# each command's valid parameters, into which a case puts one bad value
+_VALID = {
+    "sample": {"n": 100, "d": 4, "out": "g.txt"},
+    "exact": {"graph": "g.txt"},
+    "local": {"n": 100, "d": 4, "p": 0.5},
+    "lowdeg": {"n": 100, "d": 4, "epsilon": 0.5},
+    "ogp": {"n": 100, "d": 4, "epsilon": 0.5},
+    "phase": {"x": 1.5, "y": 1.5},
+    "thresholds": {"gamma": 0.5},
+    "exponent": {"c": 1, "d": 10},
+}
+
+# (command, parameter, bad value, the library call that owns the rule)
+OWNED_RULES = [
+    ("local", "seed", -1, lambda: RandomSeed(-1)),
+    ("local", "stream", -1, lambda: RandomSeed(1, -1)),
+    ("local", "n", 0, lambda: sample_bipartite_graph(0, 4.0, RandomSeed(1))),
+    ("sample", "n", 1 << 32, lambda: sample_bipartite_graph(1 << 32, 4.0, RandomSeed(1))),
+    ("local", "d", 100, lambda: sample_bipartite_graph(100, 100.0, RandomSeed(1))),
+    ("ogp", "d", 0, lambda: sample_bipartite_graph(100, 0.0, RandomSeed(1))),
+    ("local", "p", 1.5, lambda: random_threshold_pair(1.5)),
+    ("local", "gamma", 0.7, lambda: check_gamma(0.7)),
+    ("exact", "gamma", 0, lambda: check_gamma(0.0)),
+    ("thresholds", "gamma", 0.7, lambda: existence_threshold(0.7)),
+    ("exponent", "gamma", 0.7, lambda: first_moment_exponent(1.0, 10.0, 0.7)),
+    ("lowdeg", "epsilon", 1, lambda: predicted_easy_point(1.0, 4.0)),
+    ("lowdeg", "d", 1, lambda: predicted_easy_point(0.5, 1.0)),
+    ("lowdeg", "k_l", 101, lambda: linear_blocking_polynomial(100, 101, RandomSeed(1))),
+    ("lowdeg", "k_r", -1, lambda: _check_subset_size(100, -1, "k_r")),
+    ("lowdeg", "eta", -1, lambda: round_polynomial(np.zeros(8), _UNIT_GRAPH, -1.0)),
+    ("ogp", "epsilon", 0, lambda: OverlapChainParams.for_scale(0.0, 2, 100, 4.0)),
+    ("ogp", "d", 1, lambda: OverlapChainParams.for_scale(0.5, 2, 100, 1.0)),
+    ("ogp", "K", 1, lambda: OverlapChainParams.for_scale(0.5, 1, 100, 4.0)),
+    ("ogp", "gamma_steps", 0,
+     lambda: StabilityConfig(c=0.5, gamma_steps=0, degree=1, norm_estimate=1.0)),
+    ("ogp", "c", 0, lambda: StabilityConfig(c=0.0, gamma_steps=1, degree=1, norm_estimate=1.0)),
+    ("ogp", "k_l", 101, lambda: linear_blocking_polynomial(100, 101, RandomSeed(1))),
+    ("ogp", "eta", -1,
+     lambda: walk_rounded_subsets(linear_blocking_polynomial(4, 1, RandomSeed(1)),
+                                  build_interpolation_path(_UNIT_GRAPH, 1, 2.0, RandomSeed(1)),
+                                  -1.0)),
+    ("phase", "x", -1, lambda: PhasePoint(-1.0, 1.5)),
+    ("phase", "y", -1, lambda: PhasePoint(1.5, -1.0)),
+    ("exponent", "c", 0, lambda: first_moment_exponent(0.0, 10.0, 0.5)),
+    ("exponent", "d", 1, lambda: first_moment_exponent(1.0, 1.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("command, name, value, owner", OWNED_RULES,
+                         ids=[f"{c}-{name}={v}" for c, name, v, _ in OWNED_RULES])
+def test_each_range_rule_is_checked_by_its_library_owner(command, name, value, owner):
+    # the table refuses a bad value with exactly the message of the library
+    # function that owns the rule, so each rule is written once
+    with pytest.raises(ParameterError) as owned:
+        owner()
+    with pytest.raises(ParameterError) as table:
+        experiments.resolve_params(command, {**_VALID[command], name: value})
+    assert str(table.value) == str(owned.value)
 
 
 def test_trial_streams_stay_below_the_auxiliary_streams(monkeypatch):

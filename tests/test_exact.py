@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import (CapacityError, ParameterError, RandomSeed,
-                    enumerate_max_gamma_balanced, is_gamma_balanced,
+from bipbis import (CapacityError, ParameterError, RandomSeed, is_gamma_balanced,
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     max_joint_intersection, pareto_profile,
                     sample_bipartite_graph)
 from bipbis.balance import best_b_for_a, max_balanced_total
 from bipbis.exact import _balanced_tables
-from conftest import (brute_max_balanced, brute_profile, graph_from_edges, milp_optimum,
-                      subset_of)
+from conftest import (brute_max_balanced, brute_profile, enumerate_max_gamma_balanced,
+                      graph_from_edges, milp_optimum, subset_of)
 
 K22 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

@@ -278,6 +278,23 @@ def test_gw_tree_sampling_shape():
     assert all(d <= 2 for d in ball.depths)
 
 
+@pytest.mark.parametrize("d, depth", [(0.5, 4), (2.0, 3), (3.0, 2)])
+def test_gw_ball_depths_are_the_bfs_distances_of_the_tree(d, depth):
+    for stream in range(20):
+        tree = GaltonWatsonTree.sample(d, depth, RandomSeed(15, stream).generator())
+        dist = {0: 0}
+        order = [0]
+        for v in order:
+            for u in tree.adj[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    order.append(u)
+        ball = tree.to_neighborhood(Side.L)
+        assert ball.depths == tuple(dist[v] for v in range(tree.n_vertices))
+        assert [vid.side for vid in ball.vertex_ids] == [
+            Side.L if dist[v] % 2 == 0 else Side.R for v in range(tree.n_vertices)]
+
+
 # ---------------------------------------------------------------------------
 # concentration and first-order performance
 # ---------------------------------------------------------------------------
