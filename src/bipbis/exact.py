@@ -33,6 +33,14 @@ only adds bits to the node's mask. Any valid upper bound keeps this rule
 exact: a pruned subtree holds no larger total, and an equal total there
 comes with a mask no smaller than the incumbent's, so the witness is the
 same whichever bound pruned it.
+
+The first incumbent is one greedy L-trace, not the empty one: it repeatedly
+takes the L vertex that blocks the fewest new R vertices and keeps its best
+prefix. A strong start lets the bound prune from the root on. Any valid
+trace is a safe start by the same argument: the incumbent only ever holds a
+real trace, so the search still ends on the largest total with the smallest
+mask, and an optimal greedy trace with a larger mask gives way to the
+witness when the search reaches it.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import (VertexSubset, best_b_for_a, check_gamma, check_subset_range,
-                      lowest_bits)
+                      is_balanced_counts, lowest_bits)
 from .errors import CapacityError
 from .graph import BipartiteGraph
 
@@ -94,10 +102,17 @@ def _balanced_tables(n: int, gamma: float) -> tuple[list[list[int]], list[list[i
     """total[a][u]: best balanced total of a trace with a L-vertices and u free
     R-vertices (-1 if none). bound[a][u]: best total inside [0, a] x [0, u],
     which is max_balanced_total(a, u, gamma); total only grows with u, so
-    bound is the running max of total over a."""
-    total = [[-1 if b is None else a + b
-              for b in (best_b_for_a(a, u, gamma) for u in range(n + 1))]
-             for a in range(n + 1)]
+    bound is the running max of total over a.
+
+    For fixed a the balanced b form one run [lo, hi], since a - gamma*(a+b)
+    falls as b grows, so row a is -1 below lo and a + min(u, hi) from lo on."""
+    total = []
+    for a in range(n + 1):
+        hi = best_b_for_a(a, n, gamma)
+        lo = n + 1 if hi is None else hi
+        while lo > 0 and is_balanced_counts(a, lo - 1, gamma):
+            lo -= 1
+        total.append([-1 if u < lo else a + min(u, hi) for u in range(n + 1)])
     bound = [total[0]]
     for row in total[1:]:
         bound.append(list(map(max, bound[-1], row)))
@@ -126,6 +141,26 @@ def _max_matching(rows: list[int], order: list[int]) -> list[int]:
         seen = 0
         augment(v)
     return match_r
+
+
+def _greedy_trace(rows: list[int], total: list[list[int]]) -> tuple[int, int, int]:
+    """(total, mask, blocked) of one greedy L-trace: from the empty trace,
+    repeatedly take the L vertex that blocks the fewest new R vertices
+    (lowest index on ties), and keep the best prefix, by larger total and
+    then smaller mask."""
+    n = len(rows)
+    best = (total[0][n], 0, 0)
+    mask = blocked = 0
+    left = list(range(n))
+    for a in range(1, n + 1):
+        v = min(left, key=lambda w: (rows[w] & ~blocked).bit_count())
+        left.remove(v)
+        mask |= 1 << v
+        blocked |= rows[v]
+        t = total[a][n - blocked.bit_count()]
+        if t > best[0] or (t == best[0] and mask < best[1]):
+            best = (t, mask, blocked)
+    return best
 
 
 def max_gamma_balanced_is(
@@ -161,7 +196,8 @@ def max_gamma_balanced_is(
         for r in range(n):
             if rows[v] >> r & 1:
                 cols[r] |= 1 << j
-    best_total, best_mask, best_blocked = -1, 0, 0
+    # a valid trace is a safe first incumbent (see the module docstring)
+    best_total, best_mask, best_blocked = _greedy_trace(rows, total)
 
     def search(i: int, a: int, mask: int, blocked: int,
                matched_r: int, unmatched: int, size: int) -> None:

@@ -35,7 +35,7 @@ from .lowdeg import (_check_subset_size, blocking_norm_estimate, check_eta,
 from .ogp import (OverlapChainParams, StabilityConfig, build_interpolation_path,
                   check_overlap_chain, check_stability_params, detect_bad_steps,
                   greedy_chain_over_segments, walk_rounded_subsets)
-from .rng import AUX_STREAM_OFFSET, RandomSeed, check_trial_streams
+from .rng import AUX_STREAM_OFFSET, RandomSeed, check_trial_count, check_trial_streams
 
 CSV_SCHEMA_VERSION = 1
 
@@ -122,7 +122,7 @@ def _owner(check: Callable[[Any], Any]) -> Callable[[str, Any, dict], None]:
 
 
 def _trial_count(name, v, p):
-    _at_least(1)(name, v, p)
+    check_trial_count(v)
     check_trial_streams(v)
 
 

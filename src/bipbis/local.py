@@ -21,7 +21,7 @@ from .balance import (VertexSubset, check_gamma, independence_violation, lowest_
 from .errors import CapacityError, CompatibilityViolation, ParameterError
 from .graph import BipartiteGraph, Neighborhood, Side, VertexId
 from .lowdeg import FlipTracker
-from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed
+from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed, check_trial_count
 
 DecideFn = Callable[[Neighborhood, np.ndarray], int]
 BulkDecideFn = Callable[[BipartiteGraph, "VertexLabels"], np.ndarray]
@@ -268,8 +268,7 @@ def estimate_gw_expectation(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the decision expectation at the root of a
     Poisson(d) offspring tree with iid labels; returns (mean, stderr)."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    check_trial_count(trials)
     decide = pair.decide_l if side is Side.L else pair.decide_r
     rng = seed.generator(TREE_DRAW)
     hits = np.empty(trials)

@@ -21,7 +21,7 @@ import numpy as np
 from .balance import VertexSubset, pack_bits
 from .errors import ParameterError
 from .graph import BipartiteGraph, sample_bipartite_graph, sample_edge_coordinates
-from .rng import GRAPH_DRAW, NORM_TRIALS, POLY_DRAW, RandomSeed
+from .rng import GRAPH_DRAW, NORM_TRIALS, POLY_DRAW, RandomSeed, check_trial_count
 
 # Comparisons against eta*n get this much slack so a float-boundary eta*n
 # can never flip an integer count across the threshold.
@@ -216,8 +216,7 @@ def check_optimization(
     ``polynomial`` is either a fixed evaluator or a factory called with a
     per-trial seed (for coefficient randomness).
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    check_trial_count(trials)
     norms = np.empty(trials)
     successes = 0
     failures = 0

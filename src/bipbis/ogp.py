@@ -29,7 +29,8 @@ from .graph import BipartiteGraph, check_degree, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
 from .lowdeg import (FlipTracker, _as_factory, check_eta, check_polynomial_output,
                      norm_second_moment, rounding_fails)
-from .rng import NORM_TRIALS, RESAMPLE_DRAW, RandomSeed, check_trial_streams
+from .rng import (NORM_TRIALS, RESAMPLE_DRAW, RandomSeed, check_trial_count,
+                  check_trial_streams)
 from .stats import wilson_interval
 
 # Counting comparisons against real thresholds get this slack; it keeps the
@@ -275,8 +276,7 @@ def stability_trial(
     measured first, over NORM_TRIALS graphs on the first block of streams
     reserved for norm estimates (``seed.norm_block()`` on).
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    check_trial_count(trials)
     total_steps = gamma_steps * n * n * trials
     if total_steps > _STEP_BUDGET:
         warnings.warn(
@@ -338,7 +338,7 @@ class OverlapChainParams:
 
     The probability analysis wants K >= ceil(9/epsilon^2) + 1; the mechanics
     of the constructor and checker work for any K >= 2, so that bound is
-    exposed as a property rather than enforced.
+    documented here but neither enforced nor reported.
     """
 
     epsilon: float
@@ -516,8 +516,7 @@ def balance_inequality_probe(
     """Fraction of sampled graphs whose Pareto profile (which dominates every
     independent set) contains a sum-below-product point. Reported with a
     Wilson interval, never asserted: the inequality is asymptotic in d."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    check_trial_count(trials)
     violations = 0
     for t in range(trials):
         graph = sample_bipartite_graph(n, d, seed.shifted(t))

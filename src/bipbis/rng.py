@@ -43,6 +43,12 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 
+def check_trial_count(count: int) -> None:
+    """Refuse a trial count below one."""
+    if count < 1:
+        raise ParameterError(f"trials must be >= 1, got {count}")
+
+
 def check_trial_streams(count: int, what: str = "trials") -> None:
     """Refuse ``count`` trial streams from one base (base + 0, ..., base +
     count - 1) when they would reach the auxiliary streams of that base."""

@@ -80,7 +80,7 @@ def test_optimum_matches_milp(n, d):
         assert is_independent(g, witness) and is_gamma_balanced(witness, gamma)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 17, 32, 40])
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 32, 40, 48, 56, 64])
 def test_bound_table_matches_max_balanced_total(n):
     for gamma in (0.05, 0.1, 0.25, 0.3, 1 / 3, 0.45, 0.5):
         total, bound = _balanced_tables(n, gamma)
@@ -94,8 +94,10 @@ def test_bound_table_matches_max_balanced_total(n):
 
 # (n, d, stream of RandomSeed(1, .), gamma) -> (size, witness_l, witness_r), as
 # `bipbis exact` printed them before the solver became one search pass, and
-# for n = 32, d = 3 before it gained the matching bound
+# for n = 32, d = 3 before it gained the matching bound. At n = 6 the greedy
+# first incumbent reaches the optimum 9 with L-mask 31, above the witness's 30
 PINNED_WITNESSES = {
+    (6, 1.5, 3, 0.5): (9, "1,2,3,4", "0,2,3,4,5"),
     (24, 3.0, 0, 0.5): (27, "1,2,4,5,6,7,8,9,14,16,19,20,22",
                         "0,1,3,5,6,9,10,11,13,14,17,18,19,20"),
     (24, 3.0, 0, 1 / 3): (26, "1,2,4,5,6,14,16,19,20",
