@@ -16,13 +16,13 @@ from .errors import (BipbisError, CapacityError, CompatibilityViolation,
                      ParameterError)
 from .exact import (ParetoProfile, max_gamma_balanced_is, max_joint_intersection,
                     pareto_profile)
-from .graph import (BipartiteGraph, Neighborhood, Side, VertexId,
-                    graph_from_text, graph_to_text, read_graph_text,
-                    sample_bipartite_graph, validate_graph, write_graph_text)
-from .local import (GaltonWatsonTree, LocalFunctionPair, VertexLabels,
-                    apply_local_pair, constant_pair, draw_labels,
-                    estimate_gw_expectation, gamma_balanced_value, gamma_trim,
-                    pair_decisions, random_threshold_pair)
+from .graph import (BipartiteGraph, Side, graph_from_text, graph_to_text,
+                    read_graph_text, sample_bipartite_graph, validate_graph,
+                    write_graph_text)
+from .local import (LocalFunctionPair, VertexLabels, apply_local_pair,
+                    constant_pair, draw_labels, estimate_gw_expectation,
+                    gamma_balanced_value, gamma_trim, pair_decisions,
+                    random_threshold_pair)
 from .lowdeg import (LeftIndicatorPolynomial, LinearBlockingPolynomial,
                      OptimizationReport, RoundingOutcome, check_optimization,
                      left_indicator_polynomial, linear_blocking_polynomial,

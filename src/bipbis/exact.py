@@ -66,6 +66,15 @@ def _check_capacity(n: int, limit: int, what: str) -> None:
             f"raise the limit explicitly if you accept the cost")
 
 
+def _check_enumeration_capacity(n: int, limit: int, what: str) -> None:
+    """The 2^n trace table caps n at _ENUMERATION_HARD_CAP whatever the limit."""
+    if n > _ENUMERATION_HARD_CAP:
+        raise CapacityError(
+            f"{what} supports n <= {_ENUMERATION_HARD_CAP} per side for any limit "
+            f"(it builds a 2^n trace table), got n = {n}")
+    _check_capacity(n, limit, what)
+
+
 def _bitset_rows(graph: BipartiteGraph) -> list[int]:
     """R-neighborhood of each L vertex as an integer bitmask."""
     rows = [0] * graph.n
@@ -283,7 +292,7 @@ class ParetoProfile:
 def pareto_profile(graph: BipartiteGraph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ParetoProfile:
     """Each entry is witnessed by the smallest L-mask that reaches it."""
     n = graph.n
-    _check_capacity(n, min(limit, _ENUMERATION_HARD_CAP), "pareto profile")
+    _check_enumeration_capacity(n, limit, "pareto profile")
     blocked, a, u = _trace_table(_bitset_rows(graph), n)
     entries = []
     witnesses = []
@@ -307,7 +316,7 @@ def max_joint_intersection(
     induced subgraph on s.
     """
     n = graph.n
-    _check_capacity(n, min(limit, _ENUMERATION_HARD_CAP), "joint intersection")
+    _check_enumeration_capacity(n, limit, "joint intersection")
     check_subset_range(s, n)
     # rows keep their global R bits: only the count blocked inside s matters
     rows = [row & s.mask_r for l, row in enumerate(_bitset_rows(graph)) if s.mask_l >> l & 1]

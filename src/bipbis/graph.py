@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -28,15 +27,6 @@ from .rng import GRAPH_DRAW, RandomSeed
 class Side(enum.Enum):
     L = "L"
     R = "R"
-
-    def other(self) -> "Side":
-        return Side.R if self is Side.L else Side.L
-
-
-@dataclass(frozen=True)
-class VertexId:
-    side: Side
-    index: int
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +247,6 @@ def sample_bipartite_graph(n: int, d: float, seed: RandomSeed) -> BipartiteGraph
     """Sample the random bipartite graph with each L-R pair present independently
     with probability d/n, deterministically given (n, d, seed)."""
     return BipartiteGraph(n, sample_edge_coordinates(n, d, lambda: (seed.generator(GRAPH_DRAW),))[0])
-
-
-# ---------------------------------------------------------------------------
-# Neighborhoods (rooted balls)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """The radius-s ball around a root, as a rooted induced subgraph, what a
-    ball decider reads. Local vertex 0 is the root; the library builds balls
-    only from offspring trees (``GaltonWatsonTree.to_neighborhood``).
-    """
-
-    root_side: Side
-    vertex_ids: tuple[VertexId, ...]
-    adj: tuple[tuple[int, ...], ...]
-    depths: tuple[int, ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertex_ids)
-
-    def root_neighbors(self) -> tuple[int, ...]:
-        return self.adj[0]
 
 
 # ---------------------------------------------------------------------------

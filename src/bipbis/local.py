@@ -1,31 +1,32 @@
 """The s-local algorithm engine: iid labels, per-side decision functions,
 gamma-balanced trimming, and offspring-tree expectation estimates.
 
-A pair of local functions carries two deciders per side: one that sees only
-the radius-s ball around its vertex (structure plus the labels restricted to
-it), which is what locality and the offspring-tree estimates are defined by,
-and a vectorised one over the whole graph, which the engine runs. Tests pin
-the vectorised deciders to the ball-at-a-time semantics.
+A pair of local functions carries two deciders per side: a ball decider
+``decide(adj, labels)``, which reads the radius-s ball's adjacency lists (root
+as vertex 0) and its vertices' labels and defines locality and the
+offspring-tree estimates, and a vectorised one over the whole graph, which
+the engine runs. Tests pin the vectorised deciders to the ball-at-a-time
+semantics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .balance import (VertexSubset, check_gamma, independence_violation, lowest_bits,
                       max_balanced_pair, pack_bits)
 from .errors import CapacityError, CompatibilityViolation, ParameterError
-from .graph import BipartiteGraph, Neighborhood, Side, VertexId
+from .graph import BipartiteGraph, Side
 from .lowdeg import FlipTracker
 from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed, check_trial_count
 
-DecideFn = Callable[[Neighborhood, np.ndarray], int]
+DecideFn = Callable[[Sequence[Sequence[int]], np.ndarray], int]
 BulkDecideFn = Callable[[BipartiteGraph, "VertexLabels"], np.ndarray]
-_MAX_TREE_VERTICES = 200_000  # GaltonWatsonTree.sample refuses a larger tree
+_MAX_TREE_VERTICES = 200_000  # sample_offspring_tree refuses a larger tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +59,11 @@ def draw_labels(n: int, seed: RandomSeed) -> VertexLabels:
 
 @dataclass(frozen=True)
 class LocalFunctionPair:
-    """Radius plus, per side, a ball decider and the vectorised decider that
-    computes it for every vertex at once; ``track(base, labels)`` opens the
-    tracker of the 2n decisions (L block first) along a path from ``base``.
+    """Radius plus, per side, a ball decider ``decide(adj, labels)`` (the
+    rooted ball's adjacency, root first, and its vertices' labels) and the
+    vectorised decider that computes it for every vertex at once;
+    ``track(base, labels)`` opens the tracker of the 2n decisions (L block
+    first) along a path from ``base``.
 
     Compatibility (the outputs always form an independent set) is a semantic
     property; ``apply_local_pair`` re-verifies it on every application.
@@ -126,12 +129,11 @@ def random_threshold_pair(p: float) -> LocalFunctionPair:
     Compatible by construction."""
     check_threshold(p)
 
-    def decide_l(ball: Neighborhood, labels: np.ndarray) -> int:
+    def decide_l(adj: Sequence[Sequence[int]], labels: np.ndarray) -> int:
         return int(labels[0] <= p)
 
-    def decide_r(ball: Neighborhood, labels: np.ndarray) -> int:
-        nbrs = list(ball.root_neighbors())
-        return int(all(labels[u] > p for u in nbrs))
+    def decide_r(adj: Sequence[Sequence[int]], labels: np.ndarray) -> int:
+        return int(all(labels[u] > p for u in adj[0]))
 
     def bulk_l(graph: BipartiteGraph, labels: VertexLabels) -> np.ndarray:
         return labels.l <= p
@@ -167,7 +169,7 @@ def constant_pair(value_l: int, value_r: int) -> LocalFunctionPair:
     """
 
     def mk(v):
-        return lambda ball, labels: v
+        return lambda adj, labels: v
 
     def mk_bulk(v):
         return lambda graph, labels: np.full(graph.n, bool(v))
@@ -203,60 +205,29 @@ def gamma_balanced_value(e_l: float, e_r: float, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaltonWatsonTree:
-    """Rooted tree with Poisson(d) offspring per node, truncated at ``depth``;
-    ``depths[v]`` is node v's distance from the root, node 0."""
-
-    offspring_mean: float
-    depth: int
-    adj: tuple[tuple[int, ...], ...]
-    depths: tuple[int, ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.adj)
-
-    @staticmethod
-    def sample(d: float, depth: int, rng: np.random.Generator) -> "GaltonWatsonTree":
-        if d < 0:
-            raise ParameterError("offspring mean must be non-negative")
-        if depth < 0:
-            raise ParameterError("depth must be non-negative")
-        children: list[list[int]] = [[]]
-        depths = [0]
-        frontier = [0]
-        for level in range(1, depth + 1):
-            nxt = []
-            for node in frontier:
-                k = int(rng.poisson(d))
-                for _ in range(k):
-                    child = len(children)
-                    children.append([])
-                    children[node].append(child)
-                    depths.append(level)
-                    nxt.append(child)
-                if len(children) > _MAX_TREE_VERTICES:
-                    raise CapacityError(
-                        f"offspring tree exceeded {_MAX_TREE_VERTICES} vertices at d={d}, depth={depth}")
-            frontier = nxt
-        adj: list[list[int]] = [[] for _ in children]
-        for parent, kids in enumerate(children):
-            for c in kids:
-                adj[parent].append(c)
-                adj[c].append(parent)
-        return GaltonWatsonTree(d, depth, tuple(tuple(a) for a in adj), tuple(depths))
-
-    def to_neighborhood(self, root_side: Side) -> Neighborhood:
-        other = root_side.other()
-        vertex_ids = tuple(VertexId(other if depth % 2 else root_side, v)
-                           for v, depth in enumerate(self.depths))
-        return Neighborhood(
-            root_side=root_side,
-            vertex_ids=vertex_ids,
-            adj=self.adj,
-            depths=self.depths,
-        )
+def sample_offspring_tree(d: float, depth: int, rng: np.random.Generator) -> list[list[int]]:
+    """Adjacency of a rooted tree with Poisson(d) offspring per node, truncated
+    at ``depth``. Node 0 is the root and nodes are numbered level by level;
+    each node's list holds its parent first, then its children."""
+    if not d >= 0:
+        raise ParameterError(f"offspring mean must be non-negative, got {d}")
+    if depth < 0:
+        raise ParameterError("depth must be non-negative")
+    adj: list[list[int]] = [[]]
+    frontier = [0]
+    for _ in range(depth):
+        nxt = []
+        for node in frontier:
+            k = int(rng.poisson(d))
+            if len(adj) + k > _MAX_TREE_VERTICES:
+                raise CapacityError(
+                    f"offspring tree exceeded {_MAX_TREE_VERTICES} vertices at d={d}, depth={depth}")
+            kids = range(len(adj), len(adj) + k)
+            adj[node].extend(kids)
+            adj.extend([node] for _ in kids)
+            nxt.extend(kids)
+        frontier = nxt
+    return adj
 
 
 def estimate_gw_expectation(
@@ -273,10 +244,8 @@ def estimate_gw_expectation(
     rng = seed.generator(TREE_DRAW)
     hits = np.empty(trials)
     for i in range(trials):
-        tree = GaltonWatsonTree.sample(d, pair.radius, rng)
-        ball = tree.to_neighborhood(side)
-        labels = rng.random(tree.n_vertices)
-        hits[i] = float(decide(ball, labels))
+        adj = sample_offspring_tree(d, pair.radius, rng)
+        hits[i] = float(decide(adj, rng.random(len(adj))))
     mean = float(hits.mean())
     stderr = 0.0 if trials == 1 else float(hits.std(ddof=1) / math.sqrt(trials))
     return mean, stderr

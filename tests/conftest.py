@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bipbis import (BipartiteGraph, Neighborhood, ParameterError, RandomSeed, Side, VertexId,
-                    VertexSubset, max_balanced_pair, sample_bipartite_graph)
+from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexSubset,
+                    max_balanced_pair, sample_bipartite_graph)
 from bipbis.balance import check_gamma
-from bipbis.exact import (_ENUMERATION_HARD_CAP, DEFAULT_ENUMERATION_LIMIT, _balanced_tables,
-                          _bitset_rows, _check_capacity, _trace_table, _witness_from_trace)
+from bipbis.exact import (DEFAULT_ENUMERATION_LIMIT, _balanced_tables, _bitset_rows,
+                          _check_enumeration_capacity, _trace_table, _witness_from_trace)
 from bipbis.graph import _INT64_MAX, _MAX_DIGITS, _bad_line, _check_vertex_count
 from bipbis.lowdeg import check_polynomial_output
 from bipbis.rng import RESAMPLE_DRAW
@@ -71,7 +72,7 @@ def enumerate_max_gamma_balanced(
     argmax is the smallest optimal L-mask, the branch-and-bound's witness."""
     check_gamma(gamma)
     n = graph.n
-    _check_capacity(n, min(limit, _ENUMERATION_HARD_CAP), "enumeration")
+    _check_enumeration_capacity(n, limit, "enumeration")
     blocked, a, u = _trace_table(_bitset_rows(graph), n)
     totals = np.array(_balanced_tables(n, gamma)[0], dtype=np.int8)[a, u]
     mask = int(np.argmax(totals))
@@ -165,30 +166,42 @@ def neighbor_lists(graph: BipartiteGraph) -> dict[Side, list[list[int]]]:
     return nbrs
 
 
-def neighborhood(graph: BipartiteGraph, v: VertexId, radius: int) -> Neighborhood:
-    """BFS ball of graph-distance <= radius around v, with induced edges,
-    over the graph's neighbour lists."""
+class Ball(NamedTuple):
+    """A rooted ball: its vertices as (side, index) keys, root first, their
+    depths, and the adjacency a ball decider reads, over local numbers."""
+
+    keys: tuple[tuple[Side, int], ...]
+    depths: tuple[int, ...]
+    adj: tuple[tuple[int, ...], ...]
+
+
+def _other(side: Side) -> Side:
+    return Side.R if side is Side.L else Side.L
+
+
+def neighborhood(graph: BipartiteGraph, root: tuple[Side, int], radius: int) -> Ball:
+    """BFS ball of graph-distance <= radius around the root, with induced
+    edges, over the graph's neighbour lists."""
     nbrs = neighbor_lists(graph)
-    local = {(v.side, v.index): 0}
-    order = [(v.side, v.index)]
+    local = {root: 0}
+    order = [root]
     depths = [0]
     frontier = list(order)
     for depth in range(1, radius + 1):
         nxt = []
         for side, idx in frontier:
             for u in nbrs[side][idx]:
-                key = (side.other(), u)
+                key = (_other(side), u)
                 if key not in local:
                     local[key] = len(order)
                     order.append(key)
                     depths.append(depth)
                     nxt.append(key)
         frontier = nxt
-    adj = tuple(tuple(sorted(local[(side.other(), u)] for u in nbrs[side][idx]
-                             if (side.other(), u) in local))
+    adj = tuple(tuple(sorted(local[(_other(side), u)] for u in nbrs[side][idx]
+                             if (_other(side), u) in local))
                 for side, idx in order)
-    return Neighborhood(root_side=v.side, vertex_ids=tuple(VertexId(*key) for key in order),
-                        adj=adj, depths=tuple(depths))
+    return Ball(tuple(order), tuple(depths), adj)
 
 
 def graph_to_text_loop(graph: BipartiteGraph) -> str:
@@ -391,10 +404,10 @@ def ball_decisions(graph: BipartiteGraph, pair, labels) -> tuple[np.ndarray, np.
     sel_r = np.zeros(n, dtype=bool)
     for side, sel, decide in ((Side.L, sel_l, pair.decide_l), (Side.R, sel_r, pair.decide_r)):
         for i in range(n):
-            ball = neighborhood(graph, VertexId(side, i), pair.radius)
+            ball = neighborhood(graph, (side, i), pair.radius)
             # L labels come first in labels.values, then R
-            where = [u.index + (n if u.side is Side.R else 0) for u in ball.vertex_ids]
-            sel[i] = bool(decide(ball, labels.values[where]))
+            where = [idx + (n if s is Side.R else 0) for s, idx in ball.keys]
+            sel[i] = bool(decide(ball.adj, labels.values[where]))
     return sel_l, sel_r
 
 

@@ -165,6 +165,20 @@ def test_capacity_error():
         max_joint_intersection(g, subset_of(), limit=4)
 
 
+def test_enumeration_capacity_names_the_bound_that_binds():
+    # past the 2^n trace table's cap no limit helps, so the message names the cap
+    big = graph_from_edges(21, [])
+    for refuse in (lambda: pareto_profile(big, limit=30),
+                   lambda: max_joint_intersection(big, subset_of(), limit=30),
+                   lambda: enumerate_max_gamma_balanced(big, 0.5, limit=30),
+                   lambda: pareto_profile(big, limit=4)):
+        with pytest.raises(CapacityError, match=r"n <= 20 per side for any limit") as err:
+            refuse()
+        assert "raise the limit" not in str(err.value)
+    with pytest.raises(CapacityError, match="n <= 4 per side, got n = 5; raise the limit"):
+        pareto_profile(graph_from_edges(5, []), limit=4)
+
+
 def test_enumerators_run_without_bitwise_count(monkeypatch):
     # pyproject allows numpy 1.24, which has no np.bitwise_count
     monkeypatch.delattr(np, "bitwise_count", raising=False)

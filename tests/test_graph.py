@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bipbis
-from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexId,
+from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side,
                     graph_from_text, graph_to_text, read_graph_text, sample_bipartite_graph,
                     validate_graph, write_graph_text)
 from bipbis import graph as graph_module
@@ -319,25 +319,26 @@ def test_per_coordinate_presence_chi_square():
 
 def test_neighborhood_radius_zero():
     g = graph_from_edges(3, [(0, 0), (0, 1)])
-    ball = neighborhood(g, VertexId(Side.L, 0), 0)
-    assert ball.n_vertices == 1
-    assert ball.vertex_ids == (VertexId(Side.L, 0),)
+    ball = neighborhood(g, (Side.L, 0), 0)
+    assert ball.keys == ((Side.L, 0),)
+    assert ball.depths == (0,) and ball.adj == ((),)
 
 
 def test_neighborhood_star():
     g = graph_from_edges(3, [(0, 0), (0, 1), (0, 2)])
-    ball = neighborhood(g, VertexId(Side.L, 0), 1)
-    assert ball.n_vertices == 4
-    assert ball.root_neighbors() == (1, 2, 3)
+    ball = neighborhood(g, (Side.L, 0), 1)
+    assert len(ball.keys) == 4
+    assert ball.adj[0] == (1, 2, 3)
 
 
 def test_neighborhood_path_radius_two():
     # l0 - r0 - l1; the radius-2 ball around l0 is the whole path
     edges = [(0, 0), (1, 0)]
     g = graph_from_edges(2, edges)
-    ball = neighborhood(g, VertexId(Side.L, 0), 2)
-    got = {(v.side.value, v.index) for v in ball.vertex_ids}
+    ball = neighborhood(g, (Side.L, 0), 2)
+    got = {(side.value, idx) for side, idx in ball.keys}
     assert got == bfs_ball(2, edges, "L", 0, 2) == {("L", 0), ("R", 0), ("L", 1)}
+    assert ball.depths == (0, 1, 2)
 
 
 def test_neighborhood_matches_bfs_oracle():
@@ -350,8 +351,8 @@ def test_neighborhood_matches_bfs_oracle():
         side = Side.L if rng.random() < 0.5 else Side.R
         idx = int(rng.integers(0, n))
         radius = int(rng.integers(0, 4))
-        ball = neighborhood(g, VertexId(side, idx), radius)
-        got = {(v.side.value, v.index) for v in ball.vertex_ids}
+        ball = neighborhood(g, (side, idx), radius)
+        got = {(s.value, i) for s, i in ball.keys}
         assert got == bfs_ball(n, edges, side.value, idx, radius)
 
 

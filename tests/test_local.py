@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import (CompatibilityViolation, ParameterError,
-                    RandomSeed, Side, VertexId, apply_local_pair,
+from bipbis import (CapacityError, CompatibilityViolation, ParameterError,
+                    RandomSeed, Side, apply_local_pair,
                     constant_pair, draw_labels,
                     estimate_gw_expectation, gamma_balanced_value, gamma_trim,
                     pair_decisions, random_threshold_pair,
                     sample_bipartite_graph)
 from bipbis.experiments import ExperimentConfig, sweep
-from bipbis.local import GaltonWatsonTree, VertexLabels
+from bipbis.local import VertexLabels, sample_offspring_tree
 from conftest import (ball_decisions, brute_trim_best, csr_r_argsort, edge_list_graphs,
                       graph_from_edges, neighborhood, segment_min_exceeds, subset_of)
 
@@ -130,7 +130,7 @@ def test_threshold_pair_matches_the_segment_minimum_oracle(graph, p, ties, entro
 def _distances_from(graph, v, cap):
     """BFS distances up to cap, keyed by (side, index); farther vertices are absent."""
     ball = neighborhood(graph, v, cap)
-    return {(u.side, u.index): depth for u, depth in zip(ball.vertex_ids, ball.depths)}
+    return dict(zip(ball.keys, ball.depths))
 
 
 def test_locality_is_structural():
@@ -145,8 +145,7 @@ def test_locality_is_structural():
         seed = RandomSeed(int(rng.integers(0, 2**32)))
         g = sample_bipartite_graph(n, 1.5, seed)
         labels = draw_labels(n, seed)
-        marked = [VertexId(Side.L, int(rng.integers(0, n))),
-                  VertexId(Side.R, int(rng.integers(0, n)))]
+        marked = [(Side.L, int(rng.integers(0, n))), (Side.R, int(rng.integers(0, n)))]
         dists = [_distances_from(g, v, s) for v in marked]
         safe = [
             (l, r) for l in range(n) for r in range(n)
@@ -161,10 +160,10 @@ def test_locality_is_structural():
         changed += int(g2 != g)
         before = pair_decisions(g, pair, labels)
         after = pair_decisions(g2, pair, labels)
-        for v in marked:
-            arr_b = before[0] if v.side is Side.L else before[1]
-            arr_a = after[0] if v.side is Side.L else after[1]
-            assert arr_b[v.index] == arr_a[v.index]
+        for side, idx in marked:
+            arr_b = before[0] if side is Side.L else before[1]
+            arr_a = after[0] if side is Side.L else after[1]
+            assert arr_b[idx] == arr_a[idx]
     assert changed >= 10  # the metamorphic step must actually perturb graphs
 
 
@@ -268,31 +267,44 @@ def test_gw_expectation_constant_pair():
     assert mean == 1.0 and stderr == 0.0
 
 
-def test_gw_tree_sampling_shape():
-    rng = RandomSeed(15).generator()
-    tree = GaltonWatsonTree.sample(2.0, 2, rng)
-    assert tree.n_vertices >= 1
-    ball = tree.to_neighborhood(Side.R)
-    assert ball.root_side is Side.R
-    assert ball.depths[0] == 0
-    assert all(d <= 2 for d in ball.depths)
+@pytest.mark.parametrize("pair, side, d, trials, seed, mean, stderr", [
+    (random_threshold_pair(0.2), Side.L, 7, 4000, 12, "0x1.a04189374bc6ap-3", "0x1.a10aef87701b9p-8"),
+    (random_threshold_pair(0.2), Side.R, 5, 4000, 13, "0x1.7c6a7ef9db22dp-2", "0x1.f4c485b6e4d4fp-8"),
+    (random_threshold_pair(0.37), Side.R, 3.5, 3000, 99, "0x1.1d0369d0369d0p-2", "0x1.0c2be8001cdc4p-7"),
+    (constant_pair(0, 1), Side.R, 3, 500, 14, "0x1.0000000000000p+0", "0x0.0p+0"),
+])
+def test_gw_expectation_is_pinned(pair, side, d, trials, seed, mean, stderr):
+    got = estimate_gw_expectation(pair, side, d, trials, RandomSeed(seed))
+    assert (got[0].hex(), got[1].hex()) == (mean, stderr)
 
 
-@pytest.mark.parametrize("d, depth", [(0.5, 4), (2.0, 3), (3.0, 2)])
-def test_gw_ball_depths_are_the_bfs_distances_of_the_tree(d, depth):
+@pytest.mark.parametrize("d, depth", [(0.5, 4), (2.0, 3), (3.0, 2), (1.0, 0)])
+def test_offspring_tree_is_a_tree_within_its_depth(d, depth):
     for stream in range(20):
-        tree = GaltonWatsonTree.sample(d, depth, RandomSeed(15, stream).generator())
+        adj = sample_offspring_tree(d, depth, RandomSeed(15, stream).generator())
+        assert sum(map(len, adj)) == 2 * (len(adj) - 1)
         dist = {0: 0}
         order = [0]
         for v in order:
-            for u in tree.adj[v]:
+            for u in adj[v]:
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     order.append(u)
-        ball = tree.to_neighborhood(Side.L)
-        assert ball.depths == tuple(dist[v] for v in range(tree.n_vertices))
-        assert [vid.side for vid in ball.vertex_ids] == [
-            Side.L if dist[v] % 2 == 0 else Side.R for v in range(tree.n_vertices)]
+        assert len(dist) == len(adj)
+        assert max(dist.values()) <= depth
+        # each node lists its parent first, then its children
+        assert all(adj[v][0] < v < min(adj[v][1:], default=v + 1) for v in range(1, len(adj)))
+
+
+def test_offspring_tree_refuses_an_oversized_tree_before_building_it():
+    with pytest.raises(CapacityError, match="offspring tree exceeded"):
+        sample_offspring_tree(1e12, 1, RandomSeed(15).generator())
+
+
+@pytest.mark.parametrize("d", [float("nan"), -0.5])
+def test_offspring_mean_must_be_non_negative(d):
+    with pytest.raises(ParameterError, match="offspring mean"):
+        estimate_gw_expectation(random_threshold_pair(0.2), Side.R, d, 10, RandomSeed(1))
 
 
 # ---------------------------------------------------------------------------
