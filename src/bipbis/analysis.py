@@ -20,7 +20,7 @@ _ONSET_D_MAX = 1e15  # negativity_onset_d gives up past this d
 
 def check_density_scale(d: float) -> None:
     """Densities are in units of (log d)/d, which is positive only for d > 1."""
-    if d <= 1:
+    if not d > 1:
         raise ParameterError(f"d must exceed 1 for a positive density scale, got {d}")
 
 
@@ -80,7 +80,7 @@ class ExponentReport:
 
 
 def check_exponent_point(c: float, d: float) -> None:
-    if c <= 0:
+    if not c > 0:
         raise ParameterError(f"c must be positive, got {c}")
     check_density_scale(d)
 
@@ -138,7 +138,7 @@ def optimal_local_threshold(d: float) -> float:
     """The root p* in (0, 1) of p = exp(-d*p), by 200 bisection steps: the
     1-local inclusion threshold that maximizes the balanced value
     min(p, exp(-d*p)) at gamma = 1/2."""
-    if d <= 0:
+    if not d > 0:
         raise ParameterError(f"d must be positive, got {d}")
     lo, hi = 0.0, 1.0
     for _ in range(200):
@@ -165,7 +165,7 @@ class PhasePoint:
     y: float
 
     def __post_init__(self):
-        if self.x < 0 or self.y < 0:
+        if not (self.x >= 0 and self.y >= 0):
             raise ParameterError("phase coordinates must be non-negative")
 
 

@@ -169,12 +169,6 @@ def max_balanced_pair(a: int, b: int, gamma: float) -> tuple[int, int]:
     return best
 
 
-def max_balanced_total(a_cap: int, b_cap: int, gamma: float) -> int:
-    """Max total of a balanced pair within the rectangle [0,a_cap]x[0,b_cap]."""
-    a2, b2 = max_balanced_pair(a_cap, b_cap, gamma)
-    return a2 + b2
-
-
 def check_subset_range(subset: VertexSubset, n: int) -> None:
     _check_mask(subset.mask_l)
     _check_mask(subset.mask_r)

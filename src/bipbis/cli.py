@@ -11,8 +11,8 @@ import json
 import sys
 
 from .errors import BipbisError, ParameterError
-from .experiments import (ExperimentConfig, PARAMS, SCHEMAS, TRIAL_COMMANDS,
-                          command_params, run_experiment, sweep)
+from .experiments import (COMMANDS, TRIAL_COMMANDS, ExperimentConfig, command_params,
+                          run_experiment, sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -24,21 +24,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
-_HELP = {
-    "sample": "sample a graph and write the text format",
-    "exact": "exact max gamma-balanced independent set of a graph file",
-    "local": "run the 1-local algorithm over seeded trials",
-    "lowdeg": "run the degree-1 polynomial with rounding over seeded trials",
-    "ogp": "interpolation-path stability and overlap-chain probe",
-    "phase": "classify a phase-diagram point",
-    "thresholds": "existence and algorithmic density thresholds",
-    "exponent": "first-moment exponent at density c*(log d)/d",
-}
-
-
 def _add_command(sub, command: str) -> argparse.ArgumentParser:
     """A subparser with one flag per parameter of ``command``."""
-    p = sub.add_parser(command, help=_HELP[command])
+    p = sub.add_parser(command, help=COMMANDS[command].help)
     p.add_argument("--config", help="JSON file with parameters; flags override")
     for param in command_params(command):
         p.add_argument("--" + param.name.replace("_", "-"), dest=param.name, type=param.kind,
@@ -52,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Balanced independent sets in sparse random bipartite graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in PARAMS:
+    for command in COMMANDS:
         _add_command(sub, command)
     p = sub.add_parser("sweep", help="grid sweep of a trial command (at most 2 parameters)")
     trial_sub = p.add_subparsers(dest="trial_command", required=True)
@@ -154,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"csv={params.get('csv')} schema_version={record.schema_version}")
             return 0
         record = run_experiment(ExperimentConfig(args.command, params))
-        if args.command in SCHEMAS:
+        if args.command in TRIAL_COMMANDS:
             print(f"rows={len(record.rows)} csv={params.get('csv')} "
                   f"schema_version={record.schema_version}")
         else:

@@ -110,7 +110,7 @@ def _witness_from_trace(l_mask: int, blocked: int, b: int, n: int) -> VertexSubs
 def _balanced_tables(n: int, gamma: float) -> tuple[list[list[int]], list[list[int]]]:
     """total[a][u]: best balanced total of a trace with a L-vertices and u free
     R-vertices (-1 if none). bound[a][u]: best total inside [0, a] x [0, u],
-    which is max_balanced_total(a, u, gamma); total only grows with u, so
+    which is sum(max_balanced_pair(a, u, gamma)); total only grows with u, so
     bound is the running max of total over a.
 
     For fixed a the balanced b form one run [lo, hi], since a - gamma*(a+b)

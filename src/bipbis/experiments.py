@@ -1,4 +1,4 @@
-"""Experiment orchestration: parameter tables, seeded parallel trials, CSV.
+"""Experiment orchestration: the command table, seeded parallel trials, CSV.
 
 Every trial command assigns trial i the stream ``base_stream + i`` of the base
 seed, independent of how trials are partitioned across workers, so the data
@@ -26,7 +26,7 @@ from .analysis import (algorithmic_threshold, check_exponent_point, classify_pha
                        PhasePoint)
 from .balance import check_gamma
 from .errors import ParameterError
-from .exact import max_gamma_balanced_is
+from .exact import DEFAULT_BB_LIMIT, max_gamma_balanced_is
 from .graph import (_INT64_MAX, _check_vertex_count, _text_blocks, check_degree,
                     read_graph_text, sample_bipartite_graph)
 from .local import apply_local_pair, check_threshold, gamma_trim, random_threshold_pair
@@ -39,14 +39,6 @@ from .rng import AUX_STREAM_OFFSET, RandomSeed, check_trial_count, check_trial_s
 
 CSV_SCHEMA_VERSION = 1
 
-SCHEMAS = {
-    "local": ("trial", "n", "d", "p", "gamma", "count_l", "count_r", "trimmed_size", "wall_time_ms"),
-    "lowdeg": ("trial", "n", "d", "k_l", "k_r", "count_l", "count_r", "norm_sq", "failed"),
-    "ogp": ("trial", "n", "d", "T", "bad_edge_count", "greedy_success", "conditions_passed"),
-}
-
-TRIAL_COMMANDS = tuple(SCHEMAS)
-
 # the rule lives in rng; this name stays importable for existing callers
 _AUX_STREAM_OFFSET = AUX_STREAM_OFFSET
 
@@ -57,8 +49,8 @@ class ExperimentConfig:
     params: dict
 
     def __post_init__(self):
-        if self.command not in ALL_COMMANDS:
-            raise ParameterError(f"unknown command {self.command!r}; expected one of {ALL_COMMANDS}")
+        if self.command not in COMMANDS:
+            raise ParameterError(f"unknown command {self.command!r}; expected one of {tuple(COMMANDS)}")
 
 
 @dataclass
@@ -82,7 +74,7 @@ class ExperimentRecord:
 
 
 # ---------------------------------------------------------------------------
-# Parameters: one table row per parameter of each command
+# Parameters: the rows of the command table
 # ---------------------------------------------------------------------------
 
 
@@ -169,22 +161,144 @@ _N = Param("n", int, REQUIRED, _owner(_check_vertex_count), "vertices per side")
 _D = Param("d", float, REQUIRED, lambda name, v, p: check_degree(p["n"], v), "average degree")
 _GAMMA = Param("gamma", float, 0.5, _owner(check_gamma), "balance parameter (default 0.5)")
 
-# The rows after the run parameters (and, for a trial command, workers, csv and
-# trials), in the order they are checked. A sweep may grid any numeric one of them.
-# A row calls the check of the library function that owns its rule; a rule that
-# reads several parameters is checked at the last of them to be resolved.
-PARAMS: dict[str, tuple[Param, ...]] = {
-    "sample": (_N, _D, Param("out", str, REQUIRED, _output_file, "output path for the graph text file")),
-    "exact": (
+
+# ---------------------------------------------------------------------------
+# Command bodies (top-level so they pickle across worker processes)
+# ---------------------------------------------------------------------------
+
+
+def _local_trial(params: dict, trial: int) -> tuple:
+    t0 = time.perf_counter()
+    s = RandomSeed(params["seed"], params["stream"] + trial)
+    graph = sample_bipartite_graph(params["n"], params["d"], s)
+    pair = random_threshold_pair(params["p"])
+    subset = apply_local_pair(graph, pair, s)
+    trimmed = gamma_trim(subset, params["gamma"])
+    ms = (time.perf_counter() - t0) * 1000.0
+    return (trial, params["n"], params["d"], params["p"], params["gamma"],
+            subset.count_l, subset.count_r, trimmed.size, round(ms, 3))
+
+
+def _lowdeg_trial(params: dict, trial: int) -> tuple:
+    s = RandomSeed(params["seed"], params["stream"] + trial)
+    f = linear_blocking_polynomial(params["n"], params["k_l"], s)
+    graph = sample_bipartite_graph(params["n"], params["d"], s)
+    values = f.evaluate(graph)
+    norm_sq = float(values @ values)
+    outcome = round_polynomial(values, graph, params["eta"])
+    count_l = 0 if outcome.failed else outcome.subset.count_l
+    count_r = 0 if outcome.failed else outcome.subset.count_r
+    return (trial, params["n"], params["d"], params["k_l"], params["k_r"],
+            count_l, count_r, norm_sq, int(outcome.failed))
+
+
+def _ogp_trial(params: dict, trial: int) -> tuple:
+    s = RandomSeed(params["seed"], params["stream"] + trial)
+    n, d = params["n"], params["d"]
+    T = params["gamma_steps"] * n * n
+    graph = sample_bipartite_graph(n, d, s)
+    path = build_interpolation_path(graph, T, d, s)
+    f = linear_blocking_polynomial(n, params["k_l"], s)
+    config = StabilityConfig(c=params["c"], gamma_steps=params["gamma_steps"],
+                             degree=1, norm_estimate=params["_norm_estimate"])
+    bad = detect_bad_steps(f, path, config)
+    chain_params = OverlapChainParams.for_scale(params["epsilon"], params["K"], n, d)
+    result = greedy_chain_over_segments(walk_rounded_subsets(f, path, params["eta"]), chain_params)
+    bitmask = 0
+    if result.success:
+        report = check_overlap_chain(result.sets, result.timestamps, path, chain_params)
+        bitmask = report.conditions_bitmask()
+    return (trial, n, d, T, len(bad), int(result.success), bitmask)
+
+
+def _write_atomic(path: str, write: Callable[[Any], None]) -> None:
+    """``write(fh)`` to a temporary file beside ``path``, then move it into
+    place, so a failed write leaves no partial file at ``path``. The file
+    gets the mode a plain ``open`` would give it, not mkstemp's 0o600."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=".bipbis-", dir=directory)
+    try:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _sample(params: dict) -> dict[str, Any]:
+    graph = sample_bipartite_graph(params["n"], params["d"],
+                                   RandomSeed(params["seed"], params["stream"]))
+    _write_atomic(params["out"], lambda fh: fh.writelines(_text_blocks(graph)))
+    return {"n": graph.n, "m": graph.edge_count, "out": params["out"]}
+
+
+def _exact(params: dict) -> dict[str, Any]:
+    graph = read_graph_text(params["graph"])
+    size, witness = max_gamma_balanced_is(graph, params["gamma"], limit=params["limit"])
+    return {"size": size, "witness_l": ",".join(map(str, sorted(witness.in_l))),
+            "witness_r": ",".join(map(str, sorted(witness.in_r)))}
+
+
+def _phase(params: dict) -> dict[str, Any]:
+    return {"phase": classify_phase(PhasePoint(params["x"], params["y"])).value}
+
+
+def _thresholds(params: dict) -> dict[str, Any]:
+    ex, alg = existence_threshold(params["gamma"]), algorithmic_threshold(params["gamma"])
+    return {"existence": ex, "algorithmic": alg, "ratio": ex / alg}
+
+
+def _exponent(params: dict) -> dict[str, Any]:
+    rep = first_moment_exponent(params["c"], params["d"], params["gamma"])
+    return {"leading": rep.leading_coefficient, "exponent": rep.value, "sign": rep.sign.value}
+
+
+# ---------------------------------------------------------------------------
+# Commands: one table entry per command
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command: its line in ``bipbis -h``, its parameters and its body.
+
+    ``params`` are the rows after the run parameters (and, for a trial
+    command, workers, csv and trials), in the order they are checked; a sweep
+    may grid any numeric one of them. A row calls the check of the library
+    function that owns its rule; a rule that reads several parameters is
+    checked at the last of them to be resolved. A trial command has a CSV
+    header ``schema`` and ``run(params, trial) -> row``; any other command
+    has ``run(params) -> outputs``.
+    """
+
+    help: str
+    params: tuple[Param, ...]
+    run: Callable[..., Any]
+    schema: Optional[tuple[str, ...]] = None
+
+
+COMMANDS: dict[str, Command] = {
+    "sample": Command("sample a graph and write the text format", (
+        _N, _D, Param("out", str, REQUIRED, _output_file, "output path for the graph text file"),
+    ), _sample),
+    "exact": Command("exact max gamma-balanced independent set of a graph file", (
         Param("graph", str, REQUIRED, _distinct_files,
               "graph text file (header 'n m', then 'l r' lines)"),
         _GAMMA,
-        Param("limit", int, 32, _at_least(1), "per-side capacity limit (default 32)"),
-    ),
-    "local": (_N, _D, Param("p", float, REQUIRED, _owner(check_threshold),
-                            "L-side inclusion threshold"),
-              _GAMMA),
-    "lowdeg": (
+        Param("limit", int, DEFAULT_BB_LIMIT, _at_least(1),
+              f"per-side capacity limit (default {DEFAULT_BB_LIMIT})"),
+    ), _exact),
+    "local": Command("run the 1-local algorithm over seeded trials", (
+        _N, _D, Param("p", float, REQUIRED, _owner(check_threshold), "L-side inclusion threshold"),
+        _GAMMA,
+    ), _local_trial,
+        ("trial", "n", "d", "p", "gamma", "count_l", "count_r", "trimmed_size", "wall_time_ms")),
+    "lowdeg": Command("run the degree-1 polynomial with rounding over seeded trials", (
         _N, _D,
         Param("epsilon", float, REQUIRED, lambda name, v, p: predicted_easy_point(v, p["d"]),
               "density slack; sets k_l and k_r"),
@@ -195,8 +309,8 @@ PARAMS: dict[str, tuple[Param, ...]] = {
               lambda p: math.floor((1 - p["epsilon"]) * p["d"] ** (p["epsilon"] - 1) * p["n"]),
               _subset_size, "R-side target size (default (1 - epsilon) d^(epsilon - 1) n)"),
         Param("eta", float, 0.0, _owner(check_eta), "rounding error budget (default 0)"),
-    ),
-    "ogp": (
+    ), _lowdeg_trial, ("trial", "n", "d", "k_l", "k_r", "count_l", "count_r", "norm_sq", "failed")),
+    "ogp": Command("interpolation-path stability and overlap-chain probe", (
         _N, _D,
         Param("epsilon", float, REQUIRED, None, "overlap-chain slack; sets k_l and eta"),
         Param("K", int, 2,
@@ -210,27 +324,31 @@ PARAMS: dict[str, tuple[Param, ...]] = {
               _subset_size, "chosen L vertices (default (1 - epsilon) log(d) / d * n, at least 1)"),
         Param("eta", float, lambda p: p["epsilon"] / 16.0 * math.log(p["d"]) / p["d"],
               _owner(check_eta), "rounding error budget (default epsilon / 16 * log(d) / d)"),
-    ),
-    "phase": (
+    ), _ogp_trial,
+        ("trial", "n", "d", "T", "bad_edge_count", "greedy_success", "conditions_passed")),
+    "phase": Command("classify a phase-diagram point", (
         Param("x", float, REQUIRED, None, "L-side density in units of (log d)/d"),
         Param("y", float, REQUIRED, lambda name, v, p: PhasePoint(p["x"], v),
               "R-side density in units of (log d)/d"),
-    ),
-    "thresholds": (Param("gamma", float, REQUIRED, _owner(check_gamma), "balance parameter"),),
-    "exponent": (
+    ), _phase),
+    "thresholds": Command("existence and algorithmic density thresholds", (
+        Param("gamma", float, REQUIRED, _owner(check_gamma), "balance parameter"),
+    ), _thresholds),
+    "exponent": Command("first-moment exponent at density c*(log d)/d", (
         Param("c", float, REQUIRED, None, "density in units of (log d)/d"),
         Param("d", float, REQUIRED, lambda name, v, p: check_exponent_point(p["c"], v),
               "average degree"),
         _GAMMA,
-    ),
+    ), _exponent),
 }
 
-ALL_COMMANDS = tuple(PARAMS)
+TRIAL_COMMANDS = tuple(command for command, entry in COMMANDS.items() if entry.schema)
 
 
 def command_params(command: str) -> tuple[Param, ...]:
     """Every parameter ``command`` takes, in the order they are resolved."""
-    return _RUN_PARAMS + (_TRIAL_RUN_PARAMS if command in TRIAL_COMMANDS else ()) + PARAMS[command]
+    return (_RUN_PARAMS + (_TRIAL_RUN_PARAMS if command in TRIAL_COMMANDS else ())
+            + COMMANDS[command].params)
 
 
 def _coerce(name: str, value, kind: type):
@@ -280,65 +398,9 @@ def resolve_params(command: str, raw: dict) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Trial bodies (top-level so they pickle across worker processes)
-# ---------------------------------------------------------------------------
-
-
-def _local_trial(params: dict, trial: int) -> tuple:
-    t0 = time.perf_counter()
-    s = RandomSeed(params["seed"], params["stream"] + trial)
-    graph = sample_bipartite_graph(params["n"], params["d"], s)
-    pair = random_threshold_pair(params["p"])
-    subset = apply_local_pair(graph, pair, s)
-    trimmed = gamma_trim(subset, params["gamma"])
-    ms = (time.perf_counter() - t0) * 1000.0
-    return (trial, params["n"], params["d"], params["p"], params["gamma"],
-            subset.count_l, subset.count_r, trimmed.size, round(ms, 3))
-
-
-def _lowdeg_trial(params: dict, trial: int) -> tuple:
-    s = RandomSeed(params["seed"], params["stream"] + trial)
-    f = linear_blocking_polynomial(params["n"], params["k_l"], s)
-    graph = sample_bipartite_graph(params["n"], params["d"], s)
-    values = f.evaluate(graph)
-    norm_sq = float(values @ values)
-    outcome = round_polynomial(values, graph, params["eta"])
-    count_l = 0 if outcome.failed else outcome.subset.count_l
-    count_r = 0 if outcome.failed else outcome.subset.count_r
-    return (trial, params["n"], params["d"], params["k_l"], params["k_r"],
-            count_l, count_r, norm_sq, int(outcome.failed))
-
-
-def _ogp_trial(params: dict, trial: int) -> tuple:
-    s = RandomSeed(params["seed"], params["stream"] + trial)
-    n, d = params["n"], params["d"]
-    T = params["gamma_steps"] * n * n
-    graph = sample_bipartite_graph(n, d, s)
-    path = build_interpolation_path(graph, T, d, s)
-    f = linear_blocking_polynomial(n, params["k_l"], s)
-    config = StabilityConfig(c=params["c"], gamma_steps=params["gamma_steps"],
-                             degree=1, norm_estimate=params["_norm_estimate"])
-    bad = detect_bad_steps(f, path, config)
-    chain_params = OverlapChainParams.for_scale(params["epsilon"], params["K"], n, d)
-    result = greedy_chain_over_segments(walk_rounded_subsets(f, path, params["eta"]), chain_params)
-    bitmask = 0
-    if result.success:
-        report = check_overlap_chain(result.sets, result.timestamps, path, chain_params)
-        bitmask = report.conditions_bitmask()
-    return (trial, n, d, T, len(bad), int(result.success), bitmask)
-
-
-_TRIAL_BODIES: dict[str, Callable[[dict, int], tuple]] = {
-    "local": _local_trial,
-    "lowdeg": _lowdeg_trial,
-    "ogp": _ogp_trial,
-}
-
-
 def _trial_star(args):
     command, params, trial = args
-    return _TRIAL_BODIES[command](params, trial)
+    return COMMANDS[command].run(params, trial)
 
 
 def _resolve_workers(params: dict) -> int:
@@ -361,53 +423,6 @@ def _run_trials(command: str, params: dict) -> list[tuple]:
         return pool.map(_trial_star, jobs)  # map preserves trial order
 
 
-def _write_atomic(path: str, write: Callable[[Any], None]) -> None:
-    """``write(fh)`` to a temporary file beside ``path``, then move it into
-    place, so a failed write leaves no partial file at ``path``. The file
-    gets the mode a plain ``open`` would give it, not mkstemp's 0o600."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".bipbis-", dir=directory)
-    try:
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _scalar_outputs(command: str, params: dict) -> dict[str, Any]:
-    if command == "phase":
-        region = classify_phase(PhasePoint(params["x"], params["y"]))
-        return {"phase": region.value}
-    if command == "thresholds":
-        g = params["gamma"]
-        ex, alg = existence_threshold(g), algorithmic_threshold(g)
-        return {"existence": ex, "algorithmic": alg, "ratio": ex / alg}
-    if command == "exponent":
-        rep = first_moment_exponent(params["c"], params["d"], params["gamma"])
-        return {"leading": rep.leading_coefficient, "exponent": rep.value,
-                "sign": rep.sign.value}
-    if command == "sample":
-        graph = sample_bipartite_graph(params["n"], params["d"],
-                                       RandomSeed(params["seed"], params["stream"]))
-        _write_atomic(params["out"], lambda fh: fh.writelines(_text_blocks(graph)))
-        return {"n": graph.n, "m": graph.edge_count, "out": params["out"]}
-    if command == "exact":
-        graph = read_graph_text(params["graph"])
-        size, witness = max_gamma_balanced_is(graph, params["gamma"], limit=params["limit"])
-        return {
-            "size": size,
-            "witness_l": ",".join(str(i) for i in sorted(witness.in_l)),
-            "witness_r": ",".join(str(i) for i in sorted(witness.in_r)),
-        }
-    raise ParameterError(f"unknown scalar command {command!r}")
-
-
 def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], dict[str, Any]]:
     """The rows (in trial order) and outputs of one run on resolved
     parameters, or of cell ``cell`` of a sweep; a plain run is cell 0.
@@ -418,7 +433,7 @@ def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], di
     so no two cells share one.
     """
     if command not in TRIAL_COMMANDS:
-        return [], _scalar_outputs(command, params)
+        return [], COMMANDS[command].run(params)
     outputs: dict[str, Any] = {}
     trial_params = {**params, "stream": params["stream"] + cell * params["trials"]}
     if command == "ogp":
@@ -452,7 +467,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     record = ExperimentRecord(
         command=config.command,
         params=params,
-        headers=SCHEMAS.get(config.command),
+        headers=COMMANDS[config.command].schema,
         rows=rows,
         outputs=outputs,
         seed_ledger={
@@ -482,7 +497,7 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
         raise ParameterError("sweep requires a non-empty parameter grid")
     if len(grid) > 2:
         raise ParameterError(f"sweep supports at most 2 swept parameters, got {len(grid)}")
-    sweepable = sorted(p.name for p in PARAMS[command] if p.kind is not str)
+    sweepable = sorted(p.name for p in COMMANDS[command].params if p.kind is not str)
     for name, values in grid.items():
         if name not in sweepable:
             raise ParameterError(
@@ -506,7 +521,7 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
     record = ExperimentRecord(
         command=command,
         params={**config.params, "grid": grid},
-        headers=SCHEMAS[command],
+        headers=COMMANDS[command].schema,
         rows=rows,
         outputs={"cells": outputs},
         seed_ledger={"seed": base["seed"], "stream_base": stream, "cell_stride": trials},

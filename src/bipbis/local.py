@@ -20,13 +20,15 @@ import numpy as np
 from .balance import (VertexSubset, check_gamma, independence_violation, lowest_bits,
                       max_balanced_pair, pack_bits)
 from .errors import CapacityError, CompatibilityViolation, ParameterError
-from .graph import BipartiteGraph, Side
+from .graph import _INT64_MAX, BipartiteGraph, Side
 from .lowdeg import FlipTracker
 from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed, check_trial_count
 
 DecideFn = Callable[[Sequence[Sequence[int]], np.ndarray], int]
 BulkDecideFn = Callable[[BipartiteGraph, "VertexLabels"], np.ndarray]
 _MAX_TREE_VERTICES = 200_000  # sample_offspring_tree refuses a larger tree
+# the largest Poisson mean numpy draws, computed as numpy computes it
+_POISSON_MEAN_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +211,8 @@ def sample_offspring_tree(d: float, depth: int, rng: np.random.Generator) -> lis
     """Adjacency of a rooted tree with Poisson(d) offspring per node, truncated
     at ``depth``. Node 0 is the root and nodes are numbered level by level;
     each node's list holds its parent first, then its children."""
-    if not d >= 0:
-        raise ParameterError(f"offspring mean must be non-negative, got {d}")
+    if not 0 <= d <= _POISSON_MEAN_MAX:
+        raise ParameterError(f"offspring mean must lie in [0, {_POISSON_MEAN_MAX!r}], got {d}")
     if depth < 0:
         raise ParameterError("depth must be non-negative")
     adj: list[list[int]] = [[]]

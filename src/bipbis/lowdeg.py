@@ -133,7 +133,7 @@ def rounding_fails(conflicted: int, fractional: int, eta: float, n: int) -> bool
 
 
 def check_eta(eta: float) -> None:
-    if eta < 0:
+    if not eta >= 0:
         raise ParameterError(f"eta must be non-negative, got {eta}")
 
 

@@ -114,7 +114,7 @@ def build_interpolation_path(
 
 def check_stability_params(c: float, gamma_steps: int) -> None:
     """The badness threshold factor c and the path length in units of n^2."""
-    if c <= 0:
+    if not c > 0:
         raise ParameterError("c must be positive")
     if gamma_steps < 1:
         raise ParameterError("gamma_steps must be a positive integer")
@@ -137,7 +137,7 @@ class StabilityConfig:
         check_stability_params(self.c, self.gamma_steps)
         if self.degree < 1:
             raise ParameterError("degree must be a positive integer")
-        if self.norm_estimate <= 0:
+        if not self.norm_estimate > 0:
             raise ParameterError("norm_estimate must be positive")
 
     @property
@@ -346,11 +346,11 @@ class OverlapChainParams:
     phi: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ParameterError("epsilon must be positive")
         if self.K < 2:
             raise ParameterError("K must be at least 2")
-        if self.phi <= 0:
+        if not self.phi > 0:
             raise ParameterError("phi must be positive")
 
     @staticmethod

@@ -463,12 +463,6 @@ def bernoulli_coordinates_exact(m: int, p: float, rng: np.random.Generator) -> n
             coords.append(pos)
 
 
-def random_small_graph(rng: np.random.Generator, max_n: int = 8) -> BipartiteGraph:
-    n = int(rng.integers(1, max_n + 1))
-    d = float(rng.uniform(0.2, min(n - 0.01, 4.0))) if n > 1 else 0.5
-    return sample_bipartite_graph(n, d, RandomSeed(int(rng.integers(0, 2**32))))
-
-
 def subset_of(in_l=(), in_r=()):
     return VertexSubset.of(in_l, in_r)
 

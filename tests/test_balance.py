@@ -8,7 +8,7 @@ from bipbis import (ParameterError, RandomSeed, VertexSubset, apply_local_pair, 
                     max_balanced_pair, max_joint_intersection, pair_decisions,
                     random_threshold_pair, sample_bipartite_graph)
 from bipbis.balance import (best_a_for_b, best_b_for_a, is_balanced_counts, lowest_bits,
-                            max_balanced_total, pack_bits, unpack_bits)
+                            pack_bits, unpack_bits)
 from conftest import (brute_balanced, brute_trim_best, gamma_trim_sorted, graph_from_edges,
                       subset_of)
 
@@ -54,7 +54,7 @@ def test_one_sided_helpers():
     assert best_b_for_a(0, 7, 0.5) == 1
     assert best_b_for_a(10, 4, 0.5) is None  # R-deficit: no b <= 4 balances a = 10
     assert best_a_for_b(4, 10, 0.5) == 5
-    assert max_balanced_total(10, 4, 0.5) == 9
+    assert sum(max_balanced_pair(10, 4, 0.5)) == 9
 
 
 def test_subset_ops():

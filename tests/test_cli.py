@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,12 +19,14 @@ from bipbis import (BipartiteGraph, OverlapChainParams, PhasePoint, StabilityCon
                     first_moment_exponent, linear_blocking_polynomial, norm_second_moment,
                     predicted_easy_point, random_threshold_pair, round_polynomial,
                     sample_bipartite_graph, stability_trial, walk_rounded_subsets)
+from bipbis.analysis import check_density_scale, check_exponent_point, optimal_local_threshold
 from bipbis.balance import check_gamma
 from bipbis.cli import main
 from bipbis.errors import ParameterError
-from bipbis.experiments import (PARAMS, SCHEMAS, TRIAL_COMMANDS, ExperimentConfig,
+from bipbis.experiments import (COMMANDS, TRIAL_COMMANDS, ExperimentConfig,
                                 command_params, sweep)
-from bipbis.lowdeg import _check_subset_size
+from bipbis.lowdeg import _check_subset_size, check_eta
+from bipbis.ogp import check_stability_params
 from bipbis.rng import AUX_STREAM_OFFSET, RandomSeed
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -166,7 +169,7 @@ def test_local_csv_schema_and_rows(capsys, tmp_path):
     code, out, _ = run_cli(capsys, *LOCAL_ARGS, "--csv", str(out_csv))
     assert code == 0
     rows = read_rows(out_csv)
-    assert tuple(rows[0]) == SCHEMAS["local"]  # golden header
+    assert tuple(rows[0]) == COMMANDS["local"].schema  # golden header
     assert len(rows) == 1 + 4
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
 
@@ -175,7 +178,7 @@ def test_local_rerun_is_identical_outside_timing(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(capsys, *LOCAL_ARGS, "--csv", str(a))
     run_cli(capsys, *LOCAL_ARGS, "--csv", str(b))
-    headers = list(SCHEMAS["local"])
+    headers = list(COMMANDS["local"].schema)
     assert drop_timing(read_rows(a), headers) == drop_timing(read_rows(b), headers)
 
 
@@ -183,7 +186,7 @@ def test_worker_count_does_not_change_data(capsys, tmp_path):
     a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
     run_cli(capsys, *LOCAL_ARGS, "--workers", "1", "--csv", str(a))
     run_cli(capsys, *LOCAL_ARGS, "--workers", "2", "--csv", str(b))
-    headers = list(SCHEMAS["local"])
+    headers = list(COMMANDS["local"].schema)
     assert drop_timing(read_rows(a), headers) == drop_timing(read_rows(b), headers)
 
 
@@ -200,7 +203,7 @@ def test_lowdeg_command_csv(capsys, tmp_path):
                          "--trials", "3", "--seed", "2", "--csv", str(out_csv))
     assert code == 0
     rows = read_rows(out_csv)
-    assert tuple(rows[0]) == SCHEMAS["lowdeg"]
+    assert tuple(rows[0]) == COMMANDS["lowdeg"].schema
     assert all(r[-1] == "0" for r in rows[1:])  # the linear construction never fails
 
 
@@ -211,7 +214,7 @@ def test_ogp_command_csv(capsys, tmp_path):
                          "--trials", "2", "--seed", "3", "--csv", str(out_csv))
     assert code == 0
     rows = read_rows(out_csv)
-    assert tuple(rows[0]) == SCHEMAS["ogp"]
+    assert tuple(rows[0]) == COMMANDS["ogp"].schema
     assert all(r[3] == "64" for r in rows[1:])  # T = gamma_steps * n^2
 
 
@@ -601,7 +604,8 @@ def test_running_out_of_memory_ends_in_one_json_line(capsys, tmp_path, monkeypat
     def out_of_memory(params, trial):
         raise MemoryError(f"Unable to allocate 8.00 TiB in process {os.getpid()}")
 
-    monkeypatch.setitem(experiments._TRIAL_BODIES, "local", out_of_memory)
+    monkeypatch.setitem(experiments.COMMANDS, "local",
+                        dataclasses.replace(experiments.COMMANDS["local"], run=out_of_memory))
     code, out, err = run_cli(capsys, *LOCAL_ARGS, "--workers", workers,
                              "--csv", str(tmp_path / "r.csv"))
     assert code == 1 and out == ""
@@ -691,7 +695,7 @@ def test_sweep_single_point_matches_plain_run(capsys, tmp_path):
                          "--n", "200", "--d", "4", "--gamma", "0.5",
                          "--trials", "4", "--seed", "9", "--csv", str(swept))
     assert code == 0
-    headers = list(SCHEMAS["local"])
+    headers = list(COMMANDS["local"].schema)
     assert drop_timing(read_rows(plain), headers) == drop_timing(read_rows(swept), headers)
 
 
@@ -789,7 +793,8 @@ def test_sweep_checks_every_cell_before_it_runs_one(monkeypatch):
     def no_trial(params, trial):
         raise AssertionError("a trial ran before every cell was checked")
 
-    monkeypatch.setitem(experiments._TRIAL_BODIES, "local", no_trial)
+    monkeypatch.setitem(experiments.COMMANDS, "local",
+                        dataclasses.replace(experiments.COMMANDS["local"], run=no_trial))
     config = ExperimentConfig("local", {"n": 100000, "p": 0.1, "trials": 3, "workers": 1})
     with pytest.raises(ParameterError, match="d must satisfy 0 < d < n"):
         sweep(config, {"d": [10.0, 2e5]})
@@ -856,12 +861,38 @@ def test_each_range_rule_is_checked_by_its_library_owner(command, name, value, o
     assert str(table.value) == str(owned.value)
 
 
+_NAN = float("nan")
+# the library's range checks that a caller outside the CLI reaches with NaN
+NAN_REFUSALS = {
+    "check_eta": lambda: check_eta(_NAN),
+    "check_stability_params": lambda: check_stability_params(_NAN, 1),
+    "StabilityConfig": lambda: StabilityConfig(c=0.5, gamma_steps=1, degree=1, norm_estimate=_NAN),
+    "OverlapChainParams-epsilon": lambda: OverlapChainParams(_NAN, 2, 1.0),
+    "OverlapChainParams-phi": lambda: OverlapChainParams(0.5, 2, _NAN),
+    "OverlapChainParams.for_scale": lambda: OverlapChainParams.for_scale(0.5, 2, 100, _NAN),
+    "check_density_scale": lambda: check_density_scale(_NAN),
+    "check_exponent_point": lambda: check_exponent_point(_NAN, 10.0),
+    "PhasePoint-x": lambda: PhasePoint(_NAN, 1.5),
+    "PhasePoint-y": lambda: PhasePoint(1.5, _NAN),
+    "optimal_local_threshold": lambda: optimal_local_threshold(_NAN),
+}
+
+
+@pytest.mark.parametrize("check", NAN_REFUSALS.values(), ids=NAN_REFUSALS.keys())
+def test_library_range_checks_refuse_nan(check):
+    # every comparison with NaN is false, so a check must be written as
+    # "not (in range)" to refuse it
+    with pytest.raises(ParameterError):
+        check()
+
+
 def test_trial_streams_stay_below_the_auxiliary_streams(monkeypatch):
     # one rule for a run, a stability probe and all the cells of a sweep
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the stream count was checked")
 
-    monkeypatch.setitem(experiments._TRIAL_BODIES, "ogp", no_work)
+    monkeypatch.setitem(experiments.COMMANDS, "ogp",
+                        dataclasses.replace(experiments.COMMANDS["ogp"], run=no_work))
     monkeypatch.setattr(experiments, "blocking_norm_estimate", no_work)
     raw = {"n": 4, "d": 2, "epsilon": 0.6, "workers": 1}
     with pytest.raises(ParameterError, match="trials must be below"):
@@ -926,7 +957,7 @@ def flag_of(name):
 # every flag of each command, from the parameter table; a sweep is fuzzed with
 # the flags of all trial commands, so that it meets flags its command lacks
 COMMAND_FLAGS = {command: ["--config"] + [flag_of(p.name) for p in command_params(command)]
-                 for command in PARAMS}
+                 for command in COMMANDS}
 COMMAND_FLAGS["sweep"] = ["--grid"] + sorted({f for command in TRIAL_COMMANDS
                                               for f in COMMAND_FLAGS[command]})
 # A valid run of each subcommand; the strategies add or override from here, so
@@ -970,7 +1001,7 @@ CONFIG_VALUES = {
     "out": PATHS, "graph": PATHS, "bogus": [1],
 }
 # every key of every command, from the parameter table, and one no command takes
-CONFIG_KEYS = sorted({p.name for command in PARAMS for p in command_params(command)}) + ["bogus"]
+CONFIG_KEYS = sorted({p.name for command in COMMANDS for p in command_params(command)}) + ["bogus"]
 
 
 def config_of(command, argv):
@@ -979,15 +1010,15 @@ def config_of(command, argv):
     return {params[f].name: params[f].kind(v) for f, v in zip(argv[::2], argv[1::2])}
 
 
-VALID_CONFIGS = {command: config_of(command, VALID_FLAGS[command]) for command in PARAMS}
+VALID_CONFIGS = {command: config_of(command, VALID_FLAGS[command]) for command in COMMANDS}
 
 
 def test_every_parameter_has_fuzz_pools():
-    for command in PARAMS:
+    for command in COMMANDS:
         for param in command_params(command):
             assert flag_of(param.name) in FLAG_VALUES, f"no FLAG_VALUES pool for {param.name}"
             assert param.name in CONFIG_VALUES, f"no CONFIG_VALUES pool for {param.name}"
-    assert set(VALID_FLAGS) == set(PARAMS) | {"sweep"}
+    assert set(VALID_FLAGS) == set(COMMANDS) | {"sweep"}
 
 
 def valid_config(argv: list[str]) -> bytes:
@@ -1003,7 +1034,7 @@ def valid_config(argv: list[str]) -> bytes:
 def config_argvs(draw):
     """A subcommand whose --config file holds bytes that are not JSON, JSON
     that is not an object, or an object with wrongly typed values."""
-    command = draw(st.sampled_from(sorted(PARAMS)))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
     kind = draw(st.sampled_from(["bytes", "json", "object", "object", "object"]))
     if kind == "bytes":
         body = draw(st.binary(max_size=40))

@@ -7,7 +7,7 @@ from bipbis import (CapacityError, ParameterError, RandomSeed, is_gamma_balanced
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     max_joint_intersection, pareto_profile,
                     sample_bipartite_graph)
-from bipbis.balance import best_b_for_a, max_balanced_total
+from bipbis.balance import best_b_for_a
 from bipbis.exact import _balanced_tables
 from conftest import (brute_max_balanced, brute_profile, enumerate_max_gamma_balanced,
                       graph_from_edges, milp_optimum, subset_of)
@@ -88,7 +88,7 @@ def test_bound_table_matches_max_balanced_total(n):
         assert total == [[-1 if b is None else a + b
                           for b in (best_b_for_a(a, u, gamma) for u in range(n + 1))]
                          for a in range(n + 1)], gamma
-        assert bound == [[max_balanced_total(a, u, gamma) for u in range(n + 1)]
+        assert bound == [[sum(max_balanced_pair(a, u, gamma)) for u in range(n + 1)]
                          for a in range(n + 1)], gamma
 
 

@@ -12,7 +12,7 @@ from bipbis import (CapacityError, CompatibilityViolation, ParameterError,
                     pair_decisions, random_threshold_pair,
                     sample_bipartite_graph)
 from bipbis.experiments import ExperimentConfig, sweep
-from bipbis.local import VertexLabels, sample_offspring_tree
+from bipbis.local import _POISSON_MEAN_MAX, VertexLabels, sample_offspring_tree
 from conftest import (ball_decisions, brute_trim_best, csr_r_argsort, edge_list_graphs,
                       graph_from_edges, neighborhood, segment_min_exceeds, subset_of)
 
@@ -305,6 +305,23 @@ def test_offspring_tree_refuses_an_oversized_tree_before_building_it():
 def test_offspring_mean_must_be_non_negative(d):
     with pytest.raises(ParameterError, match="offspring mean"):
         estimate_gw_expectation(random_threshold_pair(0.2), Side.R, d, 10, RandomSeed(1))
+
+
+# a mean above numpy's Poisson limit would end in numpy's ValueError mid-draw
+@pytest.mark.parametrize("d", [float("inf"), 1e19, np.nextafter(_POISSON_MEAN_MAX, np.inf)])
+def test_offspring_mean_numpy_cannot_draw_is_refused(d):
+    with pytest.raises(ParameterError, match="offspring mean"):
+        estimate_gw_expectation(random_threshold_pair(0.2), Side.R, d, 10, RandomSeed(1))
+
+
+def test_offspring_mean_limit_is_numpys_poisson_limit():
+    rng = np.random.default_rng(1)
+    assert rng.poisson(_POISSON_MEAN_MAX) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(_POISSON_MEAN_MAX, np.inf))
+    # the largest mean numpy draws is still drawn, and the tree is then too large
+    with pytest.raises(CapacityError, match="offspring tree exceeded"):
+        sample_offspring_tree(_POISSON_MEAN_MAX, 1, rng)
 
 
 # ---------------------------------------------------------------------------
