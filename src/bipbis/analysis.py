@@ -15,7 +15,6 @@ from .balance import check_gamma
 from .errors import ParameterError
 
 BOUNDARY_TOLERANCE = 1e-12
-_ONSET_D_MAX = 1e15  # negativity_onset_d gives up past this d
 
 
 def check_density_scale(d: float) -> None:
@@ -92,46 +91,6 @@ def first_moment_exponent(c: float, d: float, gamma: float) -> ExponentReport:
     leading = c * (1.0 - 2.0 * gamma * (1.0 - gamma) * c)
     return ExponentReport(c=c, d=d, gamma=gamma, value=value,
                           leading_coefficient=leading, sign=Sign.of(value))
-
-
-def negativity_onset_d(c: float, gamma: float) -> float:
-    """Smallest d (to 6 relative digits, by bisection) above which the full
-    exponent at density c*(log d)/d is negative. Requires c above the
-    existence threshold, where the leading coefficient is negative."""
-    check_gamma(gamma)
-    if c <= existence_threshold(gamma):
-        raise ParameterError(
-            f"c must exceed the existence threshold {existence_threshold(gamma)} "
-            f"for the exponent to turn negative")
-
-    def value_or_none(d: float):
-        try:
-            return _exponent_value(c, d, gamma)
-        except ParameterError:
-            return None  # density out of range at this small d
-
-    hi = 2.0
-    while True:
-        v = value_or_none(hi)
-        if v is not None and v < 0:
-            break
-        hi *= 2.0
-        if hi > _ONSET_D_MAX:
-            raise ParameterError(f"exponent did not turn negative below d = {_ONSET_D_MAX}")
-    lo = hi / 2.0
-    v_lo = value_or_none(lo)
-    if v_lo is not None and v_lo < 0:
-        return lo  # negative from the smallest admissible d we probed
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        v = value_or_none(mid)
-        if v is not None and v < 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-6 * hi:
-            break
-    return hi
 
 
 def optimal_local_threshold(d: float) -> float:

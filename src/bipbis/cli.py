@@ -123,7 +123,7 @@ def _gather_params(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ParameterError("config file must contain a JSON object")
         params.update(loaded)
-    skip = {"command", "config", "grid", "trial_command", "func"}
+    skip = {"command", "config", "grid", "trial_command"}
     for key, value in vars(args).items():
         if key in skip or value is None:
             continue

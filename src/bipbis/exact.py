@@ -3,9 +3,7 @@
 The search space collapses from 4^n to 2^n by observing that once the L-side
 trace of an independent set is fixed, the best R-side is forced: take as many
 unblocked R-vertices as balance allows. Branch-and-bound explores L-traces
-with an optimistic balanced-total bound. The enumerators (the Pareto profile
-and the joint intersection) read one numpy table of all 2^n traces instead,
-built by doubling over the L vertices.
+with an optimistic balanced-total bound.
 
 A node has a decided L-vertices, k - a undecided ones and u free R-vertices,
 and takes the smaller of two bounds. The rectangle bound is the best balanced
@@ -45,18 +43,11 @@ witness when the search reaches it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .balance import (VertexSubset, best_b_for_a, check_gamma, check_subset_range,
-                      is_balanced_counts, lowest_bits)
+from .balance import VertexSubset, best_b_for_a, check_gamma, is_balanced_counts, lowest_bits
 from .errors import CapacityError
 from .graph import BipartiteGraph
 
-DEFAULT_ENUMERATION_LIMIT = 16
 DEFAULT_BB_LIMIT = 32
-_ENUMERATION_HARD_CAP = 20  # 2^n trace table
 
 
 def _check_capacity(n: int, limit: int, what: str) -> None:
@@ -66,41 +57,12 @@ def _check_capacity(n: int, limit: int, what: str) -> None:
             f"raise the limit explicitly if you accept the cost")
 
 
-def _check_enumeration_capacity(n: int, limit: int, what: str) -> None:
-    """The 2^n trace table caps n at _ENUMERATION_HARD_CAP whatever the limit."""
-    if n > _ENUMERATION_HARD_CAP:
-        raise CapacityError(
-            f"{what} supports n <= {_ENUMERATION_HARD_CAP} per side for any limit "
-            f"(it builds a 2^n trace table), got n = {n}")
-    _check_capacity(n, limit, what)
-
-
 def _bitset_rows(graph: BipartiteGraph) -> list[int]:
     """R-neighborhood of each L vertex as an integer bitmask."""
     rows = [0] * graph.n
     for l, r in zip(graph.el.tolist(), graph.er.tolist()):
         rows[l] |= 1 << r
     return rows
-
-
-# popcount of every byte; numpy 1.24 has no np.bitwise_count
-_BYTE_POPCOUNT = np.array([i.bit_count() for i in range(256)], dtype=np.int8)
-
-
-def _trace_table(rows: list[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(blocked, a, u) over every L-trace, indexed by its L-mask: the union of
-    its R-neighborhoods (uint32, so n <= 32), its L count and n minus the
-    popcount of blocked. Each L vertex doubles the table: the upper half adds
-    vertex i to every trace of the lower half."""
-    size = 1 << len(rows)
-    blocked = np.zeros(size, dtype=np.uint32)
-    a = np.zeros(size, dtype=np.int8)
-    for i, row in enumerate(rows):
-        half = 1 << i
-        np.bitwise_or(blocked[:half], np.uint32(row), out=blocked[half:2 * half])
-        np.add(a[:half], 1, out=a[half:2 * half])
-    u = n - _BYTE_POPCOUNT[blocked.view(np.uint8)].reshape(size, 4).sum(axis=1, dtype=np.int8)
-    return blocked, a, u
 
 
 def _witness_from_trace(l_mask: int, blocked: int, b: int, n: int) -> VertexSubset:
@@ -278,47 +240,3 @@ def max_gamma_balanced_is(
     search(0, 0, 0, 0, matched_r, unmatched, matched_r.bit_count())
     b = best_total - best_mask.bit_count()
     return best_total, _witness_from_trace(best_mask, best_blocked, b, n)
-
-
-@dataclass(frozen=True)
-class ParetoProfile:
-    """For every L-side size a, the maximum R-side size b over independent
-    sets, each entry witnessed."""
-
-    entries: tuple[tuple[int, int], ...]
-    witnesses: tuple[VertexSubset, ...]
-
-
-def pareto_profile(graph: BipartiteGraph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> ParetoProfile:
-    """Each entry is witnessed by the smallest L-mask that reaches it."""
-    n = graph.n
-    _check_enumeration_capacity(n, limit, "pareto profile")
-    blocked, a, u = _trace_table(_bitset_rows(graph), n)
-    entries = []
-    witnesses = []
-    for k in range(n + 1):
-        traces = np.flatnonzero(a == k)
-        mask = int(traces[np.argmax(u[traces])])
-        b = int(u[mask])
-        entries.append((k, b))
-        witnesses.append(_witness_from_trace(mask, int(blocked[mask]), b, n))
-    for k in range(1, n + 1):  # sanity: dominance forces a monotone profile
-        assert entries[k][1] <= entries[k - 1][1]
-    return ParetoProfile(tuple(entries), tuple(witnesses))
-
-
-def max_joint_intersection(
-    graph: BipartiteGraph, s: VertexSubset, limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> int:
-    """Max over independent sets I of min(|I & s & L|, |I & s & R|).
-
-    Vertices outside s neither help nor hurt, so the search restricts to the
-    induced subgraph on s.
-    """
-    n = graph.n
-    _check_enumeration_capacity(n, limit, "joint intersection")
-    check_subset_range(s, n)
-    # rows keep their global R bits: only the count blocked inside s matters
-    rows = [row & s.mask_r for l, row in enumerate(_bitset_rows(graph)) if s.mask_l >> l & 1]
-    _, a, u = _trace_table(rows, s.count_r)
-    return int(np.minimum(a, u).max())

@@ -13,7 +13,6 @@ across parallel workers.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from typing import Callable, Iterable, Iterator
@@ -22,11 +21,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .rng import GRAPH_DRAW, RandomSeed
-
-
-class Side(enum.Enum):
-    L = "L"
-    R = "R"
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +257,6 @@ _READ_BYTES = 1 << 20
 
 def graph_to_text(graph: BipartiteGraph) -> str:
     return "".join(_text_blocks(graph))
-
-
-def write_graph_text(graph: BipartiteGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_text_blocks(graph))
 
 
 def _text_blocks(graph: BipartiteGraph) -> Iterator[str]:

@@ -1,17 +1,15 @@
-"""The s-local algorithm engine: iid labels, per-side decision functions,
-gamma-balanced trimming, and offspring-tree expectation estimates.
+"""The s-local algorithm engine: iid labels, per-side decision functions
+and gamma-balanced trimming.
 
 A pair of local functions carries two deciders per side: a ball decider
 ``decide(adj, labels)``, which reads the radius-s ball's adjacency lists (root
-as vertex 0) and its vertices' labels and defines locality and the
-offspring-tree estimates, and a vectorised one over the whole graph, which
-the engine runs. Tests pin the vectorised deciders to the ball-at-a-time
-semantics.
+as vertex 0) and its vertices' labels and defines locality, and a vectorised
+one over the whole graph, which the engine runs. Tests pin the vectorised
+deciders to the ball-at-a-time semantics.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,16 +17,13 @@ import numpy as np
 
 from .balance import (VertexSubset, check_gamma, independence_violation, lowest_bits,
                       max_balanced_pair, pack_bits)
-from .errors import CapacityError, CompatibilityViolation, ParameterError
-from .graph import _INT64_MAX, BipartiteGraph, Side
+from .errors import CompatibilityViolation, ParameterError
+from .graph import BipartiteGraph
 from .lowdeg import FlipTracker
-from .rng import LABEL_DRAW, TREE_DRAW, RandomSeed, check_trial_count
+from .rng import LABEL_DRAW, RandomSeed
 
 DecideFn = Callable[[Sequence[Sequence[int]], np.ndarray], int]
 BulkDecideFn = Callable[[BipartiteGraph, "VertexLabels"], np.ndarray]
-_MAX_TREE_VERTICES = 200_000  # sample_offspring_tree refuses a larger tree
-# the largest Poisson mean numpy draws, computed as numpy computes it
-_POISSON_MEAN_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +176,7 @@ def constant_pair(value_l: int, value_r: int) -> LocalFunctionPair:
 
 
 # ---------------------------------------------------------------------------
-# Trimming and the balanced value
+# Trimming
 # ---------------------------------------------------------------------------
 
 
@@ -191,63 +186,3 @@ def gamma_trim(subset: VertexSubset, gamma: float) -> VertexSubset:
     check_gamma(gamma)
     a2, b2 = max_balanced_pair(subset.count_l, subset.count_r, gamma)
     return VertexSubset(lowest_bits(subset.mask_l, a2), lowest_bits(subset.mask_r, b2))
-
-
-def gamma_balanced_value(e_l: float, e_r: float, gamma: float) -> float:
-    """First-order trimmed density delivered by a compatible pair with the
-    given per-side offspring-tree expectations: (1/2) min(e_l/g, e_r/(1-g))."""
-    check_gamma(gamma)
-    if not (0.0 <= e_l <= 1.0 and 0.0 <= e_r <= 1.0):
-        raise ParameterError(f"expectations must lie in [0, 1], got ({e_l}, {e_r})")
-    return 0.5 * min(e_l / gamma, e_r / (1.0 - gamma))
-
-
-# ---------------------------------------------------------------------------
-# Offspring-tree expectations
-# ---------------------------------------------------------------------------
-
-
-def sample_offspring_tree(d: float, depth: int, rng: np.random.Generator) -> list[list[int]]:
-    """Adjacency of a rooted tree with Poisson(d) offspring per node, truncated
-    at ``depth``. Node 0 is the root and nodes are numbered level by level;
-    each node's list holds its parent first, then its children."""
-    if not 0 <= d <= _POISSON_MEAN_MAX:
-        raise ParameterError(f"offspring mean must lie in [0, {_POISSON_MEAN_MAX!r}], got {d}")
-    if depth < 0:
-        raise ParameterError("depth must be non-negative")
-    adj: list[list[int]] = [[]]
-    frontier = [0]
-    for _ in range(depth):
-        nxt = []
-        for node in frontier:
-            k = int(rng.poisson(d))
-            if len(adj) + k > _MAX_TREE_VERTICES:
-                raise CapacityError(
-                    f"offspring tree exceeded {_MAX_TREE_VERTICES} vertices at d={d}, depth={depth}")
-            kids = range(len(adj), len(adj) + k)
-            adj[node].extend(kids)
-            adj.extend([node] for _ in kids)
-            nxt.extend(kids)
-        frontier = nxt
-    return adj
-
-
-def estimate_gw_expectation(
-    pair: LocalFunctionPair,
-    side: Side,
-    d: float,
-    trials: int,
-    seed: RandomSeed,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the decision expectation at the root of a
-    Poisson(d) offspring tree with iid labels; returns (mean, stderr)."""
-    check_trial_count(trials)
-    decide = pair.decide_l if side is Side.L else pair.decide_r
-    rng = seed.generator(TREE_DRAW)
-    hits = np.empty(trials)
-    for i in range(trials):
-        adj = sample_offspring_tree(d, pair.radius, rng)
-        hits[i] = float(decide(adj, rng.random(len(adj))))
-    mean = float(hits.mean())
-    stderr = 0.0 if trials == 1 else float(hits.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr

@@ -24,7 +24,6 @@ import numpy as np
 from .analysis import check_density_scale
 from .balance import EMPTY_SUBSET, VertexSubset, independence_violation
 from .errors import ParameterError
-from .exact import pareto_profile
 from .graph import BipartiteGraph, check_degree, sample_bipartite_graph
 from .local import LocalFunctionPair, VertexLabels, pair_decisions
 from .lowdeg import (FlipTracker, _as_factory, check_eta, check_polynomial_output,
@@ -479,54 +478,4 @@ def check_overlap_chain(
         density_ok=tuple(density_ok),
         new_mass_ok=tuple(new_mass_ok),
         new_masses=tuple(new_masses),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pareto balance probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BalanceProbeReport:
-    trials: int
-    violating_graphs: int
-    violation_rate: float
-    wilson_low: float
-    wilson_high: float
-
-
-def profile_violates_balance_inequality(graph: BipartiteGraph, d: float) -> bool:
-    """Does any Pareto-profile point of the graph, in units of (log d / d)*n,
-    have sum of side densities strictly below their product?"""
-    check_density_scale(d)
-    scale = math.log(d) / d * graph.n
-    profile = pareto_profile(graph)
-    for a, b in profile.entries:
-        al = a / scale
-        ar = b / scale
-        if al + ar < al * ar:
-            return True
-    return False
-
-
-def balance_inequality_probe(
-    n: int, d: float, trials: int, seed: RandomSeed,
-) -> BalanceProbeReport:
-    """Fraction of sampled graphs whose Pareto profile (which dominates every
-    independent set) contains a sum-below-product point. Reported with a
-    Wilson interval, never asserted: the inequality is asymptotic in d."""
-    check_trial_count(trials)
-    violations = 0
-    for t in range(trials):
-        graph = sample_bipartite_graph(n, d, seed.shifted(t))
-        if profile_violates_balance_inequality(graph, d):
-            violations += 1
-    lo, hi = wilson_interval(violations, trials)
-    return BalanceProbeReport(
-        trials=trials,
-        violating_graphs=violations,
-        violation_rate=violations / trials,
-        wilson_low=lo,
-        wilson_high=hi,
     )

@@ -27,7 +27,6 @@ GRAPH_DRAW = 0
 LABEL_DRAW = 1
 RESAMPLE_DRAW = 2
 POLY_DRAW = 3
-TREE_DRAW = 4
 
 # Trials run on streams base + i for i below this offset; streams from
 # base + AUX_STREAM_OFFSET on are reserved for auxiliary estimates (norm

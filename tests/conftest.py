@@ -7,6 +7,7 @@ arbitrate when the optimized paths are wrong.
 
 from __future__ import annotations
 
+import enum
 import io
 from fractions import Fraction
 from typing import NamedTuple
@@ -15,14 +16,23 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side, VertexSubset,
+from bipbis import (BipartiteGraph, CapacityError, ParameterError, RandomSeed, VertexSubset,
                     max_balanced_pair, sample_bipartite_graph)
 from bipbis.balance import check_gamma
-from bipbis.exact import (DEFAULT_ENUMERATION_LIMIT, _balanced_tables, _bitset_rows,
-                          _check_enumeration_capacity, _trace_table, _witness_from_trace)
+from bipbis.exact import _balanced_tables, _bitset_rows, _check_capacity, _witness_from_trace
 from bipbis.graph import _INT64_MAX, _MAX_DIGITS, _bad_line, _check_vertex_count
 from bipbis.lowdeg import check_polynomial_output
 from bipbis.rng import RESAMPLE_DRAW
+
+DEFAULT_ENUMERATION_LIMIT = 16
+_ENUMERATION_HARD_CAP = 20  # 2^n trace table
+
+
+class Side(enum.Enum):
+    """The side of a vertex in the ball oracle's (side, index) keys."""
+
+    L = "L"
+    R = "R"
 
 
 def graph_from_edges(n, edges):
@@ -64,6 +74,35 @@ def brute_max_balanced(graph: BipartiteGraph, gamma: float) -> int:
     return best
 
 
+def _check_enumeration_capacity(n: int, limit: int, what: str) -> None:
+    """The 2^n trace table caps n at _ENUMERATION_HARD_CAP whatever the limit."""
+    if n > _ENUMERATION_HARD_CAP:
+        raise CapacityError(
+            f"{what} supports n <= {_ENUMERATION_HARD_CAP} per side for any limit "
+            f"(it builds a 2^n trace table), got n = {n}")
+    _check_capacity(n, limit, what)
+
+
+# popcount of every byte; numpy 1.24 has no np.bitwise_count
+_BYTE_POPCOUNT = np.array([i.bit_count() for i in range(256)], dtype=np.int8)
+
+
+def _trace_table(rows: list[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(blocked, a, u) over every L-trace, indexed by its L-mask: the union of
+    its R-neighborhoods (uint32, so n <= 32), its L count and n minus the
+    popcount of blocked. Each L vertex doubles the table: the upper half adds
+    vertex i to every trace of the lower half."""
+    size = 1 << len(rows)
+    blocked = np.zeros(size, dtype=np.uint32)
+    a = np.zeros(size, dtype=np.int8)
+    for i, row in enumerate(rows):
+        half = 1 << i
+        np.bitwise_or(blocked[:half], np.uint32(row), out=blocked[half:2 * half])
+        np.add(a[:half], 1, out=a[half:2 * half])
+    u = n - _BYTE_POPCOUNT[blocked.view(np.uint8)].reshape(size, 4).sum(axis=1, dtype=np.int8)
+    return blocked, a, u
+
+
 def enumerate_max_gamma_balanced(
     graph: BipartiteGraph, gamma: float, limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> tuple[int, VertexSubset]:
@@ -102,29 +141,6 @@ def milp_optimum(graph: BipartiteGraph, gamma: float) -> int:
                integrality=np.ones(2 * n), bounds=Bounds(0, 1))
     assert res.status == 0, f"MILP did not solve: {res.message}"
     return int(round(-res.fun))
-
-
-def brute_profile(graph: BipartiteGraph) -> dict[int, tuple[int, int]]:
-    """For each a, the max b over independent sets and the smallest L-mask
-    with a bits that reaches it, by literal enumeration."""
-    n = graph.n
-    assert n <= 8
-    rows = [0] * n
-    for l, r in zip(graph.el.tolist(), graph.er.tolist()):
-        rows[l] |= 1 << r
-    best: dict[int, tuple[int, int]] = {a: (-1, 0) for a in range(n + 1)}
-    for l_mask in range(1 << n):
-        blocked = 0
-        m = l_mask
-        while m:
-            lsb = m & -m
-            blocked |= rows[lsb.bit_length() - 1]
-            m ^= lsb
-        a = l_mask.bit_count()
-        u = n - blocked.bit_count()
-        if u > best[a][0]:
-            best[a] = (u, l_mask)
-    return best
 
 
 def brute_trim_best(a: int, b: int, gamma: float) -> int:

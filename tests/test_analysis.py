@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from bipbis import (ParameterError, PhasePoint, PhaseRegion, Sign,
                     algorithmic_threshold, classify_phase, existence_threshold,
-                    first_moment_exponent, negativity_onset_d,
-                    optimal_local_threshold, predicted_easy_point)
+                    first_moment_exponent, optimal_local_threshold, predicted_easy_point)
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +104,6 @@ def test_exponent_domain_errors():
         first_moment_exponent(5.0, 2.0, 0.5)
 
 
-def test_negativity_onset_by_bisection():
-    for c, gamma in ((2.5, 0.5), (3.5, 0.5), (9.0, 0.25)):
-        d_min = negativity_onset_d(c, gamma)
-        for factor in (1.0, 2.0, 10.0, 1e4):
-            assert first_moment_exponent(c, d_min * factor, gamma).sign is Sign.NEGATIVE
-    with pytest.raises(ParameterError):
-        negativity_onset_d(1.5, 0.5)  # below the existence threshold
-
-
 # ---------------------------------------------------------------------------
 # the phase classifier
 # ---------------------------------------------------------------------------
@@ -142,6 +132,14 @@ def test_classify_rejects_negative_coordinates():
 @given(st.floats(0.0, 8.0, allow_nan=False), st.floats(0.0, 8.0, allow_nan=False))
 def test_classifier_is_symmetric(x, y):
     assert classify_phase(PhasePoint(x, y)) is classify_phase(PhasePoint(y, x))
+
+
+def test_small_l_density_never_violates():
+    # why a point with a density below 1 is EASY and never NONEXISTENT:
+    # alpha_l <= 1 makes alpha_l*alpha_r <= alpha_r <= alpha_l + alpha_r
+    for al in np.linspace(0, 1, 11):
+        for ar in np.linspace(0, 50, 23):
+            assert al + ar >= al * ar - 1e-12
 
 
 # ---------------------------------------------------------------------------

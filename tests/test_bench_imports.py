@@ -1,7 +1,9 @@
 """The benchmark imports library names inside its functions, so a renamed or
 deleted name would surface only as a failed benchmark run, and a script's
 only as a failed subprocess. Resolve every ``from bipbis... import name`` of
-``bench/*.py`` and ``scripts/*.py`` here instead."""
+``bench/*.py`` and ``scripts/*.py`` here instead. The other way round, every
+name the package exports must be reached by the library, a script, the
+benchmark or an acceptance criterion, not by unit tests alone."""
 
 import ast
 import importlib
@@ -11,6 +13,18 @@ import pytest
 
 BENCH = Path(__file__).parent.parent / "bench"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+SRC = Path(__file__).parent.parent / "src" / "bipbis"
+ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+
+# Exported names that nothing outside the unit tests reaches, each with the
+# claim it is kept for.
+KEEP = {
+    "LocalPairVectorFunction": "the only way to run a local pair through stability_trial and "
+                               "detect_bad_steps, the path stability that the paper's bound on "
+                               "local algorithms rests on",
+    "constant_pair": "the paper's trivial algorithm that takes one partition class, "
+                     "as a 0-local pair",
+}
 
 
 def bipbis_imports(path):
@@ -43,3 +57,32 @@ def test_the_bench_imports_library_names():
     # the guard must see the imports it is for
     assert len(bipbis_imports(BENCH / "tracing.py")) >= 20
     assert len(bipbis_imports(SCRIPTS / "small_scale_phase.py")) >= 3
+
+
+def names_used(path, imports=False):
+    """Every name a file reads as a Name or an Attribute, and with
+    ``imports`` every name it imports."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif imports and isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_exported_name_is_reached_outside_the_unit_tests():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    reached = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            reached |= names_used(path)
+    for path in [*BENCH.glob("*.py"), *SCRIPTS.glob("*.py"), ACCEPTANCE]:
+        reached |= names_used(path, imports=True)
+    unreached = exported - reached
+    assert sorted(unreached - KEEP.keys()) == []  # reached by unit tests alone
+    assert KEEP.keys() <= unreached  # a kept name that is now reached leaves KEEP

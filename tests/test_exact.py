@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import (CapacityError, ParameterError, RandomSeed, is_gamma_balanced,
-                    is_independent, max_balanced_pair, max_gamma_balanced_is,
-                    max_joint_intersection, pareto_profile,
-                    sample_bipartite_graph)
+from bipbis import (CapacityError, RandomSeed, is_gamma_balanced, is_independent,
+                    max_balanced_pair, max_gamma_balanced_is, sample_bipartite_graph)
 from bipbis.balance import best_b_for_a
 from bipbis.exact import _balanced_tables
-from conftest import (brute_max_balanced, brute_profile, enumerate_max_gamma_balanced,
-                      graph_from_edges, milp_optimum, subset_of)
+from conftest import (brute_max_balanced, enumerate_max_gamma_balanced, graph_from_edges,
+                      milp_optimum, subset_of)
 
 K22 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -159,24 +157,17 @@ def test_capacity_error():
         max_gamma_balanced_is(g, 0.5, limit=4)
     with pytest.raises(CapacityError):
         enumerate_max_gamma_balanced(g, 0.5, limit=4)
-    with pytest.raises(CapacityError):
-        pareto_profile(g, limit=4)
-    with pytest.raises(CapacityError):
-        max_joint_intersection(g, subset_of(), limit=4)
 
 
 def test_enumeration_capacity_names_the_bound_that_binds():
     # past the 2^n trace table's cap no limit helps, so the message names the cap
     big = graph_from_edges(21, [])
-    for refuse in (lambda: pareto_profile(big, limit=30),
-                   lambda: max_joint_intersection(big, subset_of(), limit=30),
-                   lambda: enumerate_max_gamma_balanced(big, 0.5, limit=30),
-                   lambda: pareto_profile(big, limit=4)):
+    for limit in (30, 4):
         with pytest.raises(CapacityError, match=r"n <= 20 per side for any limit") as err:
-            refuse()
+            enumerate_max_gamma_balanced(big, 0.5, limit=limit)
         assert "raise the limit" not in str(err.value)
     with pytest.raises(CapacityError, match="n <= 4 per side, got n = 5; raise the limit"):
-        pareto_profile(graph_from_edges(5, []), limit=4)
+        enumerate_max_gamma_balanced(graph_from_edges(5, []), 0.5, limit=4)
 
 
 def test_enumerators_run_without_bitwise_count(monkeypatch):
@@ -188,105 +179,5 @@ def test_enumerators_run_without_bitwise_count(monkeypatch):
             size, witness = enumerate_max_gamma_balanced(g, gamma)
             assert size == brute_max_balanced(g, gamma)
             assert (size, witness) == max_gamma_balanced_is(g, gamma)
-        oracle = brute_profile(g)
-        assert pareto_profile(g).entries == tuple((a, oracle[a][0]) for a in range(n + 1))
-        everything = subset_of(range(n), range(n))
-        assert max_joint_intersection(g, everything) == max(
-            min(a, oracle[a][0]) for a in range(n + 1))
 
 
-# ---------------------------------------------------------------------------
-# pareto_profile
-# ---------------------------------------------------------------------------
-
-
-def test_profile_empty_graph():
-    prof = pareto_profile(graph_from_edges(2, []))
-    assert prof.entries == ((0, 2), (1, 2), (2, 2))
-
-
-def test_profile_complete_bipartite():
-    prof = pareto_profile(graph_from_edges(2, K22))
-    assert prof.entries == ((0, 2), (1, 0), (2, 0))
-
-
-def test_profile_single_edge():
-    prof = pareto_profile(graph_from_edges(2, [(0, 0)]))
-    assert prof.entries == ((0, 2), (1, 2), (2, 1))
-
-
-def test_profile_matches_oracle_and_witnesses():
-    rng = np.random.default_rng(555)
-    for _ in range(30):
-        n = int(rng.integers(1, 7))
-        g = sample_bipartite_graph(n, 1.2, RandomSeed(int(rng.integers(0, 2**31)))) \
-            if n > 1 else graph_from_edges(1, [])
-        prof = pareto_profile(g)
-        oracle = brute_profile(g) if g.n <= 8 else None
-        for (a, b), witness in zip(prof.entries, prof.witnesses):
-            # the witness is the smallest L-mask with a bits that reaches b
-            assert oracle[a] == (b, witness.mask_l)
-            assert witness.count_l == a and witness.count_r == b
-            assert is_independent(g, witness)
-        bs = [b for _, b in prof.entries]
-        assert bs == sorted(bs, reverse=True)
-
-
-def test_profile_consistency_with_solver():
-    # the solver's optimum equals the best gamma-trimmed profile entry
-    rng = np.random.default_rng(808)
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        g = sample_bipartite_graph(n, 1.5, RandomSeed(int(rng.integers(0, 2**31))))
-        prof = pareto_profile(g)
-        for gamma in (0.1, 0.25, 0.5):
-            via_profile = max(sum(max_balanced_pair(a, b, gamma)) for a, b in prof.entries)
-            assert via_profile == max_gamma_balanced_is(g, gamma)[0]
-
-
-# ---------------------------------------------------------------------------
-# max_joint_intersection
-# ---------------------------------------------------------------------------
-
-
-def test_joint_intersection_empty_s():
-    g = graph_from_edges(3, [(0, 0)])
-    assert max_joint_intersection(g, subset_of()) == 0
-
-
-def test_joint_intersection_empty_graph():
-    g = graph_from_edges(3, [])
-    assert max_joint_intersection(g, subset_of(range(3), range(3))) == 3
-
-
-def test_joint_intersection_complete_bipartite():
-    g = graph_from_edges(2, K22)
-    assert max_joint_intersection(g, subset_of(range(2), range(2))) == 0
-
-
-def test_joint_intersection_restricts_to_s():
-    # edge l0-r0; s covers only l0 and r0, so one side must be given up
-    g = graph_from_edges(3, [(0, 0)])
-    assert max_joint_intersection(g, subset_of([0], [0])) == 0
-    assert max_joint_intersection(g, subset_of([0, 1], [0])) == 1
-
-
-def test_joint_intersection_refuses_vertices_outside_the_graph():
-    g = graph_from_edges(3, [])
-    for in_l, in_r in (([0], [5]), ([3], [0]), ([0, 1], [7])):
-        with pytest.raises(ParameterError, match="at or above n = 3"):
-            max_joint_intersection(g, subset_of(in_l, in_r))
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2**10 - 1))
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-def test_joint_intersection_matches_literal_enumeration(graph_seed, s_bits):
-    n = 5
-    g = sample_bipartite_graph(n, 2.0, RandomSeed(graph_seed))
-    subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
-    sl, sr = subsets[s_bits % 32], subsets[s_bits // 32]
-    edges = list(zip(g.el.tolist(), g.er.tolist()))
-    best = max(min(len(in_l & sl), len(in_r & sr))
-               for in_l in subsets for in_r in subsets
-               if not any(l in in_l and r in in_r for l, r in edges))
-    assert max_joint_intersection(g, subset_of(sl, sr)) == best

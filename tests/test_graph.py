@@ -14,14 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bipbis
-from bipbis import (BipartiteGraph, ParameterError, RandomSeed, Side,
-                    graph_from_text, graph_to_text, read_graph_text, sample_bipartite_graph,
-                    validate_graph, write_graph_text)
+from bipbis import (BipartiteGraph, ParameterError, RandomSeed, graph_from_text, graph_to_text,
+                    read_graph_text, sample_bipartite_graph, validate_graph)
 from bipbis import graph as graph_module
-from bipbis.graph import _bernoulli_coordinates
+from bipbis.experiments import _write_atomic
+from bipbis.graph import _bernoulli_coordinates, _text_blocks
 from bipbis.rng import GRAPH_DRAW
-from conftest import (bernoulli_coordinates_exact, bernoulli_coordinates_unclipped, bfs_ball,
-                      graph_from_edges, graph_from_text_loop, graph_from_text_whole,
+from conftest import (Side, bernoulli_coordinates_exact, bernoulli_coordinates_unclipped,
+                      bfs_ball, graph_from_edges, graph_from_text_loop, graph_from_text_whole,
                       graph_to_text_loop, neighborhood, validate_graph_loop)
 
 
@@ -368,10 +368,15 @@ def test_text_format_shape():
     assert text.splitlines()[1:] == ["0 1", "1 0"]
 
 
+def write_graph_file(graph, path):
+    """Write the graph file as the ``sample`` command does."""
+    _write_atomic(str(path), lambda fh: fh.writelines(_text_blocks(graph)))
+
+
 def test_text_roundtrip(tmp_path):
     g = sample_bipartite_graph(9, 2.5, RandomSeed(31))
     path = tmp_path / "g.txt"
-    write_graph_text(g, path)
+    write_graph_file(g, path)
     assert read_graph_text(path) == g
 
 
@@ -613,7 +618,7 @@ def test_text_io_memory_is_bounded_by_the_edges_and_one_block(tmp_path):
     raw = graph_to_text(g).encode("ascii")
     tracemalloc.start()
     try:
-        write_graph_text(g, tmp_path / "g.txt")
+        write_graph_file(g, tmp_path / "g.txt")
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]

@@ -1,32 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import (CapacityError, CompatibilityViolation, ParameterError,
-                    RandomSeed, Side, apply_local_pair,
-                    constant_pair, draw_labels,
-                    estimate_gw_expectation, gamma_balanced_value, gamma_trim,
-                    pair_decisions, random_threshold_pair,
-                    sample_bipartite_graph)
+from bipbis import (CompatibilityViolation, ParameterError, RandomSeed,
+                    apply_local_pair, constant_pair, draw_labels, gamma_trim, pair_decisions,
+                    random_threshold_pair, sample_bipartite_graph)
 from bipbis.experiments import ExperimentConfig, sweep
-from bipbis.local import _POISSON_MEAN_MAX, VertexLabels, sample_offspring_tree
-from conftest import (ball_decisions, brute_trim_best, csr_r_argsort, edge_list_graphs,
+from bipbis.local import VertexLabels
+from conftest import (Side, ball_decisions, brute_trim_best, csr_r_argsort, edge_list_graphs,
                       graph_from_edges, neighborhood, segment_min_exceeds, subset_of)
-
-
-def bisect_fixed_point(d, lo=0.0, hi=1.0, iters=200):
-    """Root of p = exp(-d*p) by bisection; the oracle for the optimal threshold."""
-    f = lambda p: p - math.exp(-d * p)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -199,132 +182,6 @@ def test_trim_matches_brute_force_maximum(a, b, gamma):
 
 
 # ---------------------------------------------------------------------------
-# the balanced value
-# ---------------------------------------------------------------------------
-
-
-def test_balanced_value_zero_short_circuits():
-    assert gamma_balanced_value(0.0, 0.7, 0.3) == 0.0
-
-
-def test_balanced_value_at_optimal_threshold():
-    d = 10
-    p_star = bisect_fixed_point(d)
-    assert abs(p_star - 0.1745528) < 1e-6  # root of p = exp(-10 p)
-    alpha = gamma_balanced_value(p_star, math.exp(-d * p_star), 0.5)
-    assert abs(alpha - p_star) < 1e-12
-
-
-def test_balanced_value_l_branch_for_slack_density():
-    # e_l = (1-eps) log d / d against e_r = d^(eps-1): once d^eps outgrows
-    # (1-eps) log d, the L term is the minimum
-    d, eps = 1e6, 0.2
-    e_l = (1 - eps) * math.log(d) / d
-    e_r = d ** (eps - 1)
-    gamma = 0.5
-    assert gamma_balanced_value(e_l, e_r, gamma) == pytest.approx(e_l / (2 * gamma))
-
-
-def test_balanced_value_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        gamma_balanced_value(1.2, 0.5, 0.5)
-    with pytest.raises(ParameterError):
-        gamma_balanced_value(0.5, 0.5, 0.7)
-
-
-@given(st.floats(0.01, 1.0), st.floats(0.01, 1.0),
-       st.floats(0.05, 0.5), st.floats(0.1, 0.99))
-def test_balanced_value_scaling_invariance(e_l, e_r, gamma, scale):
-    base = gamma_balanced_value(e_l, e_r, gamma)
-    scaled = gamma_balanced_value(scale * e_l, scale * e_r, gamma)
-    assert scaled == pytest.approx(scale * base, rel=1e-12)
-    l_min_base = e_l / gamma <= e_r / (1 - gamma)
-    l_min_scaled = scale * e_l / gamma <= scale * e_r / (1 - gamma)
-    assert l_min_base == l_min_scaled
-
-
-# ---------------------------------------------------------------------------
-# offspring-tree expectations
-# ---------------------------------------------------------------------------
-
-
-def test_gw_expectation_l_side_is_threshold():
-    mean, stderr = estimate_gw_expectation(
-        random_threshold_pair(0.2), Side.L, d=7, trials=4000, seed=RandomSeed(12))
-    assert abs(mean - 0.2) <= max(3 * stderr, 1e-9)
-
-
-def test_gw_expectation_r_side_is_blocking_probability():
-    d, p = 5, 0.2
-    mean, stderr = estimate_gw_expectation(
-        random_threshold_pair(p), Side.R, d=d, trials=4000, seed=RandomSeed(13))
-    assert abs(mean - math.exp(-p * d)) <= 3 * stderr
-
-
-def test_gw_expectation_constant_pair():
-    mean, stderr = estimate_gw_expectation(
-        constant_pair(1, 1), Side.L, d=3, trials=500, seed=RandomSeed(14))
-    assert mean == 1.0 and stderr == 0.0
-
-
-@pytest.mark.parametrize("pair, side, d, trials, seed, mean, stderr", [
-    (random_threshold_pair(0.2), Side.L, 7, 4000, 12, "0x1.a04189374bc6ap-3", "0x1.a10aef87701b9p-8"),
-    (random_threshold_pair(0.2), Side.R, 5, 4000, 13, "0x1.7c6a7ef9db22dp-2", "0x1.f4c485b6e4d4fp-8"),
-    (random_threshold_pair(0.37), Side.R, 3.5, 3000, 99, "0x1.1d0369d0369d0p-2", "0x1.0c2be8001cdc4p-7"),
-    (constant_pair(0, 1), Side.R, 3, 500, 14, "0x1.0000000000000p+0", "0x0.0p+0"),
-])
-def test_gw_expectation_is_pinned(pair, side, d, trials, seed, mean, stderr):
-    got = estimate_gw_expectation(pair, side, d, trials, RandomSeed(seed))
-    assert (got[0].hex(), got[1].hex()) == (mean, stderr)
-
-
-@pytest.mark.parametrize("d, depth", [(0.5, 4), (2.0, 3), (3.0, 2), (1.0, 0)])
-def test_offspring_tree_is_a_tree_within_its_depth(d, depth):
-    for stream in range(20):
-        adj = sample_offspring_tree(d, depth, RandomSeed(15, stream).generator())
-        assert sum(map(len, adj)) == 2 * (len(adj) - 1)
-        dist = {0: 0}
-        order = [0]
-        for v in order:
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    order.append(u)
-        assert len(dist) == len(adj)
-        assert max(dist.values()) <= depth
-        # each node lists its parent first, then its children
-        assert all(adj[v][0] < v < min(adj[v][1:], default=v + 1) for v in range(1, len(adj)))
-
-
-def test_offspring_tree_refuses_an_oversized_tree_before_building_it():
-    with pytest.raises(CapacityError, match="offspring tree exceeded"):
-        sample_offspring_tree(1e12, 1, RandomSeed(15).generator())
-
-
-@pytest.mark.parametrize("d", [float("nan"), -0.5])
-def test_offspring_mean_must_be_non_negative(d):
-    with pytest.raises(ParameterError, match="offspring mean"):
-        estimate_gw_expectation(random_threshold_pair(0.2), Side.R, d, 10, RandomSeed(1))
-
-
-# a mean above numpy's Poisson limit would end in numpy's ValueError mid-draw
-@pytest.mark.parametrize("d", [float("inf"), 1e19, np.nextafter(_POISSON_MEAN_MAX, np.inf)])
-def test_offspring_mean_numpy_cannot_draw_is_refused(d):
-    with pytest.raises(ParameterError, match="offspring mean"):
-        estimate_gw_expectation(random_threshold_pair(0.2), Side.R, d, 10, RandomSeed(1))
-
-
-def test_offspring_mean_limit_is_numpys_poisson_limit():
-    rng = np.random.default_rng(1)
-    assert rng.poisson(_POISSON_MEAN_MAX) > 0
-    with pytest.raises(ValueError, match="lam value too large"):
-        rng.poisson(np.nextafter(_POISSON_MEAN_MAX, np.inf))
-    # the largest mean numpy draws is still drawn, and the tree is then too large
-    with pytest.raises(CapacityError, match="offspring tree exceeded"):
-        sample_offspring_tree(_POISSON_MEAN_MAX, 1, rng)
-
-
-# ---------------------------------------------------------------------------
 # concentration and first-order performance
 # ---------------------------------------------------------------------------
 
@@ -371,5 +228,5 @@ def test_first_order_performance_matches_balanced_value():
         el[t] = sub.count_l / n
         er[t] = sub.count_r / n
         trimmed[t] = gamma_trim(sub, gamma).size / (2 * n)
-    alpha = gamma_balanced_value(float(el.mean()), float(er.mean()), gamma)
+    alpha = 0.5 * min(float(el.mean()) / gamma, float(er.mean()) / (1 - gamma))
     assert abs(float(trimmed.mean()) - alpha) / alpha < 0.02

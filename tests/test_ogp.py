@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from bipbis import (EMPTY_SUBSET, LocalPairVectorFunction, OverlapChainParams,
                     ParameterError, RandomSeed, StabilityConfig, StabilityReport, VertexSubset,
-                    balance_inequality_probe, build_interpolation_path,
-                    check_overlap_chain, constant_pair, detect_bad_steps, draw_labels,
-                    greedy_chain_over_segments, greedy_overlap_chain,
-                    left_indicator_polynomial, linear_blocking_polynomial,
-                    profile_violates_balance_inequality, random_threshold_pair,
-                    round_polynomial, sample_bipartite_graph, stability_trial,
-                    validate_graph, walk_rounded_subsets)
+                    build_interpolation_path, check_overlap_chain, constant_pair,
+                    detect_bad_steps, draw_labels, greedy_chain_over_segments,
+                    greedy_overlap_chain, left_indicator_polynomial, linear_blocking_polynomial,
+                    random_threshold_pair, round_polynomial, sample_bipartite_graph,
+                    stability_trial, validate_graph, walk_rounded_subsets)
 from bipbis import ogp
 from bipbis.experiments import resolve_params
 from conftest import (bad_steps_materialized, flips_argsort, graph_from_edges, per_step,
@@ -651,37 +649,3 @@ def test_greedy_coherence_with_checker_condition3():
             mass = len(s.in_l - union.in_l) + len(s.in_r - union.in_r)
             assert params.new_mass_min - 1e-9 <= mass <= params.new_mass_max + 1e-9
             union = union.union(s)
-
-
-# ---------------------------------------------------------------------------
-# the balance probe
-# ---------------------------------------------------------------------------
-
-
-def test_edgeless_graph_violates_at_large_d():
-    # profile point a = b = n gives densities d/log d on both sides; for
-    # d >= 8 the product clearly beats the sum
-    g = graph_from_edges(8, [])
-    assert profile_violates_balance_inequality(g, d=8.0)
-
-
-def test_complete_bipartite_never_violates():
-    # every profile point has a zero side, so sum >= product always
-    n = 6
-    g = graph_from_edges(n, [(l, r) for l in range(n) for r in range(n)])
-    for d in (2.0, 8.0, 50.0):
-        assert not profile_violates_balance_inequality(g, d=d)
-
-
-def test_small_l_density_never_violates():
-    # alpha_l <= 1 makes alpha_l*alpha_r <= alpha_r <= alpha_l + alpha_r
-    for al in np.linspace(0, 1, 11):
-        for ar in np.linspace(0, 50, 23):
-            assert al + ar >= al * ar - 1e-12
-
-
-def test_probe_reports_rate_with_interval():
-    report = balance_inequality_probe(8, 6.0, trials=40, seed=RandomSeed(73))
-    assert report.trials == 40
-    assert 0.0 <= report.wilson_low <= report.violation_rate <= report.wilson_high <= 1.0
-    assert report.violating_graphs == round(report.violation_rate * 40)
