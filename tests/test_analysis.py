@@ -104,6 +104,37 @@ def test_exponent_domain_errors():
         first_moment_exponent(5.0, 2.0, 0.5)
 
 
+def admissible_exponents(c, gamma):
+    """The exponent at d = 2, 4, ..., 2^60 wherever the density is in range;
+    the range fails only at small d, so the admissible d form one tail."""
+    reports = []
+    for k in range(1, 61):
+        try:
+            reports.append(first_moment_exponent(c, 2.0**k, gamma))
+        except ParameterError:
+            assert not reports, (c, gamma, k)
+    assert len(reports) >= 50, (c, gamma)
+    return reports
+
+
+@pytest.mark.parametrize("c, gamma", [(2.2, 0.5), (2.5, 0.5), (3.5, 0.5), (3.0, 0.3),
+                                      (9.0, 0.25)])
+def test_exponent_is_negative_above_the_existence_density(c, gamma):
+    # no gamma-balanced set of density c*log(d)/d survives the first moment
+    assert c > existence_threshold(gamma)
+    for rep in admissible_exponents(c, gamma):
+        assert rep.sign is Sign.NEGATIVE and rep.value < 0, rep.d
+        assert rep.leading_coefficient < 0
+
+
+@pytest.mark.parametrize("c, gamma", [(1.0, 0.5), (1.5, 0.5), (1.0, 0.25), (0.5, 0.1)])
+def test_exponent_is_positive_well_below_the_existence_density(c, gamma):
+    assert c <= 0.75 * existence_threshold(gamma)
+    for rep in admissible_exponents(c, gamma):
+        assert rep.sign is Sign.POSITIVE and rep.value > 0, rep.d
+        assert rep.leading_coefficient > 0
+
+
 # ---------------------------------------------------------------------------
 # the phase classifier
 # ---------------------------------------------------------------------------

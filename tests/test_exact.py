@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipbis import (CapacityError, RandomSeed, is_gamma_balanced, is_independent,
-                    max_balanced_pair, max_gamma_balanced_is, sample_bipartite_graph)
+from bipbis import (CapacityError, ParameterError, RandomSeed, is_gamma_balanced,
+                    is_independent, max_balanced_pair, max_gamma_balanced_is,
+                    sample_bipartite_graph)
 from bipbis.balance import best_b_for_a
 from bipbis.exact import _balanced_tables
-from conftest import (brute_max_balanced, enumerate_max_gamma_balanced, graph_from_edges,
-                      milp_optimum, subset_of)
+from conftest import (brute_balanced, brute_max_balanced, enumerate_max_gamma_balanced,
+                      graph_from_edges, milp_optimum, subset_of)
 
 K22 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -181,3 +182,104 @@ def test_enumerators_run_without_bitwise_count(monkeypatch):
             assert (size, witness) == max_gamma_balanced_is(g, gamma)
 
 
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.1, 0.51, 1.0, float("nan")])
+def test_solver_refuses_gamma_outside_the_half_interval(gamma):
+    # refused before the capacity check, so even an oversized graph says gamma
+    for n in (3, 40):
+        with pytest.raises(ParameterError, match="gamma must lie in"):
+            max_gamma_balanced_is(graph_from_edges(n, []), gamma)
+
+
+# ---------------------------------------------------------------------------
+# the L-trace reduction and the witness, against literal oracles
+# ---------------------------------------------------------------------------
+
+
+def small_graphs(seed, count=20):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        yield sample_bipartite_graph(n, float(rng.uniform(0.5, min(2.5, n - 0.5))),
+                                     RandomSeed(int(rng.integers(0, 2**31))))
+
+
+def trace_totals(g, gamma):
+    """For each L-mask: (best balanced total with that exact L-set, R-vertices
+    it leaves free), by literal scan; total is -1 if no R-count balances it."""
+    n = g.n
+    edges = list(zip(g.el.tolist(), g.er.tolist()))
+    totals = {}
+    for l_mask in range(1 << n):
+        free = [r for r in range(n)
+                if not any(l_mask >> l & 1 and r == r2 for l, r2 in edges)]
+        a = l_mask.bit_count()
+        bs = [b for b in range(len(free) + 1) if brute_balanced(a, b, gamma)]
+        totals[l_mask] = (a + max(bs) if bs else -1, free)
+    return totals
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 1 / 3, 0.5])
+def test_optimum_is_the_best_balanced_point_of_the_free_r_profile(gamma):
+    # once the L-trace is fixed the best R-side is forced: the optimum is the
+    # best balanced pair under (a, most R-vertices an a-set of L leaves free)
+    for g in small_graphs(808):
+        profile = {}
+        for l_mask, (_, free) in trace_totals(g, gamma).items():
+            a = l_mask.bit_count()
+            profile[a] = max(profile.get(a, 0), len(free))
+        assert sorted(profile.values(), reverse=True) == [profile[a] for a in sorted(profile)]
+        via_profile = max(sum(max_balanced_pair(a, b, gamma)) for a, b in profile.items())
+        assert max_gamma_balanced_is(g, gamma)[0] == via_profile
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 1 / 3, 0.5])
+def test_witness_is_the_smallest_optimal_l_mask_and_the_lowest_free_r(gamma):
+    for g in small_graphs(555):
+        totals = trace_totals(g, gamma)
+        best = max(total for total, _ in totals.values())
+        l_mask = min(m for m, (total, _) in totals.items() if total == best)
+        free = totals[l_mask][1]
+        size, witness = max_gamma_balanced_is(g, gamma)
+        assert size == best
+        assert witness.mask_l == l_mask
+        assert sorted(witness.in_r) == free[:best - l_mask.bit_count()]
+
+
+# the single-edge, empty and complete graphs on 2+2 vertices, by hand:
+# balance is |a - gamma*(a+b)| < 1, so at gamma = 1/4 the empty graph cannot
+# take (2, 2) and K22 can take both R-vertices
+@pytest.mark.parametrize("edges, gamma, size", [
+    ([], 0.5, 4), ([], 0.25, 3),
+    (K22, 0.5, 1), (K22, 0.25, 2),
+    ([(0, 0)], 0.5, 3), ([(0, 0)], 0.25, 3),
+])
+def test_two_by_two_optima_are_pinned(edges, gamma, size):
+    g = graph_from_edges(2, edges)
+    assert brute_max_balanced(g, gamma) == size
+    got, witness = max_gamma_balanced_is(g, gamma)
+    assert got == witness.size == size
+    assert is_independent(g, witness) and is_gamma_balanced(witness, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1 / 3, 0.5])
+def test_optimum_ignores_the_order_of_the_vertices(gamma):
+    rng = np.random.default_rng(91)
+    for g in small_graphs(91, count=10):
+        n = g.n
+        perm_l, perm_r = rng.permutation(n), rng.permutation(n)
+        edges = zip(perm_l[g.el].tolist(), perm_r[g.er].tolist())
+        assert (max_gamma_balanced_is(graph_from_edges(n, edges), gamma)[0]
+                == max_gamma_balanced_is(g, gamma)[0])
+
+
+def test_swapping_the_sides_keeps_the_half_balanced_optimum():
+    # at gamma = 1/2 the balance condition is symmetric in a and b
+    for g in small_graphs(92):
+        swapped = graph_from_edges(g.n, zip(g.er.tolist(), g.el.tolist()))
+        assert max_gamma_balanced_is(swapped, 0.5)[0] == max_gamma_balanced_is(g, 0.5)[0]
+    for n, d, stream in ((12, 2.0, 0), (16, 3.0, 1)):
+        g = sample_bipartite_graph(n, d, RandomSeed(92, stream))
+        swapped = graph_from_edges(n, zip(g.er.tolist(), g.el.tolist()))
+        assert max_gamma_balanced_is(swapped, 0.5)[0] == max_gamma_balanced_is(g, 0.5)[0]

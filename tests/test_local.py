@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipbis import (CompatibilityViolation, ParameterError, RandomSeed,
-                    apply_local_pair, constant_pair, draw_labels, gamma_trim, pair_decisions,
-                    random_threshold_pair, sample_bipartite_graph)
+                    apply_local_pair, constant_pair, draw_labels, gamma_trim,
+                    optimal_local_threshold, pair_decisions, random_threshold_pair,
+                    sample_bipartite_graph)
 from bipbis.experiments import ExperimentConfig, sweep
 from bipbis.local import VertexLabels
 from conftest import (Side, ball_decisions, brute_trim_best, csr_r_argsort, edge_list_graphs,
@@ -230,3 +233,39 @@ def test_first_order_performance_matches_balanced_value():
         trimmed[t] = gamma_trim(sub, gamma).size / (2 * n)
     alpha = 0.5 * min(float(el.mean()) / gamma, float(er.mean()) / (1 - gamma))
     assert abs(float(trimmed.mean()) - alpha) / alpha < 0.02
+
+
+# the 1-local pair's per-side densities on one sampled graph: an L vertex
+# joins with probability p; an R vertex of degree k joins with (1-p)^k
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5])
+def test_threshold_pair_l_density_is_the_threshold(p):
+    n = 20_000
+    s = RandomSeed(20, int(p * 100))
+    sub = apply_local_pair(sample_bipartite_graph(n, 7, s), random_threshold_pair(p), s)
+    # count_l is Binomial(n, p) whatever the graph
+    assert abs(sub.count_l / n - p) < 5 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("d, p", [(3, 0.2), (5, 0.2), (10, 0.1)])
+def test_threshold_pair_r_density_is_the_blocking_probability(d, p):
+    n = 20_000
+    s = RandomSeed(21, d)
+    g = sample_bipartite_graph(n, d, s)
+    sub = apply_local_pair(g, random_threshold_pair(p), s)
+    expected = float(((1 - p) ** np.bincount(g.er, minlength=n)).mean())
+    # the spread over 40 seeds is at most 1.2/sqrt(n) at these (d, p)
+    assert abs(sub.count_r / n - expected) < 6 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("d", [3, 10, 30])
+def test_optimal_threshold_balances_the_two_sides(d):
+    # at p* = exp(-d*p*) both sides have density p*, so trimming to gamma = 1/2
+    # keeps about p* of each side; the min of two noisy sides sits a little low
+    n = 20_000
+    p_star = optimal_local_threshold(d)
+    s = RandomSeed(22, d)
+    sub = apply_local_pair(sample_bipartite_graph(n, d, s), random_threshold_pair(p_star), s)
+    for density in (sub.count_l / n, sub.count_r / n, gamma_trim(sub, 0.5).size / (2 * n)):
+        assert abs(density - p_star) < 4 / math.sqrt(n), density
