@@ -32,18 +32,28 @@ exact: a pruned subtree holds no larger total, and an equal total there
 comes with a mask no smaller than the incumbent's, so the witness is the
 same whichever bound pruned it.
 
-The first incumbent is one greedy L-trace, not the empty one: it repeatedly
-takes the L vertex that blocks the fewest new R vertices and keeps its best
-prefix. A strong start lets the bound prune from the root on. Any valid
-trace is a safe start by the same argument: the incumbent only ever holds a
-real trace, so the search still ends on the largest total with the smallest
+The first incumbent is the best prefix of n greedy L-traces, not the empty
+trace. Trace j first takes L vertex j, then repeatedly the L vertex that
+blocks the fewest new R vertices; the best prefix over all n traces, by
+larger total and then smaller mask, starts the search. The traces run
+together as the rows of numpy arrays, one matrix product per step, and stop
+once no later prefix can beat the best one: a later prefix of a trace has
+more L vertices and no more free R vertices, so its total is at most the
+best total at a larger L count within the trace's current free R count.
+The single greedy trace from the empty set is the trace started from the
+lowest-index vertex of least degree, so this start is never the weaker one.
+A strong start lets the bound prune from the root on. Any valid trace is a
+safe start by the same argument: the incumbent only ever holds a real
+trace, so the search still ends on the largest total with the smallest
 mask, and an optimal greedy trace with a larger mask gives way to the
 witness when the search reaches it.
 """
 
 from __future__ import annotations
 
-from .balance import VertexSubset, best_b_for_a, check_gamma, is_balanced_counts, lowest_bits
+import numpy as np
+
+from .balance import VertexSubset, check_gamma, lowest_bits, pack_bits
 from .errors import CapacityError
 from .graph import BipartiteGraph
 
@@ -69,25 +79,24 @@ def _witness_from_trace(l_mask: int, blocked: int, b: int, n: int) -> VertexSubs
     return VertexSubset(l_mask, lowest_bits(~blocked & ((1 << n) - 1), b))
 
 
-def _balanced_tables(n: int, gamma: float) -> tuple[list[list[int]], list[list[int]]]:
-    """total[a][u]: best balanced total of a trace with a L-vertices and u free
-    R-vertices (-1 if none). bound[a][u]: best total inside [0, a] x [0, u],
-    which is sum(max_balanced_pair(a, u, gamma)); total only grows with u, so
-    bound is the running max of total over a.
+def _total_table(n: int, gamma: float) -> np.ndarray:
+    """total[a, u]: best balanced total of a trace with a L-vertices and u free
+    R-vertices (-1 if none), as an (n+1) x (n+1) array. The balance predicate
+    |a - gamma*(a+b)| < 1 is evaluated in the same float arithmetic as
+    is_balanced_counts over the whole grid; a running max over b then gives
+    the largest balanced b <= u."""
+    a = np.arange(n + 1)[:, None]
+    b = np.arange(n + 1)[None, :]
+    balanced = np.abs(a - gamma * (a + b)) < 1.0
+    best_b = np.maximum.accumulate(np.where(balanced, b, -1), axis=1)
+    return np.where(best_b < 0, -1, a + best_b)
 
-    For fixed a the balanced b form one run [lo, hi], since a - gamma*(a+b)
-    falls as b grows, so row a is -1 below lo and a + min(u, hi) from lo on."""
-    total = []
-    for a in range(n + 1):
-        hi = best_b_for_a(a, n, gamma)
-        lo = n + 1 if hi is None else hi
-        while lo > 0 and is_balanced_counts(a, lo - 1, gamma):
-            lo -= 1
-        total.append([-1 if u < lo else a + min(u, hi) for u in range(n + 1)])
-    bound = [total[0]]
-    for row in total[1:]:
-        bound.append(list(map(max, bound[-1], row)))
-    return total, bound
+
+def _balanced_tables(total: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
+    """The search's lookup tables as lists: total, and bound[a][u], the best
+    total inside [0, a] x [0, u], which is sum(max_balanced_pair(a, u, gamma));
+    total only grows with u, so bound is the running max of total over a."""
+    return total.tolist(), np.maximum.accumulate(total, axis=0).tolist()
 
 
 def _max_matching(rows: list[int], order: list[int]) -> list[int]:
@@ -114,24 +123,44 @@ def _max_matching(rows: list[int], order: list[int]) -> list[int]:
     return match_r
 
 
-def _greedy_trace(rows: list[int], total: list[list[int]]) -> tuple[int, int, int]:
-    """(total, mask, blocked) of one greedy L-trace: from the empty trace,
-    repeatedly take the L vertex that blocks the fewest new R vertices
-    (lowest index on ties), and keep the best prefix, by larger total and
-    then smaller mask."""
-    n = len(rows)
-    best = (total[0][n], 0, 0)
-    mask = blocked = 0
-    left = list(range(n))
+def _greedy_incumbent(graph: BipartiteGraph, total: np.ndarray) -> tuple[int, int, int]:
+    """(total, mask, blocked) of the best prefix of n greedy L-traces, by
+    larger total and then smaller mask; the empty trace is a prefix too.
+    Trace j first takes L vertex j, then repeatedly the L vertex that blocks
+    the fewest new R vertices (lowest index on ties). The traces run together
+    as rows: one product of the free-R rows with the biadjacency counts every
+    vertex's new blocks in every trace."""
+    n = graph.n
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[graph.el, graph.er] = True
+    # later[a, u]: the best total at a' >= a within u free R vertices, which
+    # bounds every later prefix of a trace, as total only grows with u
+    later = np.maximum.accumulate(total[::-1], axis=0)[::-1]
+    counts_by = adjacency.T.astype(np.float64)
+    leaves_free = 1.0 - adjacency  # row v: 1.0 on the R vertices v does not block
+    traces = np.arange(n)
+    free = leaves_free.copy()
+    taken = np.where(np.eye(n, dtype=bool), np.inf, 0.0)  # inf: argmin never retakes
+    u = n - np.count_nonzero(adjacency, axis=1)
+    masks = [1 << j for j in range(n)]
+    best_total, best_mask, best_blocked = int(total[0, n]), 0, 0
     for a in range(1, n + 1):
-        v = min(left, key=lambda w: (rows[w] & ~blocked).bit_count())
-        left.remove(v)
-        mask |= 1 << v
-        blocked |= rows[v]
-        t = total[a][n - blocked.bit_count()]
-        if t > best[0] or (t == best[0] and mask < best[1]):
-            best = (t, mask, blocked)
-    return best
+        totals = total[a, u]
+        top = int(totals.max())
+        if top >= best_total:
+            j = min(np.flatnonzero(totals == top).tolist(), key=masks.__getitem__)
+            if top > best_total or masks[j] < best_mask:
+                best_total, best_mask, best_blocked = top, masks[j], pack_bits(free[j] == 0)
+        if a == n or (later[a + 1, u] < best_total).all():
+            break
+        new = free @ counts_by
+        new += taken
+        picks = new.argmin(axis=1)
+        u = u - new[traces, picks].astype(np.int64)
+        taken[traces, picks] = np.inf
+        free *= leaves_free[picks]
+        masks = [m | 1 << v for m, v in zip(masks, picks.tolist())]
+    return best_total, best_mask, best_blocked
 
 
 def max_gamma_balanced_is(
@@ -143,7 +172,8 @@ def max_gamma_balanced_is(
     n = graph.n
     _check_capacity(n, limit, "branch-and-bound")
     rows = _bitset_rows(graph)
-    total, bound = _balanced_tables(n, gamma)
+    table = _total_table(n, gamma)
+    total, bound = _balanced_tables(table)
 
     # high-degree vertices first: including them blocks the most, so both
     # branches diverge quickly and the bound bites early
@@ -168,7 +198,7 @@ def max_gamma_balanced_is(
             if rows[v] >> r & 1:
                 cols[r] |= 1 << j
     # a valid trace is a safe first incumbent (see the module docstring)
-    best_total, best_mask, best_blocked = _greedy_trace(rows, total)
+    best_total, best_mask, best_blocked = _greedy_incumbent(graph, table)
 
     def search(i: int, a: int, mask: int, blocked: int,
                matched_r: int, unmatched: int, size: int) -> None:

@@ -13,7 +13,6 @@ import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import tempfile
 import time
@@ -419,6 +418,8 @@ def _run_trials(command: str, params: dict) -> list[tuple]:
     jobs = [(command, params, t) for t in range(trials)]
     if workers <= 1:
         return [_trial_star(j) for j in jobs]
+    import multiprocessing  # here, not at the top: a one-worker run never starts a pool
+
     with multiprocessing.Pool(workers) as pool:
         return pool.map(_trial_star, jobs)  # map preserves trial order
 

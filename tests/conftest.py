@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from bipbis import (BipartiteGraph, CapacityError, ParameterError, RandomSeed, VertexSubset,
                     max_balanced_pair, sample_bipartite_graph)
 from bipbis.balance import check_gamma
-from bipbis.exact import _balanced_tables, _bitset_rows, _check_capacity, _witness_from_trace
+from bipbis.exact import _bitset_rows, _check_capacity, _total_table, _witness_from_trace
 from bipbis.graph import _INT64_MAX, _MAX_DIGITS, _bad_line, _check_vertex_count
 from bipbis.lowdeg import check_polynomial_output
 from bipbis.rng import RESAMPLE_DRAW
@@ -113,10 +113,34 @@ def enumerate_max_gamma_balanced(
     n = graph.n
     _check_enumeration_capacity(n, limit, "enumeration")
     blocked, a, u = _trace_table(_bitset_rows(graph), n)
-    totals = np.array(_balanced_tables(n, gamma)[0], dtype=np.int8)[a, u]
+    totals = _total_table(n, gamma).astype(np.int8)[a, u]
     mask = int(np.argmax(totals))
     best = int(totals[mask])
     return best, _witness_from_trace(mask, int(blocked[mask]), best - int(a[mask]), n)
+
+
+def greedy_incumbent_loop(rows: list[int], total: list[list[int]]) -> tuple[int, int, int]:
+    """(total, mask, blocked) of the best prefix of the n greedy L-traces, one
+    start at a time over the integer bitmask rows: trace j takes L vertex j,
+    then repeatedly the remaining L vertex that blocks the fewest new R
+    vertices (lowest index on ties). Best by larger total, then smaller mask;
+    the empty trace counts."""
+    n = len(rows)
+    best = (total[0][n], 0, 0)
+    for start in range(n):
+        mask, blocked = 1 << start, rows[start]
+        left = [w for w in range(n) if w != start]
+        for a in range(1, n + 1):
+            t = total[a][n - blocked.bit_count()]
+            if t > best[0] or (t == best[0] and mask < best[1]):
+                best = (t, mask, blocked)
+            if not left:
+                break
+            v = min(left, key=lambda w: (rows[w] & ~blocked).bit_count())
+            left.remove(v)
+            mask |= 1 << v
+            blocked |= rows[v]
+    return best
 
 
 def milp_optimum(graph: BipartiteGraph, gamma: float) -> int:

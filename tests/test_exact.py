@@ -7,9 +7,9 @@ from bipbis import (CapacityError, ParameterError, RandomSeed, is_gamma_balanced
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     sample_bipartite_graph)
 from bipbis.balance import best_b_for_a
-from bipbis.exact import _balanced_tables
+from bipbis.exact import _balanced_tables, _bitset_rows, _greedy_incumbent, _total_table
 from conftest import (brute_balanced, brute_max_balanced, enumerate_max_gamma_balanced,
-                      graph_from_edges, milp_optimum, subset_of)
+                      graph_from_edges, greedy_incumbent_loop, milp_optimum, subset_of)
 
 K22 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -82,7 +82,7 @@ def test_optimum_matches_milp(n, d):
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 32, 40, 48, 56, 64])
 def test_bound_table_matches_max_balanced_total(n):
     for gamma in (0.05, 0.1, 0.25, 0.3, 1 / 3, 0.45, 0.5):
-        total, bound = _balanced_tables(n, gamma)
+        total, bound = _balanced_tables(_total_table(n, gamma))
         # the full scan reads total at each trace's (a, u)
         assert total == [[-1 if b is None else a + b
                           for b in (best_b_for_a(a, u, gamma) for u in range(n + 1))]
@@ -91,10 +91,58 @@ def test_bound_table_matches_max_balanced_total(n):
                          for a in range(n + 1)], gamma
 
 
+@given(n=st.integers(1, 24), kind=st.sampled_from(["sparse", "dense", "edgeless", "complete"]),
+       fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       gamma=st.sampled_from([0.05, 0.1, 0.25, 1 / 3, 0.45, 0.5]))
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_greedy_incumbent_matches_the_one_start_at_a_time_loop(n, kind, fraction, seed, gamma):
+    if kind == "edgeless":
+        g = graph_from_edges(n, [])
+    elif kind == "complete":
+        g = graph_from_edges(n, [(l, r) for l in range(n) for r in range(n)])
+    else:
+        # sparse d in [0.5, 3], dense d in [n/2, n - 1], both capped inside (0, n)
+        d = (n / 2 + fraction * max(n / 2 - 1, 0) if kind == "dense"
+             else min(0.5 + 2.5 * fraction, n / 2))
+        g = sample_bipartite_graph(n, d, RandomSeed(seed))
+    rows = _bitset_rows(g)
+    table = _total_table(n, gamma)
+    total = table.tolist()
+    best, mask, blocked = _greedy_incumbent(g, table)
+    assert (best, mask, blocked) == greedy_incumbent_loop(rows, total)
+    assert blocked == union_of_rows(rows, mask)
+    assert best == total[mask.bit_count()][n - blocked.bit_count()]
+
+
+def union_of_rows(rows, mask):
+    blocked = 0
+    for v, row in enumerate(rows):
+        if mask >> v & 1:
+            blocked |= row
+    return blocked
+
+
+@pytest.mark.parametrize("d, stream", [(3.0, 0), (3.0, 1), (6.0, 2), (6.0, 3)])
+def test_greedy_incumbent_is_optimal_on_the_n32_pinned_graphs(d, stream):
+    # the exact-bb benchmark's graphs: an optimal first incumbent is what
+    # lets the bound prune from the root on
+    g = sample_bipartite_graph(32, d, RandomSeed(1, stream))
+    for gamma in (0.5, 1 / 3):
+        incumbent = _greedy_incumbent(g, _total_table(32, gamma))[0]
+        assert incumbent == max_gamma_balanced_is(g, gamma)[0], gamma
+
+
+def test_an_optimal_incumbent_with_a_larger_mask_gives_way_to_the_witness():
+    g = sample_bipartite_graph(8, 2.0, RandomSeed(1, 8))
+    best, mask, _ = _greedy_incumbent(g, _total_table(8, 0.5))
+    size, witness = max_gamma_balanced_is(g, 0.5)
+    assert best == size and mask > witness.mask_l
+    assert (size, witness) == enumerate_max_gamma_balanced(g, 0.5)
+
+
 # (n, d, stream of RandomSeed(1, .), gamma) -> (size, witness_l, witness_r), as
 # `bipbis exact` printed them before the solver became one search pass, and
-# for n = 32, d = 3 before it gained the matching bound. At n = 6 the greedy
-# first incumbent reaches the optimum 9 with L-mask 31, above the witness's 30
+# for n = 32, d = 3 before it gained the matching bound
 PINNED_WITNESSES = {
     (6, 1.5, 3, 0.5): (9, "1,2,3,4", "0,2,3,4,5"),
     (24, 3.0, 0, 0.5): (27, "1,2,4,5,6,7,8,9,14,16,19,20,22",
