@@ -12,7 +12,7 @@ import sys
 
 from .errors import BipbisError, ParameterError
 from .experiments import (COMMANDS, TRIAL_COMMANDS, ExperimentConfig, command_params,
-                          run_experiment, sweep)
+                          parse_decimal, run_experiment, sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -24,12 +24,19 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
+def _number_flag(kind: type):
+    parse = lambda text: parse_decimal(text, kind)
+    parse.__name__ = kind.__name__  # argparse's message reads "invalid int value"
+    return parse
+
+
 def _add_command(sub, command: str) -> argparse.ArgumentParser:
     """A subparser with one flag per parameter of ``command``."""
     p = sub.add_parser(command, help=COMMANDS[command].help)
     p.add_argument("--config", help="JSON file with parameters; flags override")
     for param in command_params(command):
-        p.add_argument("--" + param.name.replace("_", "-"), dest=param.name, type=param.kind,
+        p.add_argument("--" + param.name.replace("_", "-"), dest=param.name,
+                       type=param.kind if param.kind is str else _number_flag(param.kind),
                        help=param.help)
     return p
 
@@ -64,7 +71,7 @@ def _parse_grid_values(spec: str) -> tuple[str, list[float]]:
 
     def number(text: str) -> float:
         try:
-            return float(text)
+            return parse_decimal(text, float)
         except ValueError:
             raise ParameterError(f"grid value for {name!r} is not a number: {text!r}") from None
 
@@ -86,8 +93,6 @@ def _parse_grid_values(spec: str) -> tuple[str, list[float]]:
             v += step
     else:
         values = [number(body)]
-    if not values:
-        raise ParameterError(f"grid for {name!r} is empty")
     return name, values
 
 

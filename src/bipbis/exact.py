@@ -67,12 +67,10 @@ def _check_capacity(n: int, limit: int, what: str) -> None:
             f"raise the limit explicitly if you accept the cost")
 
 
-def _bitset_rows(graph: BipartiteGraph) -> list[int]:
-    """R-neighborhood of each L vertex as an integer bitmask."""
-    rows = [0] * graph.n
-    for l, r in zip(graph.el.tolist(), graph.er.tolist()):
-        rows[l] |= 1 << r
-    return rows
+def _bitsets(matrix: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an integer bitmask, column j as bit j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _witness_from_trace(l_mask: int, blocked: int, b: int, n: int) -> VertexSubset:
@@ -123,16 +121,15 @@ def _max_matching(rows: list[int], order: list[int]) -> list[int]:
     return match_r
 
 
-def _greedy_incumbent(graph: BipartiteGraph, total: np.ndarray) -> tuple[int, int, int]:
+def _greedy_incumbent(adjacency: np.ndarray, total: np.ndarray) -> tuple[int, int, int]:
     """(total, mask, blocked) of the best prefix of n greedy L-traces, by
     larger total and then smaller mask; the empty trace is a prefix too.
     Trace j first takes L vertex j, then repeatedly the L vertex that blocks
     the fewest new R vertices (lowest index on ties). The traces run together
     as rows: one product of the free-R rows with the biadjacency counts every
-    vertex's new blocks in every trace."""
-    n = graph.n
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[graph.el, graph.er] = True
+    vertex's new blocks in every trace. ``adjacency`` is the n x n boolean
+    biadjacency, L vertices as rows."""
+    n = len(adjacency)
     # later[a, u]: the best total at a' >= a within u free R vertices, which
     # bounds every later prefix of a trace, as total only grows with u
     later = np.maximum.accumulate(total[::-1], axis=0)[::-1]
@@ -171,34 +168,30 @@ def max_gamma_balanced_is(
     check_gamma(gamma)
     n = graph.n
     _check_capacity(n, limit, "branch-and-bound")
-    rows = _bitset_rows(graph)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[graph.el, graph.er] = True
+    rows = _bitsets(adjacency)  # the R neighbours of each L vertex
     table = _total_table(n, gamma)
     total, bound = _balanced_tables(table)
 
     # high-degree vertices first: including them blocks the most, so both
     # branches diverge quickly and the bound bites early
     order = sorted(range(n), key=lambda i: (-rows[i].bit_count(), i))
-    position = [0] * n
-    for j, v in enumerate(order):
-        position[v] = j
+    position = sorted(range(n), key=order.__getitem__)  # position[order[j]] == j
     # the matching M behind the matching bound: match_l and match_r hold the
     # partners of matched vertices, and the search passes which ones are
     # matched as two bitmasks, of matched R vertices and of unmatched L
     # positions in order. Entries of unmatched vertices are stale and the
     # subtree may overwrite them, so each branch restores on backtrack the
     # partners its node still reads. cols[r]: the positions of r's L neighbours
+    cols = _bitsets(adjacency[order].T)
     match_r = _max_matching(rows, order)
     match_l = [-1] * n
     for r, v in enumerate(match_r):
         if v >= 0:
             match_l[v] = r
-    cols = [0] * n
-    for j, v in enumerate(order):
-        for r in range(n):
-            if rows[v] >> r & 1:
-                cols[r] |= 1 << j
     # a valid trace is a safe first incumbent (see the module docstring)
-    best_total, best_mask, best_blocked = _greedy_incumbent(graph, table)
+    best_total, best_mask, best_blocked = _greedy_incumbent(adjacency, table)
 
     def search(i: int, a: int, mask: int, blocked: int,
                matched_r: int, unmatched: int, size: int) -> None:

@@ -152,7 +152,8 @@ _RUN_PARAMS = (
 # the run parameters that only a trial command takes
 _TRIAL_RUN_PARAMS = (
     Param("workers", int, None, _at_least(1),
-          "parallel workers (default: BIPBIS_WORKERS or cpu count)"),
+          "parallel workers, capped at the CPU count and the number of trials "
+          "(default: BIPBIS_WORKERS or cpu count)"),
     Param("csv", str, None, _output_file, "output CSV path"),
     Param("trials", int, 20, _trial_count, "number of trials (default 20)"),
 )
@@ -350,11 +351,22 @@ def command_params(command: str) -> tuple[Param, ...]:
             + COMMANDS[command].params)
 
 
+def parse_decimal(text: str, kind: type):
+    """``kind(text)`` (int or float) of ASCII decimal text, else ValueError;
+    every number given as text (flag, grid value, --config string,
+    BIPBIS_WORKERS) passes here. int and float alone also take underscores,
+    surrounding whitespace and other scripts' digits: " 1_0 ", "１０"."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not an ASCII decimal: {text!r}")
+    return kind(text)
+
+
 def _coerce(name: str, value, kind: type):
     """``kind(value)`` for a parameter, with a failure raised as ParameterError.
     An integer refuses a float with a fractional part rather than truncating
     it, a number refuses NaN and infinities, no parameter takes a boolean for
-    a number, and a path is a nonempty string without NUL bytes."""
+    a number, text must be an ASCII decimal, and a path is a nonempty string
+    without NUL bytes."""
     if kind is str:
         if not (isinstance(value, str) and value and "\0" not in value):
             raise ParameterError(f"{name} must be a file path, got {value!r}")
@@ -363,7 +375,7 @@ def _coerce(name: str, value, kind: type):
     if isinstance(value, bool):
         raise ParameterError(message)
     try:
-        out = kind(value)
+        out = parse_decimal(value, kind) if isinstance(value, str) else kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(message) from None
     if kind is int and isinstance(value, float) and out != value:
@@ -402,47 +414,40 @@ def _trial_star(args):
     return COMMANDS[command].run(params, trial)
 
 
-def _resolve_workers(params: dict) -> int:
-    if params.get("workers"):
-        return int(params["workers"])
-    if os.environ.get("BIPBIS_WORKERS"):
-        workers = _coerce("BIPBIS_WORKERS", os.environ["BIPBIS_WORKERS"], int)
-        _at_least(1)("BIPBIS_WORKERS", workers, params)
-        return workers
-    return os.cpu_count() or 1
-
-
-def _run_trials(command: str, params: dict) -> list[tuple]:
-    trials = params["trials"]
-    workers = min(_resolve_workers(params), trials)
-    jobs = [(command, params, t) for t in range(trials)]
-    if workers <= 1:
-        return [_trial_star(j) for j in jobs]
-    import multiprocessing  # here, not at the top: a one-worker run never starts a pool
-
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(_trial_star, jobs)  # map preserves trial order
-
-
-def _execute(command: str, params: dict, cell: int = 0) -> tuple[list[tuple], dict[str, Any]]:
-    """The rows (in trial order) and outputs of one run on resolved
-    parameters, or of cell ``cell`` of a sweep; a plain run is cell 0.
+def _execute(command: str, cells: list[dict]) -> tuple[list[tuple], list[dict[str, Any]]]:
+    """The rows (in cell, then trial order) and one outputs dict per cell of
+    a run on resolved parameters; a plain run is one cell, a sweep its cells.
 
     With base stream b, cell i runs its trials on streams b + i*trials on. An
-    ogp cell shares one norm estimate among its trials, echoed into the
+    ogp cell shares one norm estimate among its trials, echoed into its
     outputs, on norm block i of the base seed (``RandomSeed.norm_block``),
-    so no two cells share one.
+    so no two cells share one. All cells' trials run on one pool of the
+    workers asked for (``workers``, else BIPBIS_WORKERS), capped at the trial
+    and CPU counts, and opened only when that is above one. Any count gives
+    the same data, so the cap costs none.
     """
     if command not in TRIAL_COMMANDS:
-        return [], COMMANDS[command].run(params)
-    outputs: dict[str, Any] = {}
-    trial_params = {**params, "stream": params["stream"] + cell * params["trials"]}
-    if command == "ogp":
-        norm_seed = RandomSeed(params["seed"], params["stream"]).norm_block(cell)
-        mean, _ = blocking_norm_estimate(params["n"], params["d"], params["k_l"], norm_seed)
-        trial_params["_norm_estimate"] = mean
-        outputs["norm_estimate"] = mean
-    return _run_trials(command, trial_params), outputs
+        return [], [COMMANDS[command].run(params) for params in cells]
+    workers = cells[0]["workers"]
+    if not workers and os.environ.get("BIPBIS_WORKERS"):
+        workers = _coerce("BIPBIS_WORKERS", os.environ["BIPBIS_WORKERS"], int)
+        _at_least(1)("BIPBIS_WORKERS", workers, cells[0])
+    jobs, outputs = [], []
+    for i, params in enumerate(cells):
+        cell = {**params, "stream": params["stream"] + i * params["trials"]}
+        outputs.append({})
+        if command == "ogp":
+            norm_seed = RandomSeed(params["seed"], params["stream"]).norm_block(i)
+            mean, _ = blocking_norm_estimate(params["n"], params["d"], params["k_l"], norm_seed)
+            cell["_norm_estimate"] = outputs[i]["norm_estimate"] = mean
+        jobs += [(command, cell, t) for t in range(params["trials"])]
+    workers = min(workers or len(jobs), len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_trial_star(job) for job in jobs], outputs
+    import multiprocessing  # here, not at the top: a one-process run never starts a pool
+
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(_trial_star, jobs), outputs  # map keeps the jobs' order
 
 
 def _save(record: ExperimentRecord, params: dict) -> ExperimentRecord:
@@ -464,7 +469,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Validate, dispatch, gather rows in trial order, write CSV atomically."""
     t0 = time.perf_counter()
     params = resolve_params(config.command, config.params)
-    rows, outputs = _execute(config.command, params)
+    rows, (outputs,) = _execute(config.command, [params])
     record = ExperimentRecord(
         command=config.command,
         params=params,
@@ -513,18 +518,14 @@ def sweep(config: ExperimentConfig, grid: dict[str, list]) -> ExperimentRecord:
     check_trial_streams(math.prod(map(len, grid.values())) * trials, "cells * trials")
     cells = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
     resolved = [resolve_params(command, {**config.params, **cell}) for cell in cells]
-    rows: list[tuple] = []
-    outputs = []
-    for idx, (cell, params) in enumerate(zip(cells, resolved)):
-        cell_rows, cell_outputs = _execute(command, params, idx)
-        rows += cell_rows
-        outputs.append({"cell": cell, "stream": stream + idx * trials, **cell_outputs})
+    rows, outputs = _execute(command, resolved)
     record = ExperimentRecord(
         command=command,
         params={**config.params, "grid": grid},
         headers=COMMANDS[command].schema,
         rows=rows,
-        outputs={"cells": outputs},
+        outputs={"cells": [{"cell": cell, "stream": stream + i * trials, **cell_outputs}
+                           for i, (cell, cell_outputs) in enumerate(zip(cells, outputs))]},
         seed_ledger={"seed": base["seed"], "stream_base": stream, "cell_stride": trials},
         wall_clock_s=time.perf_counter() - t0,
     )

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from bipbis import (BipartiteGraph, CapacityError, ParameterError, RandomSeed, VertexSubset,
                     max_balanced_pair, sample_bipartite_graph)
 from bipbis.balance import check_gamma
-from bipbis.exact import _bitset_rows, _check_capacity, _total_table, _witness_from_trace
+from bipbis.exact import _check_capacity, _total_table, _witness_from_trace
 from bipbis.graph import _INT64_MAX, _MAX_DIGITS, _bad_line, _check_vertex_count
 from bipbis.lowdeg import check_polynomial_output
 from bipbis.rng import RESAMPLE_DRAW
@@ -45,6 +45,22 @@ def graph_from_edges(n, edges):
     return BipartiteGraph.from_coordinates(n, np.array(coords, dtype=np.int64))
 
 
+def bitset_rows(graph: BipartiteGraph) -> list[int]:
+    """The R-neighbourhood of each L vertex as an integer bitmask, built one
+    edge at a time."""
+    rows = [0] * graph.n
+    for l, r in zip(graph.el.tolist(), graph.er.tolist()):
+        rows[l] |= 1 << r
+    return rows
+
+
+def biadjacency(graph: BipartiteGraph) -> np.ndarray:
+    """The n x n boolean biadjacency, L vertices as rows, from bitset_rows."""
+    n = graph.n
+    return np.array([[row >> r & 1 for r in range(n)] for row in bitset_rows(graph)],
+                    dtype=bool).reshape(n, n)
+
+
 def brute_balanced(a: int, b: int, gamma: float) -> bool:
     return abs(a - gamma * (a + b)) < 1.0
 
@@ -53,9 +69,7 @@ def brute_max_balanced(graph: BipartiteGraph, gamma: float) -> int:
     """Literal scan over all 2^(2n) subsets (l_mask x r_mask)."""
     n = graph.n
     assert n <= 8, "oracle is exponential; keep n small"
-    rows = [0] * n
-    for l, r in zip(graph.el.tolist(), graph.er.tolist()):
-        rows[l] |= 1 << r
+    rows = bitset_rows(graph)
     best = -1
     for l_mask in range(1 << n):
         blocked = 0
@@ -112,7 +126,7 @@ def enumerate_max_gamma_balanced(
     check_gamma(gamma)
     n = graph.n
     _check_enumeration_capacity(n, limit, "enumeration")
-    blocked, a, u = _trace_table(_bitset_rows(graph), n)
+    blocked, a, u = _trace_table(bitset_rows(graph), n)
     totals = _total_table(n, gamma).astype(np.int8)[a, u]
     mask = int(np.argmax(totals))
     best = int(totals[mask])

@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -195,6 +198,112 @@ def test_workers_env_override(capsys, tmp_path, monkeypatch):
     out_csv = tmp_path / "env.csv"
     code, _, _ = run_cli(capsys, *LOCAL_ARGS, "--csv", str(out_csv))
     assert code == 0 and out_csv.exists()
+
+
+class PoolRecorder:
+    """Stands in for multiprocessing.Pool: records each pool's size and maps
+    in this process, so a test of the pool starts none."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        PoolRecorder.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return list(map(fn, jobs))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(PoolRecorder, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", PoolRecorder)
+    return PoolRecorder.sizes
+
+
+SMALL_LOCAL = {"n": 50, "d": 2, "p": 0.2, "seed": 4}
+
+
+@pytest.mark.parametrize("cpus, trials, opened", [(3, 8, [3]), (3, 2, [2]), (1, 8, []),
+                                                  (None, 8, [])])
+def test_the_pool_is_capped_at_the_cpu_and_job_counts(pools, monkeypatch, cpus, trials, opened):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = ExperimentConfig("local", {**SMALL_LOCAL, "trials": trials, "workers": 10**6})
+    assert len(experiments.run_experiment(config).rows) == trials
+    assert pools == opened
+
+
+def test_a_huge_worker_count_asks_for_no_more_processes_than_cpus(pools, monkeypatch):
+    cpus = os.cpu_count() or 1
+    raw = {**SMALL_LOCAL, "trials": cpus + 1}
+    experiments.run_experiment(ExperimentConfig("local", {**raw, "workers": 10**6}))
+    monkeypatch.setenv("BIPBIS_WORKERS", str(10**6))
+    experiments.run_experiment(ExperimentConfig("local", raw))
+    assert pools == ([cpus] * 2 if cpus > 1 else [])
+
+
+def test_a_sweep_opens_one_pool_for_all_its_cells(pools, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = ExperimentConfig("local", {**SMALL_LOCAL, "trials": 2, "workers": 2})
+    record = sweep(config, {"p": [0.1, 0.2, 0.3], "d": [2, 3]})
+    assert len(record.rows) == 12 and len(record.outputs["cells"]) == 6
+    assert pools == [2]
+
+
+def test_a_one_worker_run_opens_no_pool(pools, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    config = ExperimentConfig("local", {**SMALL_LOCAL, "trials": 4, "workers": 1})
+    experiments.run_experiment(config)
+    sweep(config, {"p": [0.1, 0.2]})
+    monkeypatch.setenv("BIPBIS_WORKERS", "1")
+    experiments.run_experiment(ExperimentConfig("local", {**SMALL_LOCAL, "trials": 4}))
+    assert pools == []
+
+
+def test_a_one_worker_run_imports_no_multiprocessing():
+    # every benchmark operation is such a run
+    code = ("import sys; from bipbis.experiments import ExperimentConfig, run_experiment; "
+            "run_experiment(ExperimentConfig('ogp', {'n': 8, 'd': 2, 'epsilon': 0.6, "
+            "'trials': 1, 'workers': 1})); "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def sweep_data(command, raw, grid, tmp_path, name):
+    """The CSV data columns and the record outputs of a sweep."""
+    out_csv = tmp_path / f"{name}.csv"
+    record = sweep(ExperimentConfig(command, {**raw, "csv": str(out_csv)}), grid)
+    return drop_timing(read_rows(out_csv), list(COMMANDS[command].schema)), record.outputs
+
+
+IDENTITY_SWEEPS = {
+    "ogp": ({"n": 8, "d": 2, "epsilon": 0.6, "trials": 2, "seed": 3, "stream": 5},
+            {"c": [0.5, 1.0], "K": [2, 3]}),
+    "local": ({"n": 200, "d": 4, "trials": 3, "seed": 9}, {"p": [0.1, 0.2, 0.3]}),
+}
+
+
+@pytest.mark.parametrize("command", list(IDENTITY_SWEEPS))
+def test_sweep_data_is_the_same_for_any_worker_count_and_start_method(tmp_path, monkeypatch,
+                                                                      command):
+    import multiprocessing
+
+    raw, grid = IDENTITY_SWEEPS[command]
+    one = sweep_data(command, {**raw, "workers": 1}, grid, tmp_path, "w1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that two workers open a pool
+    assert sweep_data(command, {**raw, "workers": 2}, grid, tmp_path, "w2") == one
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    assert sweep_data(command, {**raw, "workers": 2}, grid, tmp_path, "spawn") == one
 
 
 def test_lowdeg_command_csv(capsys, tmp_path):
@@ -606,6 +715,7 @@ def test_running_out_of_memory_ends_in_one_json_line(capsys, tmp_path, monkeypat
 
     monkeypatch.setitem(experiments.COMMANDS, "local",
                         dataclasses.replace(experiments.COMMANDS["local"], run=out_of_memory))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers open a pool on any host
     code, out, err = run_cli(capsys, *LOCAL_ARGS, "--workers", workers,
                              "--csv", str(tmp_path / "r.csv"))
     assert code == 1 and out == ""
@@ -923,6 +1033,47 @@ def test_sweep_peak_sits_at_grid_point_nearest_optimal_threshold(capsys, tmp_pat
     assert max(means, key=means.get) == 0.15
 
 
+# numbers given as text are ASCII decimals; Python's int and float would take
+# each of these, as 10 or 0.5
+NOT_ASCII_DECIMAL = {
+    "config": (["local", "--config", "{tmp}/c.json"], {"n": " 1_0 ", "d": 2, "p": 0.5}, None),
+    "flag-float": (["local", "--n", "10", "--d", "2", "--p", "\uff10.5"], None, None),
+    "flag-int": (["local", "--n", "\uff11\uff10", "--d", "2", "--p", "0.5"], None, None),
+    "grid": (["sweep", "local", "--n", "10", "--d", "2", "--grid", "p=\uff10.5,0.2"], None, None),
+    "environment": (["local", "--n", "10", "--d", "2", "--p", "0.5"], None, "\uff12"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_ASCII_DECIMAL))
+def test_numbers_that_are_not_ascii_decimals_are_refused(capsys, tmp_path, monkeypatch, case):
+    argv, config, workers = NOT_ASCII_DECIMAL[case]
+    if config:
+        (tmp_path / "c.json").write_text(json.dumps({**config, "trials": 1}))
+    if workers:
+        monkeypatch.setenv("BIPBIS_WORKERS", workers)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--trials", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("text, kind, value", [
+    ("10", int, 10), ("+7", int, 7), ("-0", int, 0), ("0.5", float, 0.5), (".5", float, 0.5),
+    ("5.", float, 5.0), ("-1e-3", float, -1e-3), ("2E+2", float, 200.0), ("inf", float, math.inf),
+    ("-Infinity", float, -math.inf)])
+def test_ascii_decimals_are_read_as_python_reads_them(text, kind, value):
+    assert experiments.parse_decimal(text, kind) == value
+
+
+@pytest.mark.parametrize("text, kind", [
+    (" 10", int), ("1_0", int), ("\uff11\uff10", int), ("\u0661", int), ("1.0", int),
+    ("1e3", int), ("", int), ("0.5 ", float), ("\uff10.5", float), ("1_0.5", float),
+    ("0x10", float), ("\u0131nf", float), ("", float), (".", float), ("1e", float)])
+def test_other_number_text_is_refused(text, kind):
+    with pytest.raises(ValueError):
+        experiments.parse_decimal(text, kind)
+
+
 # ---------------------------------------------------------------------------
 # the error contract under fuzzing
 # ---------------------------------------------------------------------------
@@ -932,7 +1083,7 @@ def test_sweep_peak_sits_at_grid_point_nearest_optimal_threshold(capsys, tmp_pat
 # text, signs, fractions, non-finite and out-of-range numbers, each of which
 # the library must refuse where it would size a run.
 JUNK = ["", "abc", "-1", "0", "1.5", "nan", "inf", "-inf", "1e999", "1e-300", "0x10",
-        "\u0661", "9" * 30]
+        "\u0661", "9" * 30, " 1_0 ", "\uff10.5", "\uff11\uff10"]
 PATHS = ["{tmp}/out.txt", "{tmp}", "{tmp}/missing/out.txt", "{tmp}/graph.txt",
          "{tmp}/config.json"]
 FLAG_VALUES = {
@@ -946,7 +1097,7 @@ FLAG_VALUES = {
     "--grid": ["n=2,3", "p=0:1:0.5", "d=1.5", "K=2,3", "gamma_steps=1:2:1", "eta=0,nan",
                "n=2.5", "d=abc", "bogus=1", "p", "p=1:2", "p=0:1:0", "p=0:inf:1",
                "p=0:1:1e-300", "epsilon=0.1:0.2:nan", "n=1e999", "k_l=0,1", "p=0.1,,0.2",
-               "p=0.1,"],
+               "p=0.1,", "p=\uff10.5,0.2"],
 }
 
 
@@ -992,7 +1143,7 @@ def flag_argvs(draw):
 
 
 JSON_JUNK = [None, True, False, "abc", "1", "", [], {}, [1], {"a": 1}, -1, 0, 1.5, 1e308,
-             10**30, float("nan"), float("inf"), float("-inf"), 1e-300, "a\0b"]
+             10**30, float("nan"), float("inf"), float("-inf"), 1e-300, "a\0b", " 1_0 "]
 CONFIG_VALUES = {
     "n": [1, 3, 5.0], "d": [0.5, 1.5, 2], "trials": [1, 2], "p": [0, 0.3], "gamma": [0.5],
     "epsilon": [0.2, 0.6], "eta": [0, 0.1], "K": [2, 3], "gamma_steps": [1, 2], "c": [0.5],
@@ -1107,9 +1258,6 @@ def test_every_input_ends_in_success_or_one_json_error_line(tmp_path_factory, ca
 # ---------------------------------------------------------------------------
 # experiment scripts
 # ---------------------------------------------------------------------------
-
-import subprocess
-import sys
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 

@@ -7,9 +7,10 @@ from bipbis import (CapacityError, ParameterError, RandomSeed, is_gamma_balanced
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     sample_bipartite_graph)
 from bipbis.balance import best_b_for_a
-from bipbis.exact import _balanced_tables, _bitset_rows, _greedy_incumbent, _total_table
-from conftest import (brute_balanced, brute_max_balanced, enumerate_max_gamma_balanced,
-                      graph_from_edges, greedy_incumbent_loop, milp_optimum, subset_of)
+from bipbis.exact import _balanced_tables, _bitsets, _greedy_incumbent, _total_table
+from conftest import (biadjacency, bitset_rows, brute_balanced, brute_max_balanced,
+                      enumerate_max_gamma_balanced, graph_from_edges, greedy_incumbent_loop,
+                      milp_optimum, subset_of)
 
 K22 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -105,10 +106,10 @@ def test_greedy_incumbent_matches_the_one_start_at_a_time_loop(n, kind, fraction
         d = (n / 2 + fraction * max(n / 2 - 1, 0) if kind == "dense"
              else min(0.5 + 2.5 * fraction, n / 2))
         g = sample_bipartite_graph(n, d, RandomSeed(seed))
-    rows = _bitset_rows(g)
+    rows = bitset_rows(g)
     table = _total_table(n, gamma)
     total = table.tolist()
-    best, mask, blocked = _greedy_incumbent(g, table)
+    best, mask, blocked = _greedy_incumbent(biadjacency(g), table)
     assert (best, mask, blocked) == greedy_incumbent_loop(rows, total)
     assert blocked == union_of_rows(rows, mask)
     assert best == total[mask.bit_count()][n - blocked.bit_count()]
@@ -122,19 +123,33 @@ def union_of_rows(rows, mask):
     return blocked
 
 
+@pytest.mark.parametrize("n, d, stream", [(1, 0.5, 0), (7, 3.0, 1), (9, 4.0, 2), (32, 3.0, 0),
+                                          (32, 6.0, 2), (40, 4.0, 3)])
+def test_bitsets_of_the_biadjacency_match_the_per_edge_rows(n, d, stream):
+    # the solver's rows, and its cols in a search order, packed from one matrix
+    g = sample_bipartite_graph(n, d, RandomSeed(1, stream))
+    rows = bitset_rows(g)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[g.el, g.er] = True
+    assert _bitsets(adjacency) == rows
+    order = sorted(range(n), key=lambda i: (-rows[i].bit_count(), i))
+    cols = [sum(1 << j for j, v in enumerate(order) if rows[v] >> r & 1) for r in range(n)]
+    assert _bitsets(adjacency[order].T) == cols
+
+
 @pytest.mark.parametrize("d, stream", [(3.0, 0), (3.0, 1), (6.0, 2), (6.0, 3)])
 def test_greedy_incumbent_is_optimal_on_the_n32_pinned_graphs(d, stream):
     # the exact-bb benchmark's graphs: an optimal first incumbent is what
     # lets the bound prune from the root on
     g = sample_bipartite_graph(32, d, RandomSeed(1, stream))
     for gamma in (0.5, 1 / 3):
-        incumbent = _greedy_incumbent(g, _total_table(32, gamma))[0]
+        incumbent = _greedy_incumbent(biadjacency(g), _total_table(32, gamma))[0]
         assert incumbent == max_gamma_balanced_is(g, gamma)[0], gamma
 
 
 def test_an_optimal_incumbent_with_a_larger_mask_gives_way_to_the_witness():
     g = sample_bipartite_graph(8, 2.0, RandomSeed(1, 8))
-    best, mask, _ = _greedy_incumbent(g, _total_table(8, 0.5))
+    best, mask, _ = _greedy_incumbent(biadjacency(g), _total_table(8, 0.5))
     size, witness = max_gamma_balanced_is(g, 0.5)
     assert best == size and mask > witness.mask_l
     assert (size, witness) == enumerate_max_gamma_balanced(g, 0.5)
