@@ -18,19 +18,30 @@ at each node. The root takes one maximum (Kuhn) matching. Taking v drops the
 edges of v and of the R-vertices it newly blocks; each orphaned L-vertex
 rematches to its lowest free unmatched R neighbour. Leaving v out drops v's
 edge; its R partner rematches to the lowest later unmatched L neighbour.
-Backtracking undoes both.
+Backtracking undoes both: the take branch restores its orphans' match_l
+entries, and the leave branch restores match_r[r] = v on return whether r
+was rematched or left unmatched, as the subtree may overwrite the entry of
+an unmatched r.
 
 Witnesses are tie-broken so every caller sees one deterministic answer: the
 L-side is the smallest optimal L-mask (vertex i is bit i, masks compared as
 integers) and the R-side takes the lowest-index unblocked R-vertices. One
 depth-first search finds the optimum and this witness together. It replaces
 its incumbent on a larger total, or on an equal total with a smaller mask,
-and prunes a node whose bound is below the incumbent's total, or equal to it
-while the node's mask is not below the incumbent's: every trace under a node
-only adds bits to the node's mask. Any valid upper bound keeps this rule
-exact: a pruned subtree holds no larger total, and an equal total there
-comes with a mask no smaller than the incumbent's, so the witness is the
-same whichever bound pruned it.
+and enters a node only when its bound can beat the incumbent: when the bound
+is above the incumbent's total, or equal to it with the node's mask below
+the incumbent's, as every trace under a node only adds bits to the node's
+mask. A node checks each child before entering it, the rectangle bound
+first, as it is one table lookup, and the matching bound only if that
+passes, so a child the rectangle bound refuses costs no matching repair; the
+root is checked once before the search starts. Skipping a child cannot
+change the witness. Its own trace's total is at most its bound, and on a
+tie its mask is no smaller than the incumbent's, so it would not have
+replaced the incumbent; and both bounds only fall down the tree, so nothing
+below it could either. Any valid upper bound keeps this rule exact: a
+skipped subtree holds no larger total, and an equal total there comes with
+a mask no smaller than the incumbent's, so the witness is the same whichever
+bound refused it.
 
 The first incumbent is the best prefix of n greedy L-traces, not the empty
 trace. Trace j first takes L vertex j, then repeatedly the L vertex that
@@ -51,6 +62,8 @@ witness when the search reaches it.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .balance import VertexSubset, check_gamma, lowest_bits, pack_bits
@@ -65,6 +78,29 @@ def _check_capacity(n: int, limit: int, what: str) -> None:
         raise CapacityError(
             f"{what} supports n <= {limit} per side, got n = {n}; "
             f"raise the limit explicitly if you accept the cost")
+
+
+def _check_depth(n: int) -> None:
+    """Refuse an n whose search could pass Python's recursion limit. The
+    search recurses once per L vertex, and the root matching's augmenting
+    paths at most once per L vertex, from the caller's frame: n + 1 frames
+    below it, plus one for a builtin called at the deepest. So n may grow to
+    the recursion limit less the frames already on the stack, less two,
+    which is exactly the largest n the deepest graphs reach from a script's
+    top level. A C call on the stack holds a level that no frame shows
+    (runpy's exec under ``python -m``, a test runner's hooks), so there the
+    deepest graphs can still run out within a few n of the cap; the solver
+    then raises CapacityError too, after the work."""
+    depth, frame = 0, sys._getframe(1)  # the caller's frame and all below it
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    cap = limit - depth - 2
+    if n > cap:
+        raise CapacityError(
+            f"branch-and-bound supports n <= {cap} per side for any limit (it recurses once "
+            f"per L vertex, under Python's recursion limit of {limit}), got n = {n}")
 
 
 def _bitsets(matrix: np.ndarray) -> list[int]:
@@ -167,6 +203,7 @@ def max_gamma_balanced_is(
     both run, including the lexicographic witness."""
     check_gamma(gamma)
     n = graph.n
+    _check_depth(n)
     _check_capacity(n, limit, "branch-and-bound")
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[graph.el, graph.er] = True
@@ -185,81 +222,102 @@ def max_gamma_balanced_is(
     # subtree may overwrite them, so each branch restores on backtrack the
     # partners its node still reads. cols[r]: the positions of r's L neighbours
     cols = _bitsets(adjacency[order].T)
-    match_r = _max_matching(rows, order)
     match_l = [-1] * n
-    for r, v in enumerate(match_r):
-        if v >= 0:
-            match_l[v] = r
     # a valid trace is a safe first incumbent (see the module docstring)
     best_total, best_mask, best_blocked = _greedy_incumbent(adjacency, table)
 
-    def search(i: int, a: int, mask: int, blocked: int,
+    def search(i: int, a: int, mask: int, blocked: int, u: int,
                matched_r: int, unmatched: int, size: int) -> None:
+        # entered only when its bound can beat the incumbent: the caller checks
+        # it, testing the cheap rectangle bound before it repairs the matching
         nonlocal best_total, best_mask, best_blocked
-        u = n - blocked.bit_count()
         t = total[a][u]  # this node's own trace: every remaining vertex out
         if t > best_total or (t == best_total and mask < best_mask):
             best_total, best_mask, best_blocked = t, mask, blocked
         if i == n:
             return
-        k = a + n - i
-        cap = min(bound[k][u], k + u - size)
-        # every trace below extends mask, so none is smaller than mask itself
-        if cap < best_total or (cap == best_total and mask >= best_mask):
-            return
+        k = a + n - i  # both children have at most k L vertices below them
         v = order[i]
 
         # take v: v and the R vertices it newly blocks leave H with their
         # edges in M; each orphaned L vertex takes its lowest free unmatched
         # R neighbour, if any
-        dropped = matched_r & rows[v] & ~blocked
-        taken_blocked = blocked | rows[v]
-        taken_matched = matched_r ^ dropped
-        taken_unmatched = unmatched
-        taken_size = size - dropped.bit_count()
-        orphans = []
-        while dropped:
-            low = dropped & -dropped
-            dropped ^= low
-            r = low.bit_length() - 1
-            w = match_r[r]
-            if w == v:
-                continue
-            orphans.append((w, r))
-            candidates = rows[w] & ~(taken_blocked | taken_matched)
-            if candidates:
-                low = candidates & -candidates
-                taken_matched |= low
-                taken_size += 1
-                r2 = low.bit_length() - 1
-                match_l[w] = r2
-                match_r[r2] = w
-            else:
-                taken_unmatched |= 1 << position[w]
-        search(i + 1, a + 1, mask | 1 << v, taken_blocked,
-               taken_matched, taken_unmatched, taken_size)
-        for w, r in orphans:
-            match_l[w] = r
+        newly = rows[v] & ~blocked
+        taken_u = u - newly.bit_count()
+        taken_mask = mask | 1 << v
+        cap = bound[k][taken_u]
+        if cap > best_total or (cap == best_total and taken_mask < best_mask):
+            dropped = matched_r & newly
+            taken_blocked = blocked | newly
+            taken_matched = matched_r ^ dropped
+            taken_unmatched = unmatched
+            taken_size = size - dropped.bit_count()
+            orphans = []
+            while dropped:
+                low = dropped & -dropped
+                dropped ^= low
+                r = low.bit_length() - 1
+                w = match_r[r]
+                if w == v:
+                    continue
+                orphans.append((w, r))
+                candidates = rows[w] & ~(taken_blocked | taken_matched)
+                if candidates:
+                    low = candidates & -candidates
+                    taken_matched |= low
+                    taken_size += 1
+                    r2 = low.bit_length() - 1
+                    match_l[w] = r2
+                    match_r[r2] = w
+                else:
+                    taken_unmatched |= 1 << position[w]
+            cap = k + taken_u - taken_size
+            if cap > best_total or (cap == best_total and taken_mask < best_mask):
+                search(i + 1, a + 1, taken_mask, taken_blocked, taken_u,
+                       taken_matched, taken_unmatched, taken_size)
+            for w, r in orphans:
+                match_l[w] = r
 
         # leave v out: v leaves H; its R partner takes the lowest later
-        # unmatched L neighbour, if any
+        # unmatched L neighbour, if any, and is left unmatched otherwise
+        cap = bound[k - 1][u]
+        if cap < best_total or (cap == best_total and mask >= best_mask):
+            return
         if unmatched >> i & 1:
-            search(i + 1, a, mask, blocked, matched_r, unmatched, size)
+            cap = k - 1 + u - size
+            if cap > best_total or (cap == best_total and mask < best_mask):
+                search(i + 1, a, mask, blocked, u, matched_r, unmatched, size)
             return
         r = match_l[v]
         candidates = cols[r] & unmatched >> i + 1 << i + 1  # positions after i
+        cap = k - 1 + u - size if candidates else k + u - size
+        if cap < best_total or (cap == best_total and mask >= best_mask):
+            return
         if candidates:
             low = candidates & -candidates
             w = order[low.bit_length() - 1]
             match_l[w] = r
             match_r[r] = w
-            search(i + 1, a, mask, blocked, matched_r, unmatched ^ low, size)
+            search(i + 1, a, mask, blocked, u, matched_r, unmatched ^ low, size)
         else:
-            search(i + 1, a, mask, blocked, matched_r ^ 1 << r, unmatched, size - 1)
-        match_r[r] = v
+            search(i + 1, a, mask, blocked, u, matched_r ^ 1 << r, unmatched, size - 1)
+        match_r[r] = v  # in both cases: the subtree may overwrite r's stale entry
 
-    matched_r = sum(1 << r for r in range(n) if match_r[r] >= 0)
-    unmatched = sum(1 << j for j, v in enumerate(order) if match_l[v] < 0)
-    search(0, 0, 0, 0, matched_r, unmatched, matched_r.bit_count())
+    try:  # the augmenting paths and the search both recurse up to n + 1 deep
+        match_r = _max_matching(rows, order)
+        for r, v in enumerate(match_r):
+            if v >= 0:
+                match_l[v] = r
+        matched_r = sum(1 << r for r in range(n) if match_r[r] >= 0)
+        unmatched = sum(1 << j for j, v in enumerate(order) if match_l[v] < 0)
+        size = matched_r.bit_count()
+        cap = min(bound[n][n], 2 * n - size)
+        if cap > best_total or (cap == best_total and 0 < best_mask):
+            search(0, 0, 0, 0, n, matched_r, unmatched, size)
+    except RecursionError:  # within a few n of _check_depth's cap (see there)
+        raise CapacityError(
+            f"branch-and-bound ran past Python's recursion limit of "
+            f"{sys.getrecursionlimit()} at n = {n}: calls on the stack hold more "
+            f"levels than its frames show") from None
     b = best_total - best_mask.bit_count()
     return best_total, _witness_from_trace(best_mask, best_blocked, b, n)

@@ -291,7 +291,9 @@ COMMANDS: dict[str, Command] = {
               "graph text file (header 'n m', then 'l r' lines)"),
         _GAMMA,
         Param("limit", int, DEFAULT_BB_LIMIT, _at_least(1),
-              f"per-side capacity limit (default {DEFAULT_BB_LIMIT})"),
+              f"per-side capacity limit (default {DEFAULT_BB_LIMIT}); whatever the limit, "
+              "n is capped a few frames below Python's recursion limit, as the search "
+              "recurses once per vertex"),
     ), _exact),
     "local": Command("run the 1-local algorithm over seeded trials", (
         _N, _D, Param("p", float, REQUIRED, _owner(check_threshold), "L-side inclusion threshold"),

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from bipbis import (BipartiteGraph, CapacityError, ParameterError, RandomSeed, VertexSubset,
                     max_balanced_pair, sample_bipartite_graph)
 from bipbis.balance import check_gamma
-from bipbis.exact import _check_capacity, _total_table, _witness_from_trace
+from bipbis.exact import (_balanced_tables, _bitsets, _check_capacity, _greedy_incumbent,
+                          _max_matching, _total_table, _witness_from_trace)
 from bipbis.graph import _INT64_MAX, _MAX_DIGITS, _bad_line, _check_vertex_count
 from bipbis.lowdeg import check_polynomial_output
 from bipbis.rng import RESAMPLE_DRAW
@@ -155,6 +156,97 @@ def greedy_incumbent_loop(rows: list[int], total: list[list[int]]) -> tuple[int,
             mask |= 1 << v
             blocked |= rows[v]
     return best
+
+
+def enter_then_prune_search(
+    graph: BipartiteGraph, gamma: float, limit: int = 64,
+) -> tuple[int, VertexSubset]:
+    """The branch-and-bound as it was before a node checked its children's
+    bounds: every child is entered and checks its own bound, after its parent
+    has repaired the matching for it. It takes the solver's tables, search
+    order, root matching and greedy start, so any difference in (size,
+    witness) is a difference of the search itself."""
+    check_gamma(gamma)
+    n = graph.n
+    _check_capacity(n, limit, "branch-and-bound")
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[graph.el, graph.er] = True
+    rows = _bitsets(adjacency)
+    table = _total_table(n, gamma)
+    total, bound = _balanced_tables(table)
+    order = sorted(range(n), key=lambda i: (-rows[i].bit_count(), i))
+    position = sorted(range(n), key=order.__getitem__)
+    cols = _bitsets(adjacency[order].T)
+    match_r = _max_matching(rows, order)
+    match_l = [-1] * n
+    for r, v in enumerate(match_r):
+        if v >= 0:
+            match_l[v] = r
+    best_total, best_mask, best_blocked = _greedy_incumbent(adjacency, table)
+
+    def search(i, a, mask, blocked, matched_r, unmatched, size):
+        nonlocal best_total, best_mask, best_blocked
+        u = n - blocked.bit_count()
+        t = total[a][u]
+        if t > best_total or (t == best_total and mask < best_mask):
+            best_total, best_mask, best_blocked = t, mask, blocked
+        if i == n:
+            return
+        k = a + n - i
+        cap = min(bound[k][u], k + u - size)
+        if cap < best_total or (cap == best_total and mask >= best_mask):
+            return
+        v = order[i]
+        # take v, repairing the matching for the orphans of the R vertices it blocks
+        dropped = matched_r & rows[v] & ~blocked
+        taken_blocked = blocked | rows[v]
+        taken_matched = matched_r ^ dropped
+        taken_unmatched = unmatched
+        taken_size = size - dropped.bit_count()
+        orphans = []
+        while dropped:
+            low = dropped & -dropped
+            dropped ^= low
+            r = low.bit_length() - 1
+            w = match_r[r]
+            if w == v:
+                continue
+            orphans.append((w, r))
+            candidates = rows[w] & ~(taken_blocked | taken_matched)
+            if candidates:
+                low = candidates & -candidates
+                taken_matched |= low
+                taken_size += 1
+                r2 = low.bit_length() - 1
+                match_l[w] = r2
+                match_r[r2] = w
+            else:
+                taken_unmatched |= 1 << position[w]
+        search(i + 1, a + 1, mask | 1 << v, taken_blocked,
+               taken_matched, taken_unmatched, taken_size)
+        for w, r in orphans:
+            match_l[w] = r
+        # leave v out: its R partner rematches to the lowest later unmatched L neighbour
+        if unmatched >> i & 1:
+            search(i + 1, a, mask, blocked, matched_r, unmatched, size)
+            return
+        r = match_l[v]
+        candidates = cols[r] & unmatched >> i + 1 << i + 1
+        if candidates:
+            low = candidates & -candidates
+            w = order[low.bit_length() - 1]
+            match_l[w] = r
+            match_r[r] = w
+            search(i + 1, a, mask, blocked, matched_r, unmatched ^ low, size)
+        else:
+            search(i + 1, a, mask, blocked, matched_r ^ 1 << r, unmatched, size - 1)
+        match_r[r] = v
+
+    matched_r = sum(1 << r for r in range(n) if match_r[r] >= 0)
+    unmatched = sum(1 << j for j, v in enumerate(order) if match_l[v] < 0)
+    search(0, 0, 0, 0, matched_r, unmatched, matched_r.bit_count())
+    b = best_total - best_mask.bit_count()
+    return best_total, _witness_from_trace(best_mask, best_blocked, b, n)
 
 
 def milp_optimum(graph: BipartiteGraph, gamma: float) -> int:

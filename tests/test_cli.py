@@ -746,6 +746,18 @@ def test_exact_rejects_duplicate_edge_lines(capsys, tmp_path):
     assert "duplicate edge" in assert_one_error_line(err)
 
 
+def test_exact_refuses_an_n_past_the_recursion_depth_in_one_json_line(capsys, tmp_path):
+    # refused before the greedy start, which alone takes seconds at this n
+    path = tmp_path / "wide.txt"
+    path.write_text(f"{sys.getrecursionlimit() + 100} 0\n")
+    code, out, err = run_cli(capsys, "exact", "--graph", str(path), "--limit", "100000")
+    assert code == 1 and out == ""
+    assert "recursion limit" in assert_one_error_line(err, "CapacityError")
+    with pytest.raises(SystemExit):
+        main(["exact", "-h"])
+    assert "recursion limit" in " ".join(capsys.readouterr().out.split())
+
+
 def test_exact_rejects_non_integer_tokens(capsys, tmp_path):
     path = tmp_path / "tokens.txt"
     for text in ("2 1\nx y\n", "2 1\n-1 0\n", "2 1\n0 \u0661\n"):

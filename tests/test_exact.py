@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +12,12 @@ from hypothesis import strategies as st
 from bipbis import (CapacityError, ParameterError, RandomSeed, is_gamma_balanced,
                     is_independent, max_balanced_pair, max_gamma_balanced_is,
                     sample_bipartite_graph)
+from bipbis import exact
 from bipbis.balance import best_b_for_a
 from bipbis.exact import _balanced_tables, _bitsets, _greedy_incumbent, _total_table
 from conftest import (biadjacency, bitset_rows, brute_balanced, brute_max_balanced,
-                      enumerate_max_gamma_balanced, graph_from_edges, greedy_incumbent_loop,
-                      milp_optimum, subset_of)
+                      enter_then_prune_search, enumerate_max_gamma_balanced, graph_from_edges,
+                      greedy_incumbent_loop, milp_optimum, subset_of)
 
 K22 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -76,6 +83,7 @@ def test_optimum_matches_milp(n, d):
     for gamma in (0.5, 1 / 3):
         size, witness = max_gamma_balanced_is(g, gamma, limit=40)
         assert size == milp_optimum(g, gamma)
+        assert (size, witness) == enter_then_prune_search(g, gamma, limit=40)
         assert witness.size == size
         assert is_independent(g, witness) and is_gamma_balanced(witness, gamma)
 
@@ -157,9 +165,12 @@ def test_an_optimal_incumbent_with_a_larger_mask_gives_way_to_the_witness():
 
 # (n, d, stream of RandomSeed(1, .), gamma) -> (size, witness_l, witness_r), as
 # `bipbis exact` printed them before the solver became one search pass, and
-# for n = 32, d = 3 before it gained the matching bound
+# for n = 32, d = 3 before it gained the matching bound. (24, 3.0, 4, 0.5) is
+# a graph on which a leave branch that restores match_r[r] only after a
+# rematch, not after leaving r unmatched, returns another witness
 PINNED_WITNESSES = {
     (6, 1.5, 3, 0.5): (9, "1,2,3,4", "0,2,3,4,5"),
+    (24, 3.0, 4, 0.5): (21, "2,4,5,7,8,9,10,16,18,19", "2,3,10,11,13,14,16,17,18,21,22"),
     (24, 3.0, 0, 0.5): (27, "1,2,4,5,6,7,8,9,14,16,19,20,22",
                         "0,1,3,5,6,9,10,11,13,14,17,18,19,20"),
     (24, 3.0, 0, 1 / 3): (26, "1,2,4,5,6,14,16,19,20",
@@ -213,6 +224,100 @@ def test_adding_an_edge_never_helps():
         g2 = graph_from_edges(n, sorted(present | {(l, r)}))
         for gamma in (0.25, 0.5):
             assert max_gamma_balanced_is(g2, gamma)[0] <= max_gamma_balanced_is(g, gamma)[0]
+
+
+def frame_depth():
+    """The frames on the stack of the caller, its own included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def chain_graph(n):
+    """l_j ~ r_j, r_(j+1) for j < n - 1 and l_(n-1) ~ r_0: Kuhn's matching
+    pairs each l_j with r_j, then augments l_(n-1) through all of them."""
+    return graph_from_edges(n, [(l, r) for l in range(n - 1) for r in (l, l + 1)] + [(n - 1, 0)])
+
+
+def test_the_recursion_limit_caps_n_before_any_work(monkeypatch):
+    # the cap is the recursion limit less the frames on the stack, the
+    # solver's own included, less two: n + 1 search frames and a builtin
+    limit = frame_depth() + 50
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: limit)
+    message = rf"n <= 47 per side for any limit .*recursion limit of {limit}\), got n = 48"
+    with pytest.raises(CapacityError, match=message):
+        max_gamma_balanced_is(graph_from_edges(48, []), 0.5, limit=1000)
+    assert max_gamma_balanced_is(graph_from_edges(47, []), 0.5, limit=1000)[0] == 94
+
+    def no_work(*args):
+        raise AssertionError("work started before the depth check")
+
+    monkeypatch.setattr(exact, "_greedy_incumbent", no_work)
+    monkeypatch.setattr(exact, "_max_matching", no_work)
+    with pytest.raises(CapacityError, match=message):
+        max_gamma_balanced_is(graph_from_edges(48, []), 0.5, limit=1000)
+
+
+def test_running_out_of_depth_below_the_cap_is_a_capacity_error(monkeypatch):
+    # the check reads a limit that the stack does not have, as when calls on
+    # it hold levels that no frame shows
+    old = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: old)
+    sys.setrecursionlimit(frame_depth() + 60)
+    try:
+        for graph in (graph_from_edges(100, []), chain_graph(100)):  # the search, the matching
+            with pytest.raises(CapacityError, match=rf"ran past .* limit of {old} at n = 100"):
+                max_gamma_balanced_is(graph, 0.5, limit=1000)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+# Under a real recursion limit of 150, from a script's top level: an edgeless
+# graph takes every vertex, so the search descends n deep, and the chain
+# l_j ~ r_j, r_(j+1) (j < n - 1), l_(n-1) ~ r_0 makes Kuhn's matching augment
+# through every pair, n deep. Both run at the cap and are refused past it.
+_DEEPEST_AT_THE_CAP = """
+import json, re, sys
+import numpy as np
+from bipbis import BipartiteGraph, CapacityError, max_gamma_balanced_is
+def edgeless(n):
+    return BipartiteGraph.from_coordinates(n, np.zeros(0, dtype=np.int64))
+def chain(n):
+    coords = sorted({l * n + r for l in range(n - 1) for r in (l, l + 1)} | {(n - 1) * n})
+    return BipartiteGraph.from_coordinates(n, np.array(coords, dtype=np.int64))
+sys.setrecursionlimit(150)
+try:
+    max_gamma_balanced_is(edgeless(150), 0.5, limit=1000)
+except CapacityError as exc:
+    cap = int(re.search(r"n <= (\\d+)", str(exc)).group(1))
+sizes = [max_gamma_balanced_is(edgeless(cap), 0.5, limit=1000)[0]]
+sizes.append(max_gamma_balanced_is(chain(cap), 0.5, limit=1000)[0])
+refused = 0
+for graph in (edgeless(cap + 1), chain(cap + 1)):
+    try:
+        max_gamma_balanced_is(graph, 0.5, limit=1000)
+    except CapacityError:
+        refused += 1
+print(json.dumps([cap, sizes, refused]))
+"""
+
+
+def test_the_deepest_search_and_matching_run_at_the_cap():
+    # a fresh interpreter, as pytest's own calls hold recursion depth that no
+    # Python frame shows
+    path = os.pathsep.join(filter(None, (str(Path(exact.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _DEEPEST_AT_THE_CAP], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    cap, sizes, refused = json.loads(out.stdout)
+    assert cap == 150 - 2 - 2  # the script's frame and the solver's
+    assert sizes[0] == 2 * cap
+    assert sizes[1] == max_gamma_balanced_is(chain_graph(cap), 0.5, limit=1000)[0]
+    assert refused == 2
+
 
 
 def test_capacity_error():
@@ -346,3 +451,14 @@ def test_swapping_the_sides_keeps_the_half_balanced_optimum():
         g = sample_bipartite_graph(n, d, RandomSeed(92, stream))
         swapped = graph_from_edges(n, zip(g.er.tolist(), g.el.tolist()))
         assert max_gamma_balanced_is(swapped, 0.5)[0] == max_gamma_balanced_is(g, 0.5)[0]
+
+
+@given(n=st.integers(20, 40), dense=st.booleans(), fraction=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.5, 1 / 3, 0.25, 0.1]))
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_checking_children_first_keeps_the_enter_then_prune_witness(n, dense, fraction, seed,
+                                                                      gamma):
+    # past the enumeration's n = 20: sparse d in [0.5, 3], dense d in [n/2, n - 1]
+    d = n / 2 + fraction * (n / 2 - 1) if dense else 0.5 + 2.5 * fraction
+    g = sample_bipartite_graph(n, d, RandomSeed(seed))
+    assert max_gamma_balanced_is(g, gamma, limit=40) == enter_then_prune_search(g, gamma)
